@@ -29,7 +29,6 @@ from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .analytic import RwaCoefficients, eia_splitting, peak_height, root_trajectories
 from .errors import (
@@ -55,7 +54,7 @@ from .params import (
     default_params,
     eit_width,
 )
-from .working_point import solve_working_point
+from .working_point import _brentq, solve_working_point
 
 MODELS = ("full", "rwa", "analytic", "oscillator")
 SWEEP_KINDS = ("probe_x", "cooperativity_ratio", "roots_vs_ratio", "time_domain")
@@ -153,7 +152,7 @@ def invert_cooperativity(
         hi *= 2.0
     else:
         raise ConvergenceError(f"could not bracket power for cooperativity {target_c}")
-    power = brentq(lambda p: coop_of(p) - target_c, lo, hi, xtol=1e-18, rtol=1e-13)
+    power = _brentq(lambda p: coop_of(p) - target_c, lo, hi, xtol=1e-18, rtol=1e-13)
     achieved = coop_of(power)
     if abs(achieved - target_c) > rtol * target_c:
         raise ConvergenceError(
@@ -371,10 +370,14 @@ def _response_row(first: float, resp: ProbeResponse) -> list[float]:
     ]
 
 
-def derive_summary(scenario: Scenario) -> dict:
-    """Working point plus every derived quantity, as a flat JSON-able dict."""
+def derive_summary(scenario: Scenario, resolved=None) -> dict:
+    """Working point plus every derived quantity, as a flat JSON-able dict.
+
+    ``resolved`` is the result of ``resolve_drives(scenario)`` when the caller
+    already has it.
+    """
     params = scenario.params
-    drives, c1, c2 = resolve_drives(scenario)
+    drives, c1, c2 = resolved or resolve_drives(scenario)
     wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
@@ -426,7 +429,7 @@ def derive_summary(scenario: Scenario) -> dict:
     return {k: clean(v) for k, v in summary.items()}
 
 
-def _auto_probe_points(scenario: Scenario, x_min: float, x_max: float) -> int:
+def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float) -> int:
     """Default grid density: at least 20 points per estimated peak width.
 
     Uses the absorption-peak half-width estimate kappa2 + s2/Gamma_EIT when
@@ -434,7 +437,7 @@ def _auto_probe_points(scenario: Scenario, x_min: float, x_max: float) -> int:
     cap 20001.
     """
     params = scenario.params
-    drives, c1, _ = resolve_drives(scenario)
+    drives, c1, _ = resolved
     wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
@@ -446,8 +449,11 @@ def _auto_probe_points(scenario: Scenario, x_min: float, x_max: float) -> int:
     return max(801, min(n, 20001))
 
 
-def _scaled_drives(scenario: Scenario, c1: float, ratio: float) -> DriveConfig:
-    p1 = invert_cooperativity(c1, 1, scenario.params, detuning_mode=scenario.detuning_mode)
+def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float) -> DriveConfig:
+    """Drives for C2 = ratio * C1, with p1 the cavity-1 power inverted for C1 alone.
+
+    p1 does not depend on the ratio, so a sweep inverts it once.
+    """
     p2 = (
         invert_cooperativity(
             ratio * c1, 2, scenario.params,
@@ -476,18 +482,21 @@ def run_scenario(
     kind = scenario.sweep.get("kind", "probe_x") if scenario.sweep else None
 
     files: list[str] = []
-    summary = derive_summary(scenario)
+    resolved = resolve_drives(scenario)
+    summary = derive_summary(scenario, resolved)
 
     if kind is None:
         pass
     elif kind == "probe_x":
-        files += _run_probe_sweep(scenario, out_path, out_format, model_override, points_override)
+        files += _run_probe_sweep(scenario, resolved, out_path, out_format, model_override,
+                                  points_override)
     elif kind == "cooperativity_ratio":
-        files += _run_ratio_sweep(scenario, out_path, out_format, model_override, points_override)
+        files += _run_ratio_sweep(scenario, resolved, out_path, out_format, model_override,
+                                  points_override)
     elif kind == "roots_vs_ratio":
-        files += _run_root_sweep(scenario, out_path, out_format, points_override)
+        files += _run_root_sweep(scenario, resolved, out_path, out_format, points_override)
     elif kind == "time_domain":
-        files += _run_time_domain(scenario, out_path, out_format)
+        files += _run_time_domain(scenario, resolved, out_path, out_format)
     summary["files"] = files
     return summary
 
@@ -511,7 +520,7 @@ def _variant_path(base: Path, label: str | None) -> Path:
     return base.with_name(f"{base.stem}_{label}{base.suffix}")
 
 
-def _run_probe_sweep(scenario, out_path, out_format, model_override, points_override):
+def _run_probe_sweep(scenario, resolved, out_path, out_format, model_override, points_override):
     params = scenario.params
     gm = params.gamma_m
     sweep = scenario.sweep
@@ -519,16 +528,21 @@ def _run_probe_sweep(scenario, out_path, out_format, model_override, points_over
     x_max = float(sweep.get("x_max_gamma_m", 30.0)) * gm
     if not x_min < x_max:
         raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
-    n_points = points_override or sweep.get("n_points") or _auto_probe_points(scenario, x_min, x_max)
+    n_points = (points_override or sweep.get("n_points")
+                or _auto_probe_points(scenario, resolved, x_min, x_max))
     xs = np.linspace(x_min, x_max, n_points)
 
+    variants = _variant_list(scenario, model_override)
+    base_drives, c1, _ = resolved
+    p1 = None
+    if any(ratio is not None for _, _, ratio in variants):
+        p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode)
     written = []
-    for label, model, ratio in _variant_list(scenario, model_override):
+    for label, model, ratio in variants:
         if ratio is None:
-            drives, _, _ = resolve_drives(scenario)
+            drives = base_drives
         else:
-            _, c1, _ = resolve_drives(scenario)
-            drives = _scaled_drives(scenario, c1, ratio)
+            drives = _scaled_drives(scenario, c1, p1, ratio)
         wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
         osc_model = from_working_point(wp, params) if model == "oscillator" else None
         rows = []
@@ -544,20 +558,21 @@ def _run_probe_sweep(scenario, out_path, out_format, model_override, points_over
     return written
 
 
-def _run_ratio_sweep(scenario, out_path, out_format, model_override, points_override):
+def _run_ratio_sweep(scenario, resolved, out_path, out_format, model_override, points_override):
     params = scenario.params
     sweep = scenario.sweep
     model = model_override or scenario.model
-    _, c1, _ = resolve_drives(scenario)
+    _, c1, _ = resolved
     lo = float(sweep.get("ratio_min", 0.0))
     hi = float(sweep.get("ratio_max", 1.0))
     if not lo < hi:
         raise ScenarioError("ratio sweep needs ratio_min < ratio_max")
     n_points = points_override or sweep.get("n_points", 201)
     x = float(sweep.get("x_gamma_m", 0.0)) * params.gamma_m
+    p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode)
     rows = []
     for ratio in np.linspace(lo, hi, n_points):
-        drives = _scaled_drives(scenario, c1, ratio)
+        drives = _scaled_drives(scenario, c1, p1, ratio)
         wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
         resp = probe_response(params, wp, x, model)
         rows.append(_response_row(ratio, resp))
@@ -565,10 +580,10 @@ def _run_ratio_sweep(scenario, out_path, out_format, model_override, points_over
     return [str(out_path)]
 
 
-def _run_root_sweep(scenario, out_path, out_format, points_override):
+def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
     params = scenario.params
     sweep = scenario.sweep
-    _, c1, _ = resolve_drives(scenario)
+    _, c1, _ = resolved
     lo = float(sweep.get("ratio_min", 0.0))
     hi = float(sweep.get("ratio_max", 1.0))
     if not lo < hi:
@@ -599,10 +614,10 @@ def _run_root_sweep(scenario, out_path, out_format, points_override):
     return [str(out_path)]
 
 
-def _run_time_domain(scenario, out_path, out_format):
+def _run_time_domain(scenario, resolved, out_path, out_format):
     params = scenario.params
     sweep = scenario.sweep
-    drives, _, _ = resolve_drives(scenario)
+    drives, _, _ = resolved
     wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
     model = from_working_point(wp, params)
     if "t_final" not in sweep:

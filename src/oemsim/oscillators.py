@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import InvalidParameterError, SingularResponseError, StepSizeError
 from .params import SystemParams, _require_positive
@@ -177,6 +176,8 @@ def propagate(
             for i, t in enumerate(times):
                 states[i] = z_ss * np.exp(-1j * delta * t) + evecs @ (np.exp(evals * t) * c0)
         else:
+            from scipy.linalg import expm  # only the rare defective case needs scipy
+
             for i, t in enumerate(times):
                 states[i] = z_ss * np.exp(-1j * delta * t) + expm(a * t) @ (-z_ss)
         return Trajectory(times=times, states=states)

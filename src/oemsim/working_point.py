@@ -19,10 +19,10 @@ self-consistent in q0 and, at high drive, potentially multivalued.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, InvalidParameterError
 from .params import DriveConfig, SystemParams, drive_amplitude
@@ -67,6 +67,96 @@ def _force_residual(q, e1, e2, params):
     return params.omega_m * q - params.g1 * n1 + params.g2 * n2
 
 
+def _ieee_div(num, den):
+    """num / den with C semantics: division by zero gives +-inf or nan, not an exception."""
+    try:
+        return num / den
+    except ZeroDivisionError:
+        if num == 0.0 or math.isnan(num):
+            return math.nan
+        return math.copysign(math.inf, num) * math.copysign(1.0, den)
+
+
+def _brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """Root of f in the sign-changing bracket [a, b] by Brent's method.
+
+    A line-for-line port of scipy's ``brentq.c`` (defaults are scipy's), so
+    it returns the same float for the same inputs.  A NaN function value, a
+    bracket without a sign change and a run out of iterations all raise
+    ConvergenceError.
+    """
+
+    def func(x):
+        fx = float(f(x, *args))
+        if math.isnan(fx):
+            raise ConvergenceError(f"root finder hit a NaN function value at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    xtol, rtol = float(xtol), float(rtol)
+    xblk = fblk = spre = scur = 0.0
+    fpre = func(xpre)
+    fcur = func(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConvergenceError(f"root bracket [{xpre!r}, {xcur!r}] has no sign change")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
+            else:
+                # extrapolate
+                dpre = _ieee_div(fpre - fcur, xpre - xcur)
+                dblk = _ieee_div(fblk - fcur, xblk - xcur)
+                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = func(xcur)
+    raise ConvergenceError(f"root finder did not converge in {maxiter} iterations",
+                           residual=abs(fcur))
+
+
 def _scan_roots(e1, e2, params):
     """Bracket every root of the force balance on a padded, locally-refined grid."""
     g1, g2 = params.g1, params.g2
@@ -89,16 +179,15 @@ def _scan_roots(e1, e2, params):
             grid = np.concatenate([grid, local[(local > lo) & (local < hi)]])
     grid = np.unique(grid)
 
-    values = np.array([_force_residual(q, e1, e2, params) for q in grid])
+    values = _force_residual(grid, e1, e2, params)
     roots = []
-    for i in range(len(grid) - 1):
-        a, b = values[i], values[i + 1]
-        if a == 0.0:
+    for i in np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)):
+        if values[i] == 0.0:
             roots.append(grid[i])
-        elif a * b < 0.0:
+        else:
             roots.append(
-                brentq(_force_residual, grid[i], grid[i + 1], args=(e1, e2, params),
-                       xtol=1e-14, rtol=1e-14)
+                _brentq(_force_residual, grid[i], grid[i + 1], args=(e1, e2, params),
+                        xtol=1e-14, rtol=1e-14)
             )
     if values[-1] == 0.0:
         roots.append(grid[-1])

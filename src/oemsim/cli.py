@@ -24,7 +24,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -38,13 +38,8 @@ from .errors import (
     SingularResponseError,
     StepSizeError,
 )
-from .linear_response import (
-    ProbeResponse,
-    probe_outputs,
-    solve_sidebands,
-    solve_sidebands_closed_form,
-)
-from .oscillators import from_working_point, harmonic_steady_state, propagate
+from .linear_response import ProbeResponse, response_grid
+from .oscillators import from_working_point, propagate
 from .params import (
     HBAR,
     DriveConfig,
@@ -54,7 +49,7 @@ from .params import (
     default_params,
     eit_width,
 )
-from .working_point import _brentq, solve_working_point
+from .working_point import WorkingPoint, _brentq, solve_working_point
 
 MODELS = ("full", "rwa", "analytic", "oscillator")
 SWEEP_KINDS = ("probe_x", "cooperativity_ratio", "roots_vs_ratio", "time_domain")
@@ -81,6 +76,8 @@ ROOT_COLUMNS = [
     "re_c_over_gamma_m",
 ]
 TIME_COLUMNS = ["t_seconds", "re_u", "im_u", "re_v", "im_v", "re_w", "im_w"]
+
+_CHUNK_ROWS = 4096  # rows per write in _write_table
 
 _SI_PREFIX = {"": 1.0, "k": 1e3, "m": 1e-3, "u": 1e-6, "µ": 1e-6, "n": 1e-9, "p": 1e-12}
 _POWER_RE = re.compile("\\s*([0-9.eE+\\-]+)\\s*([kmunpµ]?)W\\s*")
@@ -131,15 +128,19 @@ def invert_cooperativity(
     delta = params.delta_bare1 if cavity_index == 1 else params.delta_bare2
     if g == 0.0:
         raise ConvergenceError("target cooperativity unreachable: zero coupling rate")
+    solved: dict[float, float] = {}  # the bracket, brentq and the final check share powers
 
     def coop_of(power: float) -> float:
+        if power in solved:
+            return solved[power]
         if cavity_index == 1:
             drives = DriveConfig(p_c1=power, p_c2=other_power)
         else:
             drives = DriveConfig(p_c1=other_power, p_c2=power)
         wp = solve_working_point(params, drives, detuning_mode=detuning_mode)
         n = wp.n1 if cavity_index == 1 else wp.n2
-        return cooperativity(g, n, kappa, params.gamma_m)
+        solved[power] = cooperativity(g, n, kappa, params.gamma_m)
+        return solved[power]
 
     # Lorentzian estimate ignoring the spring shift; exact in effective mode
     n_target = target_c * kappa * params.gamma_m / g**2
@@ -289,21 +290,29 @@ def _params_from_spec(spec: dict) -> SystemParams:
         raise ScenarioError(f"invalid params: {exc}") from exc
 
 
-def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float]:
-    """Resolve the drive spec to powers; returns (drives, c1, c2) at the working point."""
+def resolve_drives(
+    scenario: Scenario,
+) -> tuple[DriveConfig, float, float, WorkingPoint, float | None]:
+    """Resolve the drive spec to powers; returns (drives, c1, c2, wp, p1_alone).
+
+    wp is the working point at ``drives``, c1 and c2 its cooperativities, and
+    p1_alone the cavity-1 power giving C1 = c1 with cavity 2 off when resolving
+    already inverted exactly that (else None).
+    """
     spec = scenario.drives
     params = scenario.params
     mode = scenario.detuning_mode
+    p1_alone = target_c1 = None
     if "c1" in spec or "c2" in spec:
         extra = set(spec) - {"c1", "c2", "p_p"}
         if extra:
             raise ScenarioError(f"drives mixes cooperativity targets with {sorted(extra)}")
-        c1 = float(spec.get("c1", 0.0))
-        c2 = float(spec.get("c2", 0.0))
-        p1 = invert_cooperativity(c1, 1, params, detuning_mode=mode)
-        p2 = invert_cooperativity(c2, 2, params, detuning_mode=mode, other_power=p1)
-        if mode == "bare" and c1 > 0:
-            p1 = invert_cooperativity(c1, 1, params, detuning_mode=mode, other_power=p2)
+        target_c1 = float(spec.get("c1", 0.0))
+        target_c2 = float(spec.get("c2", 0.0))
+        p1 = p1_alone = invert_cooperativity(target_c1, 1, params, detuning_mode=mode)
+        p2 = invert_cooperativity(target_c2, 2, params, detuning_mode=mode, other_power=p1)
+        if mode == "bare" and target_c1 > 0 and p2 > 0:  # p2 = 0 would repeat the first call
+            p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, other_power=p2)
         drives = DriveConfig(p_c1=p1, p_c2=p2, p_p=parse_power(spec.get("p_p", 0.0)))
     else:
         extra = set(spec) - {"p_c1", "p_c2", "p_p"}
@@ -317,57 +326,16 @@ def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float]:
     wp = solve_working_point(params, drives, detuning_mode=mode)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
-    return drives, c1, c2
+    # ratio sweeps invert the achieved C1 alone: the first inversion did so if it hit exactly
+    return drives, c1, c2, wp, (p1_alone if c1 == target_c1 else None)
 
 
-def _oscillator_response(model, params, delta) -> ProbeResponse:
-    u, v, w = harmonic_steady_state(model, delta)
-    k1, k2 = params.kappa1, params.kappa2
-    e_l = 2.0 * k1 * u
-    e_r = 2.0 * k2 * v
-    reflect = abs(e_l - 1.0) ** 2
-    transmit = 4.0 * k1 * k2 * abs(v) ** 2
-    bath = 2.0 * k1 * params.gamma_m * abs(w) ** 2
-    return ProbeResponse(
-        x=delta - params.omega_m,
-        e_l=e_l,
-        e_r=e_r,
-        reflect_flux=reflect,
-        transmit_flux=transmit,
-        mech_intensity=abs(w) ** 2 / 2.0,  # |Q_+|^2 = |w|^2/2
-        lower_sideband_flux1=0.0,
-        lower_sideband_flux2=0.0,
-        bath_flux=bath,
-        flux_budget=reflect + transmit + bath,
-        transduced_frequency=params.omega_c2 + delta,
-    )
-
-
-def probe_response(params, wp, x: float, model: str) -> ProbeResponse:
-    """One probe-response row at x = delta - omega_m for the chosen model."""
-    delta = params.omega_m + x
-    if model == "full":
-        return probe_outputs(solve_sidebands(wp, params, delta, rwa=False), wp, params)
-    if model == "rwa":
-        return probe_outputs(solve_sidebands(wp, params, delta, rwa=True), wp, params)
-    if model == "analytic":
-        return probe_outputs(solve_sidebands_closed_form(wp, params, delta), wp, params)
-    if model == "oscillator":
-        return _oscillator_response(from_working_point(wp, params), params, delta)
-    raise ScenarioError(f"unknown model {model!r}")
-
-
-def _response_row(first: float, resp: ProbeResponse) -> list[float]:
-    return [
-        first,
-        resp.e_l.real,
-        resp.e_l.imag,
-        resp.reflect_flux,
-        abs(resp.e_r) ** 2,
-        resp.transmit_flux,
-        resp.mech_intensity,
-        resp.flux_budget,
-    ]
+def _response_table(first, resp: ProbeResponse) -> np.ndarray:
+    """Table rows: ``first`` (x/gamma_m or C2/C1), then PROBE_COLUMNS[1:] of a response grid."""
+    return np.column_stack(np.broadcast_arrays(
+        first, resp.e_l.real, resp.e_l.imag, resp.reflect_flux, np.abs(resp.e_r) ** 2,
+        resp.transmit_flux, resp.mech_intensity, resp.flux_budget,
+    ))
 
 
 def derive_summary(scenario: Scenario, resolved=None) -> dict:
@@ -377,8 +345,7 @@ def derive_summary(scenario: Scenario, resolved=None) -> dict:
     already has it.
     """
     params = scenario.params
-    drives, c1, c2 = resolved or resolve_drives(scenario)
-    wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
+    drives, c1, c2, wp, _ = resolved or resolve_drives(scenario)
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     split = eia_splitting(gamma_eit, coeffs.s2, params.kappa2)
@@ -386,10 +353,11 @@ def derive_summary(scenario: Scenario, resolved=None) -> dict:
     model = from_working_point(wp, params)
     hierarchy = model.hierarchy_report()
 
-    on = probe_response(params, wp, 0.0, "rwa")
+    on = response_grid(wp, params, params.omega_m, "rwa")
     drives_off = DriveConfig(p_c1=drives.p_c1, p_c2=0.0, p_p=drives.p_p)
-    wp_off = solve_working_point(params, drives_off, detuning_mode=scenario.detuning_mode)
-    off = probe_response(params, wp_off, 0.0, "rwa")
+    wp_off = wp if drives_off == drives else solve_working_point(
+        params, drives_off, detuning_mode=scenario.detuning_mode)
+    off = response_grid(wp_off, params, params.omega_m, "rwa")
     switch_t_over_r = on.transmit_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
     switch_off_over_on = off.reflect_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
 
@@ -437,8 +405,7 @@ def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float)
     cap 20001.
     """
     params = scenario.params
-    drives, c1, _ = resolved
-    wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
+    _, c1, _, wp, _ = resolved
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     if coeffs.s2 > 0:
@@ -449,11 +416,16 @@ def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float)
     return max(801, min(n, 20001))
 
 
-def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float) -> DriveConfig:
-    """Drives for C2 = ratio * C1, with p1 the cavity-1 power inverted for C1 alone.
+def _p1_alone(scenario: Scenario, resolved) -> float:
+    """Cavity-1 power for the resolved C1 with cavity 2 off, inverted once per sweep."""
+    _, c1, _, _, p1 = resolved
+    if p1 is None:
+        p1 = invert_cooperativity(c1, 1, scenario.params, detuning_mode=scenario.detuning_mode)
+    return p1
 
-    p1 does not depend on the ratio, so a sweep inverts it once.
-    """
+
+def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float) -> DriveConfig:
+    """Drives for C2 = ratio * C1, with p1 = ``_p1_alone`` (it does not depend on the ratio)."""
     p2 = (
         invert_cooperativity(
             ratio * c1, 2, scenario.params,
@@ -533,27 +505,18 @@ def _run_probe_sweep(scenario, resolved, out_path, out_format, model_override, p
     xs = np.linspace(x_min, x_max, n_points)
 
     variants = _variant_list(scenario, model_override)
-    base_drives, c1, _ = resolved
-    p1 = None
+    _, c1, _, base_wp, _ = resolved
     if any(ratio is not None for _, _, ratio in variants):
-        p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode)
+        p1 = _p1_alone(scenario, resolved)
     written = []
     for label, model, ratio in variants:
-        if ratio is None:
-            drives = base_drives
-        else:
+        wp = base_wp
+        if ratio is not None:
             drives = _scaled_drives(scenario, c1, p1, ratio)
-        wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
-        osc_model = from_working_point(wp, params) if model == "oscillator" else None
-        rows = []
-        for x in xs:
-            if osc_model is not None:
-                resp = _oscillator_response(osc_model, params, params.omega_m + x)
-            else:
-                resp = probe_response(params, wp, x, model)
-            rows.append(_response_row(x / gm, resp))
+            wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
+        resp = response_grid(wp, params, params.omega_m + xs, model)
         path = _variant_path(out_path, label)
-        _write_table(path, PROBE_COLUMNS, rows, out_format)
+        _write_table(path, PROBE_COLUMNS, _response_table(xs / gm, resp), out_format)
         written.append(str(path))
     return written
 
@@ -562,28 +525,28 @@ def _run_ratio_sweep(scenario, resolved, out_path, out_format, model_override, p
     params = scenario.params
     sweep = scenario.sweep
     model = model_override or scenario.model
-    _, c1, _ = resolved
+    _, c1, _, _, _ = resolved
     lo = float(sweep.get("ratio_min", 0.0))
     hi = float(sweep.get("ratio_max", 1.0))
     if not lo < hi:
         raise ScenarioError("ratio sweep needs ratio_min < ratio_max")
     n_points = points_override or sweep.get("n_points", 201)
     x = float(sweep.get("x_gamma_m", 0.0)) * params.gamma_m
-    p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode)
-    rows = []
-    for ratio in np.linspace(lo, hi, n_points):
-        drives = _scaled_drives(scenario, c1, p1, ratio)
-        wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
-        resp = probe_response(params, wp, x, model)
-        rows.append(_response_row(ratio, resp))
-    _write_table(out_path, RATIO_COLUMNS, rows, out_format)
+    ratios = np.linspace(lo, hi, n_points)
+    p1 = _p1_alone(scenario, resolved)
+    wps = [solve_working_point(params, _scaled_drives(scenario, c1, p1, ratio),
+                               detuning_mode=scenario.detuning_mode) for ratio in ratios]
+    # one working point per row, its fields stacked into arrays for the kernel
+    stacked = WorkingPoint(*map(np.array, zip(*map(astuple, wps))))
+    resp = response_grid(stacked, params, params.omega_m + x, model)
+    _write_table(out_path, RATIO_COLUMNS, _response_table(ratios, resp), out_format)
     return [str(out_path)]
 
 
 def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
     params = scenario.params
     sweep = scenario.sweep
-    _, c1, _ = resolved
+    _, c1, _, _, _ = resolved
     lo = float(sweep.get("ratio_min", 0.0))
     hi = float(sweep.get("ratio_max", 1.0))
     if not lo < hi:
@@ -598,18 +561,7 @@ def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
     ]
     trajectories = root_trajectories(coeff_sets)
     gm = params.gamma_m
-    rows = [
-        [
-            ratio,
-            -roots[0].imag / gm,
-            -roots[1].imag / gm,
-            -roots[2].imag / gm,
-            roots[0].real / gm,
-            roots[1].real / gm,
-            roots[2].real / gm,
-        ]
-        for ratio, roots in zip(ratios, trajectories)
-    ]
+    rows = np.column_stack([ratios, -trajectories.imag / gm, trajectories.real / gm])
     _write_table(out_path, ROOT_COLUMNS, rows, out_format)
     return [str(out_path)]
 
@@ -617,8 +569,7 @@ def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
 def _run_time_domain(scenario, resolved, out_path, out_format):
     params = scenario.params
     sweep = scenario.sweep
-    drives, _, _ = resolved
-    wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
+    _, _, _, wp, _ = resolved
     model = from_working_point(wp, params)
     if "t_final" not in sweep:
         raise ScenarioError("time_domain sweep needs t_final")
@@ -632,24 +583,24 @@ def _run_time_domain(scenario, resolved, out_path, out_format):
         dt=float(sweep["dt"]) if "dt" in sweep else None,
         n_samples=int(sweep.get("n_samples", 1001)),
     )
-    rows = [
-        [t, z[0].real, z[0].imag, z[1].real, z[1].imag, z[2].real, z[2].imag]
-        for t, z in zip(traj.times, traj.states)
-    ]
+    # (re, im) pairs of u, v, w: the complex states viewed as floats
+    rows = np.column_stack([traj.times, np.ascontiguousarray(traj.states).view(np.float64)])
     _write_table(out_path, TIME_COLUMNS, rows, out_format)
     return [str(out_path)]
 
 
-def _write_table(path: Path, columns, rows, out_format: str) -> None:
-    path = Path(path)
-    if out_format == "csv":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_table(path: Path, columns, rows: np.ndarray, out_format: str) -> None:
+    """Write a 2-D float table as ``_fmt`` prints each number; CSV in chunks of rows."""
+    with open(Path(path), "w", encoding="utf-8", newline="") as fh:
+        if out_format == "csv":
             fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    else:
-        payload = {"columns": list(columns), "rows": [[_round12(v) for v in row] for row in rows]}
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+            line = ",".join(["%.12g"] * len(columns)) + "\n"  # "%.12g" % v == _fmt(v)
+            for start in range(0, len(rows), _CHUNK_ROWS):
+                chunk = rows[start:start + _CHUNK_ROWS].tolist()
+                fh.write("".join([line % tuple(row) for row in chunk]))
+        else:
+            payload = {"columns": list(columns),
+                       "rows": [[_round12(v) for v in row] for row in rows.tolist()]}
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
 

@@ -22,7 +22,8 @@ internally); thermal occupations are taken as zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,7 +36,7 @@ RESIDUAL_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SidebandSolution:
-    """Complex sideband amplitudes at one probe detuning, per unit E_p.
+    """Complex sideband amplitudes at one probe detuning (arrays over a grid), per unit E_p.
 
     a1_plus/a2_plus sit at omega_ci + delta (the cavity-1 upper sideband is
     the probe frequency itself), a1_minus/a2_minus at omega_ci - delta, and
@@ -55,7 +56,7 @@ class SidebandSolution:
 
 @dataclass(frozen=True)
 class ProbeResponse:
-    """Observables at one probe detuning, flux-normalized to the probe input.
+    """Observables at one probe detuning (arrays over a grid), flux-normalized to the probe input.
 
     x = delta - omega_m.  e_l and e_r are the normalized output-field
     amplitudes 2 kappa_i a_i+ / E_p; the physical cavity-1 output at the
@@ -206,7 +207,7 @@ def solve_sidebands_closed_form(
 def probe_outputs(
     sol: SidebandSolution, wp: WorkingPoint, params: SystemParams
 ) -> ProbeResponse:
-    """Assemble the flux-normalized observables from a sideband solution.
+    """Assemble the flux-normalized observables from a sideband solution (scalars or arrays).
 
     Flux bookkeeping (probe input flux = E_p^2/(2 kappa1) photons/s):
     reflection |e_l - 1|^2, transmission 4 k1 k2 |a2+|^2, lower sidebands
@@ -243,6 +244,77 @@ def probe_outputs(
     )
 
 
+def _arrow_solve(diag, col, row, corner):
+    """Solve cavity rows diag[j] x_j + col[j] q = (1, 0, ...)_j and mechanical row
+    sum_j row[j] x_j + corner q = 0 by eliminating the x_j; returns (x, q, residual)."""
+    q = -(row[0] / diag[0]) / (corner - sum(r * c / d for d, c, r in zip(diag, col, row)))
+    xs = [(1.0 - col[0] * q) / diag[0]] + [-c * q / d for d, c in zip(diag[1:], col[1:])]
+    return xs, q, _arrow_residual(diag, col, row, corner, xs, q)
+
+
+def _arrow_residual(diag, col, row, corner, xs, q):
+    """Per grid point, max over rows of |A z - b| / (|A| |z| + |b|), as in ``solve_sidebands``."""
+    b = [1.0] + [0.0] * (len(xs) - 1)
+    rows = [(d * x + c * q - bj, abs(d) * abs(x) + abs(c) * abs(q) + bj)
+            for d, c, x, bj in zip(diag, col, xs, b)]
+    rows.append((sum(r * x for r, x in zip(row, xs)) + corner * q,
+                 sum(abs(r) * abs(x) for r, x in zip(row, xs)) + abs(corner) * abs(q)))
+    return np.max([abs(err) / np.where(scale > 0, scale, 1.0) for err, scale in rows], axis=0)
+
+
+def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> ProbeResponse:
+    """Probe response of ``model`` on a whole grid, as a ProbeResponse of arrays.
+
+    ``delta`` and the working-point fields broadcast (one working point and a delta
+    grid, or one delta and a WorkingPoint of arrays).  Every system is an arrow matrix
+    (each cavity row couples only to itself and the mechanics), solved by eliminating
+    the cavity rows; "analytic" keeps the nested elimination of
+    ``solve_sidebands_closed_form``.  A point failing the 1e-10 gate of
+    ``solve_sidebands`` raises SingularResponseError naming its row and x.
+    """
+    k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
+    gm, wm = params.gamma_m, params.omega_m
+    a10, a20, d1, d2 = wp.a10, wp.a20, wp.delta1, wp.delta2
+    delta = np.asarray(delta, dtype=float)
+    cav = [-1j * (delta - d1) + k1, -1j * (delta - d2) + k2]
+    rwa = (cav, [-1j * g1 * a10, 1j * g2 * a20], [g1 * np.conj(a10), -g2 * np.conj(a20)],
+           2.0 * ((delta - wm) + 0.5j * gm))
+    a1m = a2m = 0.0j
+    with np.errstate(all="ignore"):  # a singular point shows up as a failed gate
+        if model == "full":
+            (a1p, b1, a2p, b2), qp, residual = _arrow_solve(
+                [cav[0], -1j * (delta + d1) + k1, cav[1], -1j * (delta + d2) + k2],
+                [-1j * g1 * a10, 1j * g1 * np.conj(a10), 1j * g2 * a20, -1j * g2 * np.conj(a20)],
+                [-0.5 * g1 * np.conj(a10), -0.5 * g1 * a10,
+                 0.5 * g2 * np.conj(a20), 0.5 * g2 * a20],
+                (wm**2 - delta**2 - 1j * delta * gm) / (2.0 * wm))
+            a1m, a2m = np.conj(b1), np.conj(b2)
+        elif model == "rwa":
+            (a1p, a2p), qp, residual = _arrow_solve(*rwa)
+        elif model == "analytic":
+            m_mech = rwa[3] + 1j * g2**2 * wp.n2 / cav[1]
+            a1p = 1.0 / (cav[0] + 1j * g1**2 * wp.n1 / m_mech)
+            qp = -g1 * np.conj(a10) * a1p / m_mech
+            a2p = -1j * g2 * a20 * qp / cav[1]
+            residual = _arrow_residual(*rwa, [a1p, a2p], qp)
+        elif model == "oscillator":
+            # (-i delta - A)(u, v, w) = (1, 0, 0), A = oscillators.system_matrix; Q+ = w / sqrt 2
+            g_eff = [1j * (g * np.abs(a) / math.sqrt(2.0)) for g, a in ((g1, a10), (g2, a20))]
+            (a1p, a2p), w, residual = _arrow_solve(cav, g_eff, g_eff, gm / 2.0 - 1j * (delta - wm))
+            qp = w / math.sqrt(2.0)
+        else:
+            raise InvalidParameterError(f"unknown response model {model!r}")
+    bad = np.flatnonzero(~(np.atleast_1d(residual) <= RESIDUAL_TOL))
+    if bad.size:
+        i = bad[0]
+        d_i = float(np.broadcast_to(delta, np.shape(residual)).flat[i])
+        raise SingularResponseError(
+            f"row {i} (x = {d_i - wm:.6e} rad/s): {model} response residual exceeds "
+            f"{RESIDUAL_TOL:.0e} (singular system)", delta=d_i)
+    sol = SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
+    return probe_outputs(sol, wp, params)
+
+
 def sweep_probe(
     params: SystemParams,
     drives: DriveConfig,
@@ -254,9 +326,9 @@ def sweep_probe(
 ) -> list[ProbeResponse]:
     """Probe spectrum on a uniform grid of x = delta - omega_m.
 
-    The working point is solved once and reused for every grid point; rows
-    come back ordered by x.  Solver failures are re-raised with the failing
-    row index and x attached.
+    The working point is solved once and the whole grid goes through
+    ``response_grid``; rows come back ordered by x.  A failing grid point
+    raises SingularResponseError naming its row index and x.
     """
     if n_points < 2:
         raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
@@ -264,13 +336,6 @@ def sweep_probe(
         raise InvalidParameterError("x_min must be < x_max")
     wp = solve_working_point(params, drives, detuning_mode=detuning_mode)
     xs = np.linspace(x_min, x_max, n_points)
-    rows = []
-    for i, x in enumerate(xs):
-        try:
-            sol = solve_sidebands(wp, params, params.omega_m + x, rwa=rwa)
-        except SingularResponseError as exc:
-            raise SingularResponseError(
-                f"row {i} (x = {x:.6e} rad/s): {exc}", delta=params.omega_m + x
-            ) from exc
-        rows.append(probe_outputs(sol, wp, params))
-    return rows
+    grid = response_grid(wp, params, params.omega_m + xs, "rwa" if rwa else "full")
+    columns = [np.broadcast_to(getattr(grid, f.name), xs.shape).tolist() for f in fields(grid)]
+    return [ProbeResponse(*row) for row in zip(*columns)]

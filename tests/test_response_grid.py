@@ -1,0 +1,150 @@
+"""The whole-grid response kernel against the scalar oracles it replaced in the CLI."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import oemsim as om
+from oemsim import linear_response
+from oemsim.linear_response import response_grid
+
+REL = 1e-12
+MODELS = ("full", "rwa", "analytic", "oscillator")
+
+
+def random_case(rng):
+    """Paper-regime parameters (kappa1 >> gamma_m >> kappa2, red-detuned tones)
+    and a working point at random cooperativities, detuning offsets and phases."""
+    omega_m = rng.uniform(5e6, 2e7)
+    gamma_m = rng.uniform(5e2, 2e3)
+    kappa1 = gamma_m * rng.uniform(50.0, 2000.0)
+    kappa2 = gamma_m / rng.uniform(5.0, 50.0)
+    params = om.SystemParams.from_hz(
+        omega_c1=4e14, omega_c2=1e10, omega_m=omega_m, gamma_m=gamma_m,
+        kappa1=kappa1, kappa2=kappa2, g1=rng.uniform(10.0, 100.0), g2=rng.uniform(1.0, 10.0),
+    )
+    return params, random_wp(rng, params)
+
+
+def random_wp(rng, params):
+    c1, c2 = rng.uniform(1.0, 60.0), rng.uniform(0.0, 60.0)
+    n1 = c1 * params.kappa1 * params.gamma_m / params.g1**2
+    n2 = c2 * params.kappa2 * params.gamma_m / params.g2**2
+    a10 = math.sqrt(n1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    a20 = math.sqrt(n2) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    return om.WorkingPoint(
+        a10=complex(a10), a20=complex(a20), q0=0.0,
+        delta1=params.omega_m + rng.uniform(-0.5, 0.5) * params.kappa1,
+        delta2=params.omega_m + rng.uniform(-0.5, 0.5) * params.kappa2,
+        n1=abs(a10) ** 2, n2=abs(a20) ** 2,
+    )
+
+
+def oracle(wp, params, delta, model):
+    """One ProbeResponse from the scalar per-point routes."""
+    if model == "full":
+        return om.probe_outputs(om.solve_sidebands(wp, params, delta, rwa=False), wp, params)
+    if model == "rwa":
+        return om.probe_outputs(om.solve_sidebands(wp, params, delta, rwa=True), wp, params)
+    if model == "analytic":
+        return om.probe_outputs(om.solve_sidebands_closed_form(wp, params, delta), wp, params)
+    u, v, w = om.harmonic_steady_state(om.from_working_point(wp, params), delta)
+    k1, k2 = params.kappa1, params.kappa2
+    return {"e_l": 2 * k1 * u, "e_r": 2 * k2 * v, "mech_intensity": abs(w) ** 2 / 2,
+            "transmit_flux": 4 * k1 * k2 * abs(v) ** 2, "reflect_flux": abs(2 * k1 * u - 1) ** 2,
+            "bath_flux": 2 * k1 * params.gamma_m * abs(w) ** 2}
+
+
+def assert_row_matches(grid, i, ref):
+    ref = ref if isinstance(ref, dict) else vars(ref)
+    for name, want in ref.items():
+        if name in ("x", "transduced_frequency"):
+            continue
+        got = np.broadcast_to(getattr(grid, name), np.shape(grid.e_l))[i]
+        # reflect = |e_l - 1|^2 cancels near e_l = 1: its scale is that of its terms
+        scale = (1 + abs(ref["e_l"])) ** 2 if name == "reflect_flux" else abs(want)
+        assert abs(got - want) <= REL * scale, (name, i, got, want)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_probe_grid_matches_scalar_oracle(model):
+    rng = np.random.default_rng(20 + MODELS.index(model))
+    for _ in range(6):
+        params, wp = random_case(rng)
+        half = rng.choice([30 * params.gamma_m, 3 * params.kappa1])
+        shift = rng.uniform(-1, 1) * params.gamma_m
+        deltas = params.omega_m + shift + np.linspace(-half, half, 41)
+        grid = response_grid(wp, params, deltas, model)
+        assert grid.e_l.shape == deltas.shape
+        for i, delta in enumerate(deltas):
+            assert_row_matches(grid, i, oracle(wp, params, float(delta), model))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_one_working_point_per_row_matches_scalar_oracle(model):
+    rng = np.random.default_rng(40 + MODELS.index(model))
+    params, _ = random_case(rng)
+    wps = [random_wp(rng, params) for _ in range(25)]
+    stacked = om.WorkingPoint(*(np.array([getattr(wp, f) for wp in wps]) for f in (
+        "a10", "a20", "q0", "delta1", "delta2", "n1", "n2")))
+    delta = params.omega_m + 0.7 * params.gamma_m
+    grid = response_grid(stacked, params, delta, model)
+    assert grid.e_l.shape == (len(wps),)
+    for i, wp in enumerate(wps):
+        assert_row_matches(grid, i, oracle(wp, params, delta, model))
+
+
+def test_rwa_grid_conserves_flux(params, wp_c40):
+    deltas = params.omega_m + np.linspace(-30, 30, 601) * params.gamma_m
+    for model in ("rwa", "analytic", "oscillator"):
+        grid = response_grid(wp_c40, params, deltas, model)
+        assert np.max(np.abs(grid.flux_budget - 1.0)) < 1e-9
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_gate_names_first_failing_row(monkeypatch, params, wp_c40, model):
+    monkeypatch.setattr(linear_response, "RESIDUAL_TOL", -1.0)
+    xs = np.array([-2.5, 0.0, 4.0]) * params.gamma_m
+    expected = re.escape(f"row 0 (x = {xs[0]:.6e} rad/s)")
+    with pytest.raises(om.SingularResponseError, match=expected) as info:
+        response_grid(wp_c40, params, params.omega_m + xs, model)
+    assert info.value.delta == params.omega_m + xs[0]
+
+
+def test_arrow_residual_is_the_dense_definition():
+    # a perturbed solution, so the residual is well above rounding noise
+    rng = np.random.default_rng(8)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    for m in (2, 4):
+        n = 50
+        diag, col, row = list(cplx(m, n)), list(cplx(m, n)), list(cplx(m, n))
+        corner = cplx(n)
+        xs, q, _ = linear_response._arrow_solve(diag, col, row, corner)
+        z = np.array(xs + [q]).T * (1 + 1e-6 * cplx(n, m + 1))
+        got = linear_response._arrow_residual(diag, col, row, corner, list(z[:, :m].T), z[:, m])
+        a = np.zeros((n, m + 1, m + 1), dtype=complex)
+        for j in range(m):
+            a[:, j, j], a[:, j, m], a[:, m, j] = diag[j], col[j], row[j]
+        a[:, m, m] = corner
+        b = np.zeros(m + 1)
+        b[0] = 1.0
+        err = np.abs(np.einsum("nij,nj->ni", a, z) - b)
+        scale = np.einsum("nij,nj->ni", np.abs(a), np.abs(z)) + b
+        assert got == pytest.approx(np.max(err / scale, axis=1), rel=1e-6)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_gate_rejects_nan(params, wp_c40, model):
+    broken = om.WorkingPoint(**{**vars(wp_c40), "a10": complex("nan+nanj"), "n1": math.nan})
+    with pytest.raises(om.SingularResponseError, match="row 0"):
+        response_grid(broken, params, params.omega_m + np.zeros(3), model)
+
+
+def test_unknown_model_rejected(params, wp_c40):
+    with pytest.raises(om.InvalidParameterError):
+        response_grid(wp_c40, params, params.omega_m, "dense")

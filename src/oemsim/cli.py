@@ -101,6 +101,18 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
+def _memo_solver(params: SystemParams, detuning_mode: str):
+    """``solve_working_point`` at fixed params and mode that solves each DriveConfig once."""
+    solved: dict[DriveConfig, WorkingPoint] = {}
+
+    def solve(drives: DriveConfig) -> WorkingPoint:
+        if drives not in solved:
+            solved[drives] = solve_working_point(params, drives, detuning_mode=detuning_mode)
+        return solved[drives]
+
+    return solve
+
+
 def invert_cooperativity(
     target_c: float,
     cavity_index: int,
@@ -108,13 +120,18 @@ def invert_cooperativity(
     detuning_mode: str = "effective",
     other_power: float = 0.0,
     rtol: float = 1e-3,
+    *,
+    solve=None,
 ) -> float:
     """Coupling power [W] whose self-consistent working point gives the target cooperativity.
 
     Scalar root solve over power; the result is verified to reproduce the
     target within ``rtol`` (0.1% by default).  ``other_power`` fixes the
     drive of the other cavity during the solve (it only matters in bare
-    detuning mode, through the static spring shift).
+    detuning mode, through the static spring shift).  ``solve`` maps a
+    DriveConfig to its working point at the same params and mode; a scenario
+    run passes its ``_memo_solver`` so that inversions and table rows share
+    solves.  By default the inversion gets a memo of its own.
     """
     if cavity_index not in (1, 2):
         raise InvalidParameterError(f"cavity_index must be 1 or 2, got {cavity_index!r}")
@@ -128,19 +145,16 @@ def invert_cooperativity(
     delta = params.delta_bare1 if cavity_index == 1 else params.delta_bare2
     if g == 0.0:
         raise ConvergenceError("target cooperativity unreachable: zero coupling rate")
-    solved: dict[float, float] = {}  # the bracket, brentq and the final check share powers
+    # the bracket, brentq and the final check share working points through solve
+    solve = solve or _memo_solver(params, detuning_mode)
 
     def coop_of(power: float) -> float:
-        if power in solved:
-            return solved[power]
         if cavity_index == 1:
-            drives = DriveConfig(p_c1=power, p_c2=other_power)
+            wp = solve(DriveConfig(p_c1=power, p_c2=other_power))
         else:
-            drives = DriveConfig(p_c1=other_power, p_c2=power)
-        wp = solve_working_point(params, drives, detuning_mode=detuning_mode)
+            wp = solve(DriveConfig(p_c1=other_power, p_c2=power))
         n = wp.n1 if cavity_index == 1 else wp.n2
-        solved[power] = cooperativity(g, n, kappa, params.gamma_m)
-        return solved[power]
+        return cooperativity(g, n, kappa, params.gamma_m)
 
     # Lorentzian estimate ignoring the spring shift; exact in effective mode
     n_target = target_c * kappa * params.gamma_m / g**2
@@ -209,10 +223,12 @@ class Scenario:
             kind = sweep.get("kind")
             if kind not in SWEEP_KINDS:
                 raise ScenarioError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
-            n_points = sweep.get("n_points")
-            if n_points is not None and (not isinstance(n_points, int) or n_points < 2):
-                raise ScenarioError("sweep.n_points must be an integer >= 2")
-            for key in ("x_min_gamma_m", "x_max_gamma_m", "ratio_min", "ratio_max", "t_final"):
+            for key in ("n_points", "n_samples"):
+                count = sweep.get(key)
+                if count is not None and (not isinstance(count, int) or count < 2):
+                    raise ScenarioError(f"sweep.{key} must be an integer >= 2")
+            for key in ("x_min_gamma_m", "x_max_gamma_m", "x_gamma_m", "ratio_min", "ratio_max",
+                        "t_final", "dt"):
                 if key in sweep:
                     try:
                         bound = float(sweep[key])
@@ -291,17 +307,19 @@ def _params_from_spec(spec: dict) -> SystemParams:
 
 
 def resolve_drives(
-    scenario: Scenario,
+    scenario: Scenario, solve=None,
 ) -> tuple[DriveConfig, float, float, WorkingPoint, float | None]:
     """Resolve the drive spec to powers; returns (drives, c1, c2, wp, p1_alone).
 
     wp is the working point at ``drives``, c1 and c2 its cooperativities, and
     p1_alone the cavity-1 power giving C1 = c1 with cavity 2 off when resolving
-    already inverted exactly that (else None).
+    already inverted exactly that (else None).  ``solve`` is the run's
+    ``_memo_solver``, if the caller has one.
     """
     spec = scenario.drives
     params = scenario.params
     mode = scenario.detuning_mode
+    solve = solve or _memo_solver(params, mode)
     p1_alone = target_c1 = None
     if "c1" in spec or "c2" in spec:
         extra = set(spec) - {"c1", "c2", "p_p"}
@@ -309,10 +327,13 @@ def resolve_drives(
             raise ScenarioError(f"drives mixes cooperativity targets with {sorted(extra)}")
         target_c1 = float(spec.get("c1", 0.0))
         target_c2 = float(spec.get("c2", 0.0))
-        p1 = p1_alone = invert_cooperativity(target_c1, 1, params, detuning_mode=mode)
-        p2 = invert_cooperativity(target_c2, 2, params, detuning_mode=mode, other_power=p1)
+        p1 = p1_alone = invert_cooperativity(target_c1, 1, params, detuning_mode=mode,
+                                             solve=solve)
+        p2 = invert_cooperativity(target_c2, 2, params, detuning_mode=mode, other_power=p1,
+                                  solve=solve)
         if mode == "bare" and target_c1 > 0 and p2 > 0:  # p2 = 0 would repeat the first call
-            p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, other_power=p2)
+            p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, other_power=p2,
+                                      solve=solve)
         drives = DriveConfig(p_c1=p1, p_c2=p2, p_p=parse_power(spec.get("p_p", 0.0)))
     else:
         extra = set(spec) - {"p_c1", "p_c2", "p_p"}
@@ -323,7 +344,7 @@ def resolve_drives(
             p_c2=parse_power(spec.get("p_c2", 0.0)),
             p_p=parse_power(spec.get("p_p", 0.0)),
         )
-    wp = solve_working_point(params, drives, detuning_mode=mode)
+    wp = solve(drives)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
     # ratio sweeps invert the achieved C1 alone: the first inversion did so if it hit exactly
@@ -338,14 +359,15 @@ def _response_table(first, resp: ProbeResponse) -> np.ndarray:
     ))
 
 
-def derive_summary(scenario: Scenario, resolved=None) -> dict:
+def derive_summary(scenario: Scenario, resolved=None, solve=None) -> dict:
     """Working point plus every derived quantity, as a flat JSON-able dict.
 
-    ``resolved`` is the result of ``resolve_drives(scenario)`` when the caller
-    already has it.
+    ``resolved`` is the result of ``resolve_drives(scenario)`` and ``solve``
+    the run's ``_memo_solver`` when the caller already has them.
     """
     params = scenario.params
-    drives, c1, c2, wp, _ = resolved or resolve_drives(scenario)
+    solve = solve or _memo_solver(params, scenario.detuning_mode)
+    drives, c1, c2, wp, _ = resolved or resolve_drives(scenario, solve)
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     split = eia_splitting(gamma_eit, coeffs.s2, params.kappa2)
@@ -355,8 +377,7 @@ def derive_summary(scenario: Scenario, resolved=None) -> dict:
 
     on = response_grid(wp, params, params.omega_m, "rwa")
     drives_off = DriveConfig(p_c1=drives.p_c1, p_c2=0.0, p_p=drives.p_p)
-    wp_off = wp if drives_off == drives else solve_working_point(
-        params, drives_off, detuning_mode=scenario.detuning_mode)
+    wp_off = wp if drives_off == drives else solve(drives_off)
     off = response_grid(wp_off, params, params.omega_m, "rwa")
     switch_t_over_r = on.transmit_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
     switch_off_over_on = off.reflect_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
@@ -416,20 +437,21 @@ def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float)
     return max(801, min(n, 20001))
 
 
-def _p1_alone(scenario: Scenario, resolved) -> float:
+def _p1_alone(scenario: Scenario, resolved, solve) -> float:
     """Cavity-1 power for the resolved C1 with cavity 2 off, inverted once per sweep."""
     _, c1, _, _, p1 = resolved
     if p1 is None:
-        p1 = invert_cooperativity(c1, 1, scenario.params, detuning_mode=scenario.detuning_mode)
+        p1 = invert_cooperativity(c1, 1, scenario.params, detuning_mode=scenario.detuning_mode,
+                                  solve=solve)
     return p1
 
 
-def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float) -> DriveConfig:
+def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float, solve) -> DriveConfig:
     """Drives for C2 = ratio * C1, with p1 = ``_p1_alone`` (it does not depend on the ratio)."""
     p2 = (
         invert_cooperativity(
             ratio * c1, 2, scenario.params,
-            detuning_mode=scenario.detuning_mode, other_power=p1,
+            detuning_mode=scenario.detuning_mode, other_power=p1, solve=solve,
         )
         if ratio > 0
         else 0.0
@@ -454,17 +476,18 @@ def run_scenario(
     kind = scenario.sweep.get("kind", "probe_x") if scenario.sweep else None
 
     files: list[str] = []
-    resolved = resolve_drives(scenario)
-    summary = derive_summary(scenario, resolved)
+    solve = _memo_solver(scenario.params, scenario.detuning_mode)  # no drives solved twice
+    resolved = resolve_drives(scenario, solve)
+    summary = derive_summary(scenario, resolved, solve)
 
     if kind is None:
         pass
     elif kind == "probe_x":
-        files += _run_probe_sweep(scenario, resolved, out_path, out_format, model_override,
-                                  points_override)
+        files += _run_probe_sweep(scenario, resolved, solve, out_path, out_format,
+                                  model_override, points_override)
     elif kind == "cooperativity_ratio":
-        files += _run_ratio_sweep(scenario, resolved, out_path, out_format, model_override,
-                                  points_override)
+        files += _run_ratio_sweep(scenario, resolved, solve, out_path, out_format,
+                                  model_override, points_override)
     elif kind == "roots_vs_ratio":
         files += _run_root_sweep(scenario, resolved, out_path, out_format, points_override)
     elif kind == "time_domain":
@@ -492,7 +515,8 @@ def _variant_path(base: Path, label: str | None) -> Path:
     return base.with_name(f"{base.stem}_{label}{base.suffix}")
 
 
-def _run_probe_sweep(scenario, resolved, out_path, out_format, model_override, points_override):
+def _run_probe_sweep(scenario, resolved, solve, out_path, out_format, model_override,
+                     points_override):
     params = scenario.params
     gm = params.gamma_m
     sweep = scenario.sweep
@@ -507,13 +531,12 @@ def _run_probe_sweep(scenario, resolved, out_path, out_format, model_override, p
     variants = _variant_list(scenario, model_override)
     _, c1, _, base_wp, _ = resolved
     if any(ratio is not None for _, _, ratio in variants):
-        p1 = _p1_alone(scenario, resolved)
+        p1 = _p1_alone(scenario, resolved, solve)
     written = []
     for label, model, ratio in variants:
         wp = base_wp
         if ratio is not None:
-            drives = _scaled_drives(scenario, c1, p1, ratio)
-            wp = solve_working_point(params, drives, detuning_mode=scenario.detuning_mode)
+            wp = solve(_scaled_drives(scenario, c1, p1, ratio, solve))
         resp = response_grid(wp, params, params.omega_m + xs, model)
         path = _variant_path(out_path, label)
         _write_table(path, PROBE_COLUMNS, _response_table(xs / gm, resp), out_format)
@@ -521,7 +544,8 @@ def _run_probe_sweep(scenario, resolved, out_path, out_format, model_override, p
     return written
 
 
-def _run_ratio_sweep(scenario, resolved, out_path, out_format, model_override, points_override):
+def _run_ratio_sweep(scenario, resolved, solve, out_path, out_format, model_override,
+                     points_override):
     params = scenario.params
     sweep = scenario.sweep
     model = model_override or scenario.model
@@ -533,9 +557,8 @@ def _run_ratio_sweep(scenario, resolved, out_path, out_format, model_override, p
     n_points = points_override or sweep.get("n_points", 201)
     x = float(sweep.get("x_gamma_m", 0.0)) * params.gamma_m
     ratios = np.linspace(lo, hi, n_points)
-    p1 = _p1_alone(scenario, resolved)
-    wps = [solve_working_point(params, _scaled_drives(scenario, c1, p1, ratio),
-                               detuning_mode=scenario.detuning_mode) for ratio in ratios]
+    p1 = _p1_alone(scenario, resolved, solve)
+    wps = [solve(_scaled_drives(scenario, c1, p1, ratio, solve)) for ratio in ratios]
     # one working point per row, its fields stacked into arrays for the kernel
     stacked = WorkingPoint(*map(np.array, zip(*map(astuple, wps))))
     resp = response_grid(stacked, params, params.omega_m + x, model)
@@ -581,7 +604,7 @@ def _run_time_domain(scenario, resolved, out_path, out_format):
         t_final=float(sweep["t_final"]),
         method=sweep.get("method", "exact_propagator"),
         dt=float(sweep["dt"]) if "dt" in sweep else None,
-        n_samples=int(sweep.get("n_samples", 1001)),
+        n_samples=sweep.get("n_samples", 1001),
     )
     # (re, im) pairs of u, v, w: the complex states viewed as floats
     rows = np.column_stack([traj.times, np.ascontiguousarray(traj.states).view(np.float64)])
@@ -596,8 +619,8 @@ def _write_table(path: Path, columns, rows: np.ndarray, out_format: str) -> None
             fh.write(",".join(columns) + "\n")
             line = ",".join(["%.12g"] * len(columns)) + "\n"  # "%.12g" % v == _fmt(v)
             for start in range(0, len(rows), _CHUNK_ROWS):
-                chunk = rows[start:start + _CHUNK_ROWS].tolist()
-                fh.write("".join([line % tuple(row) for row in chunk]))
+                chunk = rows[start:start + _CHUNK_ROWS]
+                fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
         else:
             payload = {"columns": list(columns),
                        "rows": [[_round12(v) for v in row] for row in rows.tolist()]}

@@ -61,6 +61,28 @@ def test_scenario_validation_errors():
         cli.Scenario.from_dict({"params": {"kappa1_hz": -1.0}})
 
 
+RK4_SWEEP = {"kind": "time_domain", "t_final": 1e-6, "method": "rk4", "dt": 1e-9}
+RATIO_SWEEP = {"kind": "cooperativity_ratio", "n_points": 3}
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("sweep", {**RATIO_SWEEP, "x_gamma_m": "abc"}),
+    ("integrate", {**RK4_SWEEP, "dt": "abc"}),
+    ("integrate", {**RK4_SWEEP, "n_samples": -5}),
+    ("integrate", {**RK4_SWEEP, "n_samples": 0}),
+    ("integrate", {**RK4_SWEEP, "n_samples": 2.5}),
+    ("integrate", {"kind": "time_domain", "t_final": 1e-6, "x_gamma_m": "inf"}),
+], ids=["x_gamma_m_text", "dt_text", "n_samples_negative", "n_samples_zero",
+        "n_samples_fraction", "x_gamma_m_inf"])
+def test_invalid_sweep_numbers_exit_2(tmp_path, capsys, command, sweep):
+    out = tmp_path / "t.csv"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"sweep": sweep, "output": {"path": str(out)}}))
+    assert run_main([command, "--scenario", path]) == 2
+    assert "error: sweep." in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_presets_load():
     for name in cli.PRESETS:
         scenario = cli.load_scenario(name)

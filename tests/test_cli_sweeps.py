@@ -110,9 +110,12 @@ def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
            "sweep": {**RATIO, "n_points": 3}, "output": {"path": str(tmp_path / "r.csv")}}
     scenario = cli.Scenario.from_dict(doc)
     inversions = counted(monkeypatch, "invert_cooperativity")
+    solves = counted(monkeypatch, "solve_working_point")
     cli.run_scenario(scenario)
     repeats = [call for call, n in Counter(inversions).items() if n > 1]
     assert repeats == []
+    drives = Counter(args[1] for args, _ in solves)
+    assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
 
     resolved = cli.resolve_drives(scenario)
     monkeypatch.setattr(cli, "solve_working_point", None)  # anything left to solve fails

@@ -169,3 +169,52 @@ def test_exceptional_point_fallback_matches_rk4():
 def test_trajectory_time_grid_validation():
     with pytest.raises(om.InvalidParameterError):
         om.Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.zeros((3, 3), dtype=complex))
+
+
+def rk4_per_step(model, probe_amp, delta, t_final, dt, n_samples):
+    """The per-step RK4 loop the composed stride maps replaced, kept as the oracle."""
+    b = model.system_matrix() + 1j * delta * np.eye(3)
+    n_steps = max(1, math.ceil(t_final / dt))
+    h = t_final / n_steps
+    d = np.array([probe_amp, 0.0, 0.0], dtype=complex)
+    hb = h * b
+    hb2 = hb @ hb
+    hb3 = hb2 @ hb
+    hb4 = hb3 @ hb
+    eye = np.eye(3, dtype=complex)
+    step_matrix = eye + hb + hb2 / 2.0 + hb3 / 6.0 + hb4 / 24.0
+    step_drive = h * (eye + hb / 2.0 + hb2 / 6.0 + hb3 / 24.0) @ d
+    stride = max(1, n_steps // max(1, n_samples - 1))
+    times = [0.0]
+    states = [np.zeros(3, dtype=complex)]
+    y = np.zeros(3, dtype=complex)
+    for step in range(1, n_steps + 1):
+        y = step_matrix @ y + step_drive
+        if step % stride == 0 or step == n_steps:
+            t = step * h
+            times.append(t)
+            states.append(y * np.exp(-1j * delta * t))
+    return np.array(times), np.array(states), n_steps, stride
+
+
+@pytest.mark.parametrize("t_final, n_samples, layout", [
+    (2.0**-3, 65, "whole strides"),  # 1024 steps, stride 16
+    (2.0**-3, 100, "remainder"),  # stride 10, a last block of 4 steps
+    (2.0**-3, 2000, "stride 1"),  # more samples than steps
+    (2.0**-13, 1001, "one step"),
+    (2.0**-3, 2, "two samples"),  # one stride of all 1024 steps
+])
+def test_rk4_stride_maps_match_per_step_loop(scaled_model, t_final, n_samples, layout):
+    dt, delta = 2.0**-13, scaled_model.omega_m + 3.0
+    times, states, n_steps, stride = rk4_per_step(scaled_model, 1.0, delta, t_final, dt, n_samples)
+    assert {"whole strides": n_steps % stride == 0 and stride > 1,
+            "remainder": n_steps % stride > 0,
+            "stride 1": stride == 1 and n_steps > 1,
+            "one step": n_steps == 1,
+            "two samples": len(times) == 2 and n_steps > 1}[layout]
+    traj = om.propagate(scaled_model, 1.0, delta, t_final, method="rk4", dt=dt,
+                        n_samples=n_samples)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.shape == states.shape
+    scale = np.abs(states).max(axis=0)
+    assert np.all(np.abs(traj.states - states) <= 1e-11 * scale)

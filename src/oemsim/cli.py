@@ -41,7 +41,6 @@ from .errors import (
 from .linear_response import ProbeResponse, response_grid
 from .oscillators import from_working_point, propagate
 from .params import (
-    HBAR,
     DriveConfig,
     SystemParams,
     cooperativity,
@@ -49,7 +48,7 @@ from .params import (
     default_params,
     eit_width,
 )
-from .working_point import WorkingPoint, _brentq, solve_working_point
+from .working_point import WorkingPoint, coupling_power, solve_working_point
 
 MODELS = ("full", "rwa", "analytic", "oscillator")
 SWEEP_KINDS = ("probe_x", "cooperativity_ratio", "roots_vs_ratio", "time_domain")
@@ -125,13 +124,14 @@ def invert_cooperativity(
 ) -> float:
     """Coupling power [W] whose self-consistent working point gives the target cooperativity.
 
-    Scalar root solve over power; the result is verified to reproduce the
-    target within ``rtol`` (0.1% by default).  ``other_power`` fixes the
-    drive of the other cavity during the solve (it only matters in bare
-    detuning mode, through the static spring shift).  ``solve`` maps a
-    DriveConfig to its working point at the same params and mode; a scenario
-    run passes its ``_memo_solver`` so that inversions and table rows share
-    solves.  By default the inversion gets a memo of its own.
+    The target fixes the photon number, n = C kappa gamma_m / g^2, and
+    ``working_point.coupling_power`` turns n into a power in closed form; in
+    bare mode it holds n in the force balance, with the other cavity driven
+    at ``other_power``.  One forward solve at that power confirms the branch:
+    its cooperativity must match the target within ``rtol`` (0.1% by
+    default), else ConvergenceError.  ``solve`` maps a DriveConfig to its
+    working point at the same params and mode; a scenario run passes its
+    ``_memo_solver``, so the confirming solve is the one a table row reuses.
     """
     if cavity_index not in (1, 2):
         raise InvalidParameterError(f"cavity_index must be 1 or 2, got {cavity_index!r}")
@@ -139,39 +139,19 @@ def invert_cooperativity(
         raise InvalidParameterError("target cooperativity must be >= 0")
     if target_c == 0.0:
         return 0.0
-    g = params.g1 if cavity_index == 1 else params.g2
-    kappa = params.kappa1 if cavity_index == 1 else params.kappa2
-    carrier = params.omega_c1 if cavity_index == 1 else params.omega_c2
-    delta = params.delta_bare1 if cavity_index == 1 else params.delta_bare2
+    g, kappa = (params.g1, params.kappa1) if cavity_index == 1 else (params.g2, params.kappa2)
     if g == 0.0:
         raise ConvergenceError("target cooperativity unreachable: zero coupling rate")
-    # the bracket, brentq and the final check share working points through solve
-    solve = solve or _memo_solver(params, detuning_mode)
-
-    def coop_of(power: float) -> float:
-        if cavity_index == 1:
-            wp = solve(DriveConfig(p_c1=power, p_c2=other_power))
-        else:
-            wp = solve(DriveConfig(p_c1=other_power, p_c2=power))
-        n = wp.n1 if cavity_index == 1 else wp.n2
-        return cooperativity(g, n, kappa, params.gamma_m)
-
-    # Lorentzian estimate ignoring the spring shift; exact in effective mode
-    n_target = target_c * kappa * params.gamma_m / g**2
-    p_guess = n_target * HBAR * carrier * (kappa**2 + delta**2) / (2.0 * kappa)
-
-    lo, hi = 0.0, 2.0 * p_guess
-    for _ in range(60):
-        if coop_of(hi) >= target_c:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError(f"could not bracket power for cooperativity {target_c}")
-    power = _brentq(lambda p: coop_of(p) - target_c, lo, hi, xtol=1e-18, rtol=1e-13)
-    achieved = coop_of(power)
-    if abs(achieved - target_c) > rtol * target_c:
+    photons = target_c * kappa * params.gamma_m / g**2
+    power = coupling_power(params, cavity_index, photons, other_power, detuning_mode)
+    drives = DriveConfig(*((power, other_power) if cavity_index == 1 else (other_power, power)))
+    wp = solve(drives) if solve else solve_working_point(params, drives, detuning_mode)
+    achieved = cooperativity(g, wp.n1 if cavity_index == 1 else wp.n2, kappa, params.gamma_m)
+    if not abs(achieved - target_c) <= rtol * target_c:
+        got = "NaN" if math.isnan(achieved) else repr(achieved)
         raise ConvergenceError(
-            f"cooperativity inversion off target: {achieved} vs {target_c}",
+            f"cooperativity inversion off target: {got} vs {target_c} "
+            "(the forward solve found another branch)",
             residual=abs(achieved - target_c) / target_c,
         )
     return power
@@ -306,49 +286,41 @@ def _params_from_spec(spec: dict) -> SystemParams:
         raise ScenarioError(f"invalid params: {exc}") from exc
 
 
-def resolve_drives(
-    scenario: Scenario, solve=None,
-) -> tuple[DriveConfig, float, float, WorkingPoint, float | None]:
-    """Resolve the drive spec to powers; returns (drives, c1, c2, wp, p1_alone).
+def resolve_drives(scenario: Scenario, solve=None) -> tuple[DriveConfig, float, float, WorkingPoint]:
+    """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
 
-    wp is the working point at ``drives``, c1 and c2 its cooperativities, and
-    p1_alone the cavity-1 power giving C1 = c1 with cavity 2 off when resolving
-    already inverted exactly that (else None).  ``solve`` is the run's
-    ``_memo_solver``, if the caller has one.
+    wp is the working point at ``drives`` and c1, c2 its cooperativities.
+    ``solve`` is the run's ``_memo_solver``, if the caller has one.
     """
     spec = scenario.drives
     params = scenario.params
     mode = scenario.detuning_mode
     solve = solve or _memo_solver(params, mode)
-    p1_alone = target_c1 = None
     if "c1" in spec or "c2" in spec:
-        extra = set(spec) - {"c1", "c2", "p_p"}
+        extra = set(spec) - {"c1", "c2"}
         if extra:
             raise ScenarioError(f"drives mixes cooperativity targets with {sorted(extra)}")
         target_c1 = float(spec.get("c1", 0.0))
         target_c2 = float(spec.get("c2", 0.0))
-        p1 = p1_alone = invert_cooperativity(target_c1, 1, params, detuning_mode=mode,
-                                             solve=solve)
+        p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, solve=solve)
         p2 = invert_cooperativity(target_c2, 2, params, detuning_mode=mode, other_power=p1,
                                   solve=solve)
         if mode == "bare" and target_c1 > 0 and p2 > 0:  # p2 = 0 would repeat the first call
             p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, other_power=p2,
                                       solve=solve)
-        drives = DriveConfig(p_c1=p1, p_c2=p2, p_p=parse_power(spec.get("p_p", 0.0)))
+        drives = DriveConfig(p_c1=p1, p_c2=p2)
     else:
-        extra = set(spec) - {"p_c1", "p_c2", "p_p"}
+        extra = set(spec) - {"p_c1", "p_c2"}
         if extra:
             raise ScenarioError(f"unknown drives keys: {sorted(extra)}")
         drives = DriveConfig(
             p_c1=parse_power(spec.get("p_c1", 0.0)),
             p_c2=parse_power(spec.get("p_c2", 0.0)),
-            p_p=parse_power(spec.get("p_p", 0.0)),
         )
     wp = solve(drives)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
-    # ratio sweeps invert the achieved C1 alone: the first inversion did so if it hit exactly
-    return drives, c1, c2, wp, (p1_alone if c1 == target_c1 else None)
+    return drives, c1, c2, wp
 
 
 def _response_table(first, resp: ProbeResponse) -> np.ndarray:
@@ -367,7 +339,7 @@ def derive_summary(scenario: Scenario, resolved=None, solve=None) -> dict:
     """
     params = scenario.params
     solve = solve or _memo_solver(params, scenario.detuning_mode)
-    drives, c1, c2, wp, _ = resolved or resolve_drives(scenario, solve)
+    drives, c1, c2, wp = resolved or resolve_drives(scenario, solve)
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     split = eia_splitting(gamma_eit, coeffs.s2, params.kappa2)
@@ -376,7 +348,7 @@ def derive_summary(scenario: Scenario, resolved=None, solve=None) -> dict:
     hierarchy = model.hierarchy_report()
 
     on = response_grid(wp, params, params.omega_m, "rwa")
-    drives_off = DriveConfig(p_c1=drives.p_c1, p_c2=0.0, p_p=drives.p_p)
+    drives_off = DriveConfig(p_c1=drives.p_c1, p_c2=0.0)
     wp_off = wp if drives_off == drives else solve(drives_off)
     off = response_grid(wp_off, params, params.omega_m, "rwa")
     switch_t_over_r = on.transmit_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
@@ -426,7 +398,7 @@ def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float)
     cap 20001.
     """
     params = scenario.params
-    _, c1, _, wp, _ = resolved
+    _, c1, _, wp = resolved
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     if coeffs.s2 > 0:
@@ -437,17 +409,8 @@ def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float)
     return max(801, min(n, 20001))
 
 
-def _p1_alone(scenario: Scenario, resolved, solve) -> float:
-    """Cavity-1 power for the resolved C1 with cavity 2 off, inverted once per sweep."""
-    _, c1, _, _, p1 = resolved
-    if p1 is None:
-        p1 = invert_cooperativity(c1, 1, scenario.params, detuning_mode=scenario.detuning_mode,
-                                  solve=solve)
-    return p1
-
-
 def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float, solve) -> DriveConfig:
-    """Drives for C2 = ratio * C1, with p1 = ``_p1_alone`` (it does not depend on the ratio)."""
+    """Drives for C2 = ratio * C1 at the cavity-1 power p1 (it does not depend on the ratio)."""
     p2 = (
         invert_cooperativity(
             ratio * c1, 2, scenario.params,
@@ -475,6 +438,8 @@ def run_scenario(
     out_path = Path(out_override or scenario.out_path or "sweep_output." + out_format)
     kind = scenario.sweep.get("kind", "probe_x") if scenario.sweep else None
 
+    if points_override is not None and points_override < 2:
+        raise ScenarioError(f"--points must be an integer >= 2, got {points_override}")
     files: list[str] = []
     solve = _memo_solver(scenario.params, scenario.detuning_mode)  # no drives solved twice
     resolved = resolve_drives(scenario, solve)
@@ -524,14 +489,15 @@ def _run_probe_sweep(scenario, resolved, solve, out_path, out_format, model_over
     x_max = float(sweep.get("x_max_gamma_m", 30.0)) * gm
     if not x_min < x_max:
         raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
-    n_points = (points_override or sweep.get("n_points")
-                or _auto_probe_points(scenario, resolved, x_min, x_max))
+    n_points = points_override if points_override is not None else (
+        sweep.get("n_points") or _auto_probe_points(scenario, resolved, x_min, x_max))
     xs = np.linspace(x_min, x_max, n_points)
 
     variants = _variant_list(scenario, model_override)
-    _, c1, _, base_wp, _ = resolved
+    _, c1, _, base_wp = resolved
     if any(ratio is not None for _, _, ratio in variants):
-        p1 = _p1_alone(scenario, resolved, solve)
+        p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode,
+                                  solve=solve)
     written = []
     for label, model, ratio in variants:
         wp = base_wp
@@ -549,15 +515,15 @@ def _run_ratio_sweep(scenario, resolved, solve, out_path, out_format, model_over
     params = scenario.params
     sweep = scenario.sweep
     model = model_override or scenario.model
-    _, c1, _, _, _ = resolved
+    _, c1, _, _ = resolved
     lo = float(sweep.get("ratio_min", 0.0))
     hi = float(sweep.get("ratio_max", 1.0))
     if not lo < hi:
         raise ScenarioError("ratio sweep needs ratio_min < ratio_max")
-    n_points = points_override or sweep.get("n_points", 201)
+    n_points = points_override if points_override is not None else sweep.get("n_points", 201)
     x = float(sweep.get("x_gamma_m", 0.0)) * params.gamma_m
     ratios = np.linspace(lo, hi, n_points)
-    p1 = _p1_alone(scenario, resolved, solve)
+    p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode, solve=solve)
     wps = [solve(_scaled_drives(scenario, c1, p1, ratio, solve)) for ratio in ratios]
     # one working point per row, its fields stacked into arrays for the kernel
     stacked = WorkingPoint(*map(np.array, zip(*map(astuple, wps))))
@@ -569,12 +535,12 @@ def _run_ratio_sweep(scenario, resolved, solve, out_path, out_format, model_over
 def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
     params = scenario.params
     sweep = scenario.sweep
-    _, c1, _, _, _ = resolved
+    _, c1, _, _ = resolved
     lo = float(sweep.get("ratio_min", 0.0))
     hi = float(sweep.get("ratio_max", 1.0))
     if not lo < hi:
         raise ScenarioError("ratio sweep needs ratio_min < ratio_max")
-    n_points = points_override or sweep.get("n_points", 201)
+    n_points = points_override if points_override is not None else sweep.get("n_points", 201)
     ratios = np.linspace(lo, hi, n_points)
     coeff_sets = [
         RwaCoefficients.from_cooperativities(
@@ -592,7 +558,7 @@ def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
 def _run_time_domain(scenario, resolved, out_path, out_format):
     params = scenario.params
     sweep = scenario.sweep
-    _, _, _, wp, _ = resolved
+    _, _, _, wp = resolved
     model = from_working_point(wp, params)
     if "t_final" not in sweep:
         raise ScenarioError("time_domain sweep needs t_final")

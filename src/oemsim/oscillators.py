@@ -136,6 +136,24 @@ def _max_rate(matrix: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(matrix), axis=1)))
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix in a stack (..., n, n), by scaling and squaring.
+
+    Each matrix is scaled by a power of two to 1-norm <= 1/2, exponentiated
+    by its degree-16 Taylor series (truncation below 1e-19) and squared back
+    as often as it was halved.
+    """
+    squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 1, 0)
+    x = a / (2.0 ** squarings)[..., None, None]
+    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    e = eye
+    for k in range(16, 0, -1):  # Horner: I + x/16 (... (I + x/2 (I + x)) ...)
+        e = eye + x @ e / k
+    for k in range(int(squarings.max(initial=0))):
+        e = np.where((squarings > k)[..., None, None], e @ e, e)
+    return e
+
+
 def _affine_power(matrix: np.ndarray, drive: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The map y -> M y + r applied k >= 1 times, as (M^k, (M^{k-1} + ... + 1) r).
 
@@ -168,7 +186,8 @@ def propagate(
         eigendecomposition of the system matrix and Z the harmonic steady
         state.  Exact for this linear system and unconditionally stable; if
         the eigenvector matrix is too ill-conditioned (defective matrix),
-        falls back to a dense matrix exponential per output time.
+        falls back to the matrix exponential exp(A t) of every output time
+        (``_expm``, scaling and squaring).
     rk4:
         classic fixed-step RK4 run in the probe co-rotating frame
         (y = exp(i delta t) z, an exact change of variables that makes the
@@ -183,9 +202,9 @@ def propagate(
     if not t_final > 0:
         raise InvalidParameterError("t_final must be > 0")
     a = model.system_matrix()
-    z_ss = np.array(harmonic_steady_state(model, delta, probe_amp), dtype=complex)
 
     if method == "exact_propagator":
+        z_ss = np.array(harmonic_steady_state(model, delta, probe_amp), dtype=complex)
         times = np.linspace(0.0, t_final, n_samples)
         evals, evecs = np.linalg.eig(a)
         # near-defective eigenbasis (exceptional point): switch to expm
@@ -195,13 +214,9 @@ def propagate(
             # all samples at once, an explicit sum over the three eigenmodes (no BLAS product)
             hom = sum(np.multiply.outer(np.exp(evals[k] * times) * c0[k], evecs[:, k])
                       for k in range(3))
-            states = np.multiply.outer(np.exp(-1j * delta * times), z_ss) + hom
         else:
-            from scipy.linalg import expm  # only the rare defective case needs scipy
-
-            states = np.empty((n_samples, 3), dtype=complex)
-            for i, t in enumerate(times):
-                states[i] = z_ss * np.exp(-1j * delta * t) + expm(a * t) @ (-z_ss)
+            hom = _expm(a * times[:, None, None]) @ -z_ss
+        states = np.multiply.outer(np.exp(-1j * delta * times), z_ss) + hom
         return Trajectory(times=times, states=states)
 
     if method != "rk4":

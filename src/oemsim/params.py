@@ -151,20 +151,18 @@ def default_params() -> SystemParams:
 
 @dataclass(frozen=True)
 class DriveConfig:
-    """Input powers of the two coupling tones and the probe [W].
+    """Input powers of the two coupling tones [W].
 
-    The probe power only matters when absolute output powers are reported;
-    the linear response itself is normalized per unit probe amplitude.
+    The probe needs no power: the linear response is normalized per unit
+    probe amplitude.
     """
 
     p_c1: float
     p_c2: float
-    p_p: float = 0.0
 
     def __post_init__(self):
         _require_non_negative(self.p_c1, "p_c1")
         _require_non_negative(self.p_c2, "p_c2")
-        _require_non_negative(self.p_p, "p_p")
 
 
 @dataclass(frozen=True)

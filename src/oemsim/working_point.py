@@ -13,22 +13,31 @@ have the static solution
 
 with effective detunings Delta_1 = delta_bare1 - g1 q0 and
 Delta_2 = delta_bare2 + g2 q0 (the shared mechanical element lengthens one
-cavity while shortening the other).  The radiation-pressure shift makes this
-self-consistent in q0 and, at high drive, potentially multivalued.
+cavity while shortening the other) and photon numbers n_i = E_ci^2 / D_i,
+D_i = kappa_i^2 + Delta_i^2.  At fixed bare detunings the force balance is
+therefore self-consistent in q0.  Multiplied by D_1 D_2 it is the quintic
+
+    omega_m q0 D_1 D_2 - g1 E_c1^2 D_2 + g2 E_c2^2 D_1 = 0,
+
+whose real roots are every steady state; at high drive there are several
+(bistability).  A cooperativity target fixes a photon number instead of a
+power.  With n_i held, only the other denominator is cleared and the balance
+is a cubic, or q0 = +-g_i n_i / omega_m outright when the other tone is off;
+``coupling_power`` then reads the power off n_i = E_ci^2 / D_i.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError
-from .params import DriveConfig, SystemParams, drive_amplitude
+from .params import HBAR, DriveConfig, SystemParams, drive_amplitude
 
 REL_TOL = 1e-10
-MAX_ITER = 200
+IMAG_TOL = 1e-6  # a polynomial root z with |Im z| <= IMAG_TOL |z| counts as real
+POLISH_STEPS = 3  # Newton steps on the force balance itself
 
 
 @dataclass(frozen=True)
@@ -59,145 +68,65 @@ def _photon_numbers(e1, e2, k1, k2, d1, d2):
     return n1, n2
 
 
-def _force_residual(q, e1, e2, params):
-    """omega_m*q - g1 n1(q) + g2 n2(q); zero at a self-consistent q0."""
-    d1 = params.delta_bare1 - params.g1 * q
-    d2 = params.delta_bare2 + params.g2 * q
-    n1, n2 = _photon_numbers(e1, e2, params.kappa1, params.kappa2, d1, d2)
-    return params.omega_m * q - params.g1 * n1 + params.g2 * n2
+def _terms(params, e1, e2, held=(None, None)):
+    """Photon-number terms of the force balance omega_m q + s_1 n_1(q) + s_2 n_2(q).
 
-
-def _ieee_div(num, den):
-    """num / den with C semantics: division by zero gives +-inf or nan, not an exception."""
-    try:
-        return num / den
-    except ZeroDivisionError:
-        if num == 0.0 or math.isnan(num):
-            return math.nan
-        return math.copysign(math.inf, num) * math.copysign(1.0, den)
-
-
-def _brentq(f, a, b, args=(), xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
-    """Root of f in the sign-changing bracket [a, b] by Brent's method.
-
-    A line-for-line port of scipy's ``brentq.c`` (defaults are scipy's), so
-    it returns the same float for the same inputs.  A NaN function value, a
-    bracket without a sign change and a run out of iterations all raise
-    ConvergenceError.
+    One (s_i, delta_i, kappa_i, c_i, lorentzian) per cavity, with s_1 = -g1,
+    s_2 = g2 and Delta_i(q) = delta_i + s_i q: n_i(q) = c_i / (kappa_i^2 +
+    Delta_i(q)^2) with c_i = E_ci^2, or the constant c_i = held[i - 1] when
+    that is not None.  Terms that vanish (s_i = 0 or c_i = 0) are left out.
     """
+    terms = []
+    for s, delta, kappa, e, n in ((-params.g1, params.delta_bare1, params.kappa1, e1, held[0]),
+                                  (params.g2, params.delta_bare2, params.kappa2, e2, held[1])):
+        c = e * e if n is None else n
+        if s != 0.0 and c != 0.0:
+            terms.append((s, delta, kappa, c, n is None))
+    return terms
 
-    def func(x):
-        fx = float(f(x, *args))
-        if math.isnan(fx):
-            raise ConvergenceError(f"root finder hit a NaN function value at x = {x!r}")
-        return fx
 
-    xpre, xcur = float(a), float(b)
-    xtol, rtol = float(xtol), float(rtol)
-    xblk = fblk = spre = scur = 0.0
-    fpre = func(xpre)
-    fcur = func(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ConvergenceError(f"root bracket [{xpre!r}, {xcur!r}] has no sign change")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk = xpre
-            fblk = fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre = xcur
-            xcur = xblk
-            xblk = xpre
-
-            fpre = fcur
-            fcur = fblk
-            fblk = fpre
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = _ieee_div(-fcur * (xcur - xpre), fcur - fpre)
-            else:
-                # extrapolate
-                dpre = _ieee_div(fpre - fcur, xpre - xcur)
-                dblk = _ieee_div(fblk - fcur, xblk - xcur)
-                stry = _ieee_div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
-            bound = 3 * abs(sbis) - delta
-            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-                # good short step
-                spre = scur
-                scur = stry
-            else:
-                # bisect
-                spre = sbis
-                scur = sbis
+def _balance(q, params, terms):
+    """The force balance omega_m q + sum_i s_i n_i(q) and its derivative in q."""
+    f, df = params.omega_m * q, params.omega_m
+    for s, delta, kappa, c, lorentzian in terms:
+        if lorentzian:
+            d = delta + s * q
+            den = kappa * kappa + d * d
+            n = c / den
+            f = f + s * n
+            df = df - 2.0 * s * s * d * n / den
         else:
-            # bisect
-            spre = sbis
-            scur = sbis
-
-        xpre = xcur
-        fpre = fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-
-        fcur = func(xcur)
-    raise ConvergenceError(f"root finder did not converge in {maxiter} iterations",
-                           residual=abs(fcur))
+            f = f + s * c
+    return f, df
 
 
-def _scan_roots(e1, e2, params):
-    """Bracket every root of the force balance on a padded, locally-refined grid."""
-    g1, g2 = params.g1, params.g2
-    n1_max = e1 * e1 / params.kappa1**2
-    n2_max = e2 * e2 / params.kappa2**2
-    q_max = (g1 * n1_max + g2 * n2_max) / params.omega_m
-    if q_max == 0.0:
-        return [0.0]
-    lo, hi = -1.05 * q_max - 1.0, 1.05 * q_max + 1.0
+def _real_roots(params, terms) -> list[float]:
+    """Every distinct real root of the force balance, ascending.
 
-    grid = np.linspace(lo, hi, 4001)
-    # refine around the cavity-pulling resonances, whose width in q can be
-    # far below the base grid spacing
-    for center, width in (
-        (params.delta_bare1 / g1 if g1 > 0 else None, params.kappa1 / g1 if g1 > 0 else 0),
-        (-params.delta_bare2 / g2 if g2 > 0 else None, params.kappa2 / g2 if g2 > 0 else 0),
-    ):
-        if center is not None and lo < center < hi and width > 0:
-            local = np.linspace(center - 10 * width, center + 10 * width, 801)
-            grid = np.concatenate([grid, local[(local > lo) & (local < hi)]])
-    grid = np.unique(grid)
-
-    values = _force_residual(grid, e1, e2, params)
-    roots = []
-    for i in np.flatnonzero((values[:-1] == 0.0) | (values[:-1] * values[1:] < 0.0)):
-        if values[i] == 0.0:
-            roots.append(grid[i])
-        else:
-            roots.append(
-                _brentq(_force_residual, grid[i], grid[i + 1], args=(e1, e2, params),
-                        xtol=1e-14, rtol=1e-14)
-            )
-    if values[-1] == 0.0:
-        roots.append(grid[-1])
-    # collapse numerically duplicate brackets
-    merged = []
-    scale = max(abs(hi), 1.0)
-    for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > 1e-9 * scale:
-            merged.append(r)
-    return merged
+    The balance times its Lorentzian denominators is a polynomial in q of
+    degree 1 + 2 per Lorentzian term.  Its roots with a negligible imaginary
+    part are polished by Newton steps on the balance itself and merged when
+    they agree to 1e-9.  No real root at all raises ConvergenceError.
+    """
+    num, den = np.array([params.omega_m, 0.0]), np.array([1.0])  # balance = num / den
+    for s, delta, kappa, c, lorentzian in terms:
+        add = s * c * den
+        if lorentzian:  # num/den + s c/D = (num D + s c den) / (den D)
+            d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
+            num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
+        num[len(num) - len(add):] += add
+    z = np.roots(num)
+    q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
+    for _ in range(POLISH_STEPS):
+        f, df = _balance(q, params, terms)
+        q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
+    roots: list[float] = []
+    for r in np.sort(q).tolist():
+        if not roots or r - roots[-1] > 1e-9 * max(abs(r), 1.0):
+            roots.append(r)
+    if not roots:
+        raise ConvergenceError("force balance has no real root")
+    return roots
 
 
 def solve_working_point(
@@ -212,20 +141,18 @@ def solve_working_point(
             *effective* Delta_i; the bare detunings are adjusted to absorb
             the static spring shift.  This pins the operating point the
             analytic results assume (Delta_1 = Delta_2 = omega_m by default)
-            and needs no iteration.
-        "bare" - the stored detunings are the bare delta_i; q0 is found
-            self-consistently by damped fixed-point iteration, falling back
-            to bracketed root finding on the force balance.  If several
-            force-balance roots exist, the smallest-|q0| one is returned
-            with ``multiple_roots=True``; an exact tie raises
-            ConvergenceError.
+            and needs no root finding.
+        "bare" - the stored detunings are the bare delta_i; q0 is a real root
+            of the force-balance quintic (see the module docstring), found by
+            ``np.roots`` and Newton-polished on the balance itself.  If
+            several roots exist, the smallest-|q0| one is returned with
+            ``multiple_roots=True``; an exact tie raises ConvergenceError.
 
-    Raises ConvergenceError when the bare-mode iteration cannot reach the
-    1e-10 relative residual within 200 iterations and no bracket succeeds.
+    Raises ConvergenceError when the returned root misses the 1e-10 relative
+    force-balance residual.
     """
     if detuning_mode not in ("effective", "bare"):
         raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
-
     e1 = drive_amplitude(drives.p_c1, params.omega_c1, params.kappa1)
     e2 = drive_amplitude(drives.p_c2, params.omega_c2, params.kappa2)
     k1, k2 = params.kappa1, params.kappa2
@@ -234,68 +161,25 @@ def solve_working_point(
     if detuning_mode == "effective":
         d1, d2 = params.delta_bare1, params.delta_bare2
         n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
-        q0 = (g1 * n1 - g2 * n2) / params.omega_m
-        return WorkingPoint(
-            a10=e1 / (k1 + 1j * d1),
-            a20=e2 / (k2 + 1j * d2),
-            q0=q0,
-            delta1=d1,
-            delta2=d2,
-            n1=n1,
-            n2=n2,
-        )
-
-    # bare mode: damped fixed point q <- q + alpha*(q_implied - q)
-    def force_scale(q):
-        d1 = params.delta_bare1 - g1 * q
-        d2 = params.delta_bare2 + g2 * q
-        n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
-        return params.omega_m * max(abs(q), 1.0) + g1 * n1 + g2 * n2
-
-    q = 0.0
-    alpha = 0.5
-    converged = False
-    residual = abs(_force_residual(q, e1, e2, params))
-    for _ in range(MAX_ITER):
-        d1 = params.delta_bare1 - g1 * q
-        d2 = params.delta_bare2 + g2 * q
-        n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
-        q_implied = (g1 * n1 - g2 * n2) / params.omega_m
-        q = (1.0 - alpha) * q + alpha * q_implied
-        residual = abs(_force_residual(q, e1, e2, params))
-        if residual <= REL_TOL * force_scale(q):
-            converged = True
-            break
-
-    roots = _scan_roots(e1, e2, params)
-    multiple = len(roots) > 1
-    if multiple:
-        by_mag = sorted(roots, key=abs)
-        if len(by_mag) > 1 and abs(abs(by_mag[0]) - abs(by_mag[1])) <= 1e-9 * (abs(by_mag[0]) + 1.0):
+        q, multiple = (g1 * n1 - g2 * n2) / params.omega_m, False
+    else:
+        terms = _terms(params, e1, e2)
+        by_mag = sorted(_real_roots(params, terms), key=abs)
+        q, multiple = by_mag[0], len(by_mag) > 1
+        if multiple and abs(abs(q) - abs(by_mag[1])) <= 1e-9 * (abs(q) + 1.0):
             raise ConvergenceError(
                 "force balance has tied smallest-|q0| roots "
-                f"(q0 = {by_mag[0]:.6g} and {by_mag[1]:.6g}); operating point ambiguous",
-                residual=residual,
+                f"(q0 = {q:.6g} and {by_mag[1]:.6g}); operating point ambiguous"
             )
-        q = by_mag[0]
-    elif not converged:
-        if roots:
-            q = roots[0]
-        else:
+        d1 = params.delta_bare1 - g1 * q
+        d2 = params.delta_bare2 + g2 * q
+        n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
+        residual = abs(_balance(q, params, terms)[0])
+        if residual > REL_TOL * (params.omega_m * max(abs(q), 1.0) + g1 * n1 + g2 * n2):
             raise ConvergenceError(
-                f"working point did not converge after {MAX_ITER} iterations",
+                "working point residual above tolerance after root polish",
                 residual=residual,
             )
-
-    d1 = params.delta_bare1 - g1 * q
-    d2 = params.delta_bare2 + g2 * q
-    n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
-    residual = abs(_force_residual(q, e1, e2, params))
-    if residual > REL_TOL * force_scale(q):
-        raise ConvergenceError(
-            "working point residual above tolerance after root polish",
-            residual=residual,
-        )
     return WorkingPoint(
         a10=e1 / (k1 + 1j * d1),
         a20=e2 / (k2 + 1j * d2),
@@ -306,3 +190,35 @@ def solve_working_point(
         n2=n2,
         multiple_roots=multiple,
     )
+
+
+def coupling_power(
+    params: SystemParams,
+    cavity_index: int,
+    photons: float,
+    other_power: float = 0.0,
+    detuning_mode: str = "effective",
+) -> float:
+    """Coupling power [W] that puts ``photons`` into cavity ``cavity_index`` at its working point.
+
+    n = E^2 / (kappa^2 + Delta^2) with E^2 = 2 kappa P / (hbar omega_c) gives
+    P = n hbar omega_c (kappa^2 + Delta^2) / (2 kappa).  In effective mode
+    Delta is the stored detuning.  In bare mode it is Delta_i(q0), with q0 the
+    smallest-|q0| real root of the force balance with this cavity's photon
+    number held at n and the other cavity driven at ``other_power``.  Whether
+    the forward solve at this power picks the same root is for the caller to
+    confirm.
+    """
+    i = cavity_index - 1
+    kappa = (params.kappa1, params.kappa2)[i]
+    delta = (params.delta_bare1, params.delta_bare2)[i]
+    if detuning_mode == "bare":  # the held photon number replaces this cavity's own drive
+        e1 = drive_amplitude(other_power, params.omega_c1, params.kappa1)
+        e2 = drive_amplitude(other_power, params.omega_c2, params.kappa2)
+        held = (photons, None) if i == 0 else (None, photons)
+        q0 = min(_real_roots(params, _terms(params, e1, e2, held)), key=abs)
+        delta += (-params.g1, params.g2)[i] * q0
+    elif detuning_mode != "effective":
+        raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
+    carrier = (params.omega_c1, params.omega_c2)[i]
+    return photons * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -48,6 +49,40 @@ def test_invert_cooperativity_unreachable():
         cli.invert_cooperativity(10.0, 1, p)
 
 
+def test_nan_during_inversion_exits_3(params, monkeypatch, capsys):
+    real_cooperativity = cli.cooperativity
+    n_target = 40.0 * params.kappa1 * params.gamma_m / params.g1**2
+
+    def nan_inside_bracket(g, n, kappa, gamma_m):
+        # the bracket ends (n = 0 and n = 2 n_target) stay finite
+        if 0.0 < n < 1.5 * n_target:
+            return math.nan
+        return real_cooperativity(g, n, kappa, gamma_m)
+
+    monkeypatch.setattr(cli, "cooperativity", nan_inside_bracket)
+    with pytest.raises(om.ConvergenceError, match="NaN"):
+        cli.invert_cooperativity(40.0, 1, params)
+    assert cli.main(["invert", "--target", "40", "--cavity", "1"]) == 3
+    assert "solver error" in capsys.readouterr().err
+
+
+def test_inversion_landing_on_another_branch_exits_3(params, tmp_path, capsys):
+    # a solve that returns another working point than the closed form's
+    def other_branch(drives):
+        return om.solve_working_point(params, om.DriveConfig(drives.p_c1 / 2, drives.p_c2))
+
+    with pytest.raises(om.ConvergenceError, match="another branch"):
+        cli.invert_cooperativity(40.0, 1, params, solve=other_branch)
+    # bare mode, C1 = 1e5 alone: the held photon number puts q0 on the upper branch of the
+    # bistable force balance, but the forward solve takes the smallest-|q0| (lower) branch
+    with pytest.raises(om.ConvergenceError, match="another branch"):
+        cli.invert_cooperativity(1e5, 1, params, detuning_mode="bare")
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({"detuning_mode": "bare"}))
+    assert run_main(["invert", "--target", "1e5", "--cavity", "1", "--scenario", bare]) == 3
+    assert "another branch" in capsys.readouterr().err
+
+
 def test_scenario_validation_errors():
     with pytest.raises(om.ScenarioError):
         cli.Scenario.from_dict({"nonsense": 1})
@@ -80,6 +115,25 @@ def test_invalid_sweep_numbers_exit_2(tmp_path, capsys, command, sweep):
     path.write_text(json.dumps({"sweep": sweep, "output": {"path": str(out)}}))
     assert run_main([command, "--scenario", path]) == 2
     assert "error: sweep." in capsys.readouterr().err
+    assert not out.exists()
+
+
+POINTS_RUNS = {
+    "sweep_probe": ("sweep", {"kind": "probe_x", "n_points": 5}),
+    "sweep_ratio": ("sweep", {"kind": "cooperativity_ratio", "n_points": 5}),
+    "roots": ("roots", {"kind": "roots_vs_ratio", "n_points": 5}),
+}
+
+
+@pytest.mark.parametrize("points", [-5, 0, 1])
+@pytest.mark.parametrize("run", sorted(POINTS_RUNS))
+def test_points_override_below_2_exits_2(tmp_path, capsys, run, points):
+    command, sweep = POINTS_RUNS[run]
+    out = tmp_path / "t.csv"
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sweep": sweep, "output": {"path": str(out)}}))
+    assert run_main([command, "--scenario", path, "--points", points]) == 2
+    assert "error: --points must be an integer >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -228,6 +282,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert run_main(["sweep", "--scenario", bad]) == 2
 
     assert run_main(["sweep", "--scenario", "fig3"]) == 2  # kind mismatch
+
+    probe_power = tmp_path / "probe_power.json"  # the probe needs no power: no p_p key
+    for drives, message in [({"p_c1": "1.3mW", "p_p": 1e-9}, "unknown drives keys"),
+                            ({"c1": 40.0, "p_p": 1e-9}, "drives mixes cooperativity targets")]:
+        probe_power.write_text(json.dumps({"drives": drives}))
+        capsys.readouterr()
+        assert run_main(["derive", "--scenario", probe_power]) == 2
+        assert message in capsys.readouterr().err
 
     ok = tmp_path / "ok.json"
     ok.write_text(

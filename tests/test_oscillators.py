@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oemsim as om
+from oemsim import oscillators
 
 
 def steady_at(model, delta, t, probe_amp=1.0):
@@ -164,6 +165,38 @@ def test_exceptional_point_fallback_matches_rk4():
         i = np.argmin(np.abs(rk4.times - te))
         assert np.isclose(rk4.times[i], te, rtol=1e-9)
         assert np.abs(ze - rk4.states[i]).max() / z_ss < 1e-5
+
+
+def test_expm_matches_scipy():
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(2013)
+    for _ in range(300):
+        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        a *= rng.uniform(0.0, 5.0)
+        expected = linalg.expm(a)
+        assert np.abs(oscillators._expm(a) - expected).max() <= 1e-12 * np.abs(expected).max()
+    # the exceptional point of the fallback test, stacked over its time grid
+    model = om.OscillatorModel(delta1=5.0, delta2=5.0, omega_m=5.0, kappa1=2.0, kappa2=3.0,
+                               gamma_m_half=1.0, g_eff1=0.5, g_eff2=0.0)
+    a = model.system_matrix()
+    times = np.linspace(0.0, 6.0, 31)
+    stacked = oscillators._expm(a * times[:, None, None])
+    for t, got in zip(times, stacked):
+        expected = linalg.expm(a * t)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def test_rk4_solves_no_harmonic_steady_state(scaled_model, monkeypatch):
+    kwargs = dict(method="rk4", dt=1e-4, n_samples=11)
+    before = om.propagate(scaled_model, 1.0, 1.01e4, 0.05, **kwargs)
+
+    def unused(*args, **kw):
+        raise AssertionError("rk4 solved the harmonic steady state")
+
+    monkeypatch.setattr(oscillators, "harmonic_steady_state", unused)
+    after = om.propagate(scaled_model, 1.0, 1.01e4, 0.05, **kwargs)
+    assert np.array_equal(after.times, before.times)
+    assert np.array_equal(after.states, before.states)
 
 
 def test_trajectory_time_grid_validation():

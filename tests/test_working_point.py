@@ -97,7 +97,7 @@ def test_single_cavity_bistability_flag(params):
 
 
 def test_tied_roots_raise(params, monkeypatch):
-    monkeypatch.setattr(wpmod, "_scan_roots", lambda *a: [-5.0, 5.0, 9.0])
+    monkeypatch.setattr(wpmod, "_real_roots", lambda *a: [-5.0, 5.0, 9.0])
     with pytest.raises(om.ConvergenceError):
         om.solve_working_point(
             params, om.DriveConfig(p_c1=1e-3, p_c2=0.0), detuning_mode="bare"

@@ -40,7 +40,6 @@ from .linear_response import (
     probe_outputs,
     solve_sidebands,
     solve_sidebands_closed_form,
-    sweep_probe,
 )
 from .oscillators import (
     OscillatorModel,
@@ -104,5 +103,4 @@ __all__ = [
     "solve_sidebands",
     "solve_sidebands_closed_form",
     "solve_working_point",
-    "sweep_probe",
 ]

@@ -24,7 +24,8 @@ import json
 import math
 import re
 import sys
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -41,17 +42,29 @@ from .errors import (
 from .linear_response import ProbeResponse, response_grid
 from .oscillators import from_working_point, propagate
 from .params import (
+    REFERENCE_HZ,
     DriveConfig,
     SystemParams,
     cooperativity,
     critical_power,
-    default_params,
     eit_width,
 )
 from .working_point import WorkingPoint, coupling_power, solve_working_point
 
 MODELS = ("full", "rwa", "analytic", "oscillator")
-SWEEP_KINDS = ("probe_x", "cooperativity_ratio", "roots_vs_ratio", "time_domain")
+# Every key of each sweep kind with its default (a null value also takes it): ``...`` marks
+# a required key and None one that may stay unset (probe_x then sizes n_points from the peak
+# width).  n_points and n_samples are integers >= 2, method is checked by ``propagate``, and
+# the rest are finite numbers.
+SWEEP_KEYS = {
+    "probe_x": {"x_min_gamma_m": -30.0, "x_max_gamma_m": 30.0, "n_points": None},
+    "cooperativity_ratio": {"ratio_min": 0.0, "ratio_max": 1.0, "n_points": 201,
+                            "x_gamma_m": 0.0},
+    "roots_vs_ratio": {"ratio_min": 0.0, "ratio_max": 1.0, "n_points": 201},
+    "time_domain": {"t_final": ..., "method": "exact_propagator", "dt": None,
+                    "n_samples": 1001, "x_gamma_m": 0.0},
+}
+SWEEP_KINDS = tuple(SWEEP_KEYS)
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
 
 PROBE_COLUMNS = [
@@ -80,16 +93,18 @@ _CHUNK_ROWS = 4096  # rows per write in _write_table
 
 _SI_PREFIX = {"": 1.0, "k": 1e3, "m": 1e-3, "u": 1e-6, "µ": 1e-6, "n": 1e-9, "p": 1e-12}
 _POWER_RE = re.compile("\\s*([0-9.eE+\\-]+)\\s*([kmunpµ]?)W\\s*")
+_LABEL_RE = re.compile(r"[\w.+-]+")  # a variant label: a plain file-name part
 
 
-def parse_power(value) -> float:
+def parse_power(value, name: str = "power") -> float:
     """Watts from a number or an SI-suffixed string like '1.3mW'."""
-    if isinstance(value, (int, float)):
-        return float(value)
-    match = _POWER_RE.fullmatch(str(value))
-    if not match:
-        raise ScenarioError(f"cannot parse power {value!r} (expected e.g. 1.3e-3 or '1.3mW')")
-    return float(match.group(1)) * _SI_PREFIX[match.group(2)]
+    if isinstance(value, str):
+        match = _POWER_RE.fullmatch(value)
+        if not match:
+            raise ScenarioError(
+                f"cannot parse {name} {value!r} (expected e.g. 1.3e-3 or '1.3mW')")
+        value = _number(match.group(1), name) * _SI_PREFIX[match.group(2)]
+    return _number(value, name)
 
 
 def _fmt(value: float) -> str:
@@ -159,17 +174,22 @@ def invert_cooperativity(
 
 @dataclass
 class Scenario:
-    """Validated scenario document driving one CLI run."""
+    """Validated scenario document driving one CLI run.
 
-    params: SystemParams = field(default_factory=default_params)
-    detuning_mode: str = "effective"
-    drives: dict = field(default_factory=lambda: {"c1": 40.0, "c2": 40.0})
-    sweep: dict = field(default_factory=dict)
-    model: str = "rwa"
-    variants: list | None = None
-    out_path: str | None = None
-    out_format: str = "csv"
-    description: str = ""
+    ``sweep`` is empty or holds every key of its kind (``SWEEP_KEYS``), already
+    typed; ``variants`` holds one dict per table a probe sweep writes, with every
+    variant key set (a scenario without variants has the one unlabeled variant).
+    """
+
+    params: SystemParams
+    detuning_mode: str
+    drives: dict
+    sweep: dict
+    model: str
+    variants: list
+    out_path: str | None
+    out_format: str
+    description: str
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -194,44 +214,16 @@ class Scenario:
         if mode not in ("effective", "bare"):
             raise ScenarioError(f"detuning_mode must be 'effective' or 'bare', got {mode!r}")
 
-        drives = doc.get("drives", {"c1": 40.0, "c2": 40.0})
-        if not isinstance(drives, dict):
-            raise ScenarioError("drives must be an object")
-
-        sweep = doc.get("sweep", {})
-        if sweep:
-            kind = sweep.get("kind")
-            if kind not in SWEEP_KINDS:
-                raise ScenarioError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
-            for key in ("n_points", "n_samples"):
-                count = sweep.get(key)
-                if count is not None and (not isinstance(count, int) or count < 2):
-                    raise ScenarioError(f"sweep.{key} must be an integer >= 2")
-            for key in ("x_min_gamma_m", "x_max_gamma_m", "x_gamma_m", "ratio_min", "ratio_max",
-                        "t_final", "dt"):
-                if key in sweep:
-                    try:
-                        bound = float(sweep[key])
-                    except (TypeError, ValueError) as exc:
-                        raise ScenarioError(f"sweep.{key} must be a number") from exc
-                    if not math.isfinite(bound):
-                        raise ScenarioError(f"sweep.{key} must be finite")
-
         model = doc.get("model", "rwa")
         if model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {model!r}")
 
-        variants = doc.get("variants")
-        if variants is not None:
-            if not isinstance(variants, list) or not variants:
-                raise ScenarioError("variants must be a non-empty list")
-            for v in variants:
-                if "label" not in v:
-                    raise ScenarioError("every variant needs a label")
-                if v.get("model", model) not in MODELS:
-                    raise ScenarioError(f"variant model invalid: {v.get('model')!r}")
-
         output = doc.get("output", {})
+        if not isinstance(output, dict) or set(output) - {"path", "format"}:
+            raise ScenarioError(f"output must be an object with path and format, got {output!r}")
+        out_path = output.get("path")
+        if out_path is not None and not isinstance(out_path, str):
+            raise ScenarioError(f"output.path must be a string, got {out_path!r}")
         out_format = output.get("format", "csv")
         if out_format not in ("csv", "json"):
             raise ScenarioError(f"output.format must be csv or json, got {out_format!r}")
@@ -239,88 +231,168 @@ class Scenario:
         return cls(
             params=params,
             detuning_mode=mode,
-            drives=drives,
-            sweep=sweep,
+            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0})),
+            sweep=_sweep_from_spec(doc.get("sweep", {})),
             model=model,
-            variants=variants,
-            out_path=output.get("path"),
+            variants=_variants_from_spec(doc.get("variants"), model),
+            out_path=out_path,
             out_format=out_format,
             description=doc.get("description", ""),
         )
 
 
+def _number(value, name: str) -> float:
+    """A finite float from a JSON number or numeric string; anything else is a ScenarioError."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or isinstance(value, bool):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise ScenarioError(f"{name} must be finite, got {value!r}")
+    return number
+
+
+def _count(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        raise ScenarioError(f"{name} must be an integer >= 2, got {value!r}")
+    return value
+
+
 def _params_from_spec(spec: dict) -> SystemParams:
-    """SystemParams from a Hz-valued config object (missing keys -> defaults)."""
+    """SystemParams from a Hz-valued config object (missing keys -> REFERENCE_HZ)."""
     if not isinstance(spec, dict):
         raise ScenarioError("params must be an object of plain-Hz values")
-    defaults = {
-        "omega_c1_hz": 4e14,
-        "omega_c2_hz": 1e10,
-        "omega_m_hz": 1e7,
-        "gamma_m_hz": 1e3,
-        "kappa1_hz": 1e6,
-        "kappa2_hz": 1e2,
-        "g1_hz": 50.0,
-        "g2_hz": 5.0,
-        "delta1_hz": None,
-        "delta2_hz": None,
-    }
-    unknown = set(spec) - set(defaults)
+    names = {f"{name}_hz": name for name in REFERENCE_HZ}
+    names.update(delta1_hz="delta_bare1", delta2_hz="delta_bare2")
+    unknown = set(spec) - set(names)
     if unknown:
         raise ScenarioError(f"unknown params keys: {sorted(unknown)}")
-    merged = {**defaults, **spec}
+    hz = {names[key]: _number(value, f"params.{key}") for key, value in spec.items()}
     try:
-        return SystemParams.from_hz(
-            omega_c1=merged["omega_c1_hz"],
-            omega_c2=merged["omega_c2_hz"],
-            omega_m=merged["omega_m_hz"],
-            gamma_m=merged["gamma_m_hz"],
-            kappa1=merged["kappa1_hz"],
-            kappa2=merged["kappa2_hz"],
-            g1=merged["g1_hz"],
-            g2=merged["g2_hz"],
-            delta_bare1=merged["delta1_hz"],
-            delta_bare2=merged["delta2_hz"],
-        )
+        return SystemParams.from_hz(**{**REFERENCE_HZ, **hz})
     except InvalidParameterError as exc:
         raise ScenarioError(f"invalid params: {exc}") from exc
 
 
-def resolve_drives(scenario: Scenario, solve=None) -> tuple[DriveConfig, float, float, WorkingPoint]:
-    """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
-
-    wp is the working point at ``drives`` and c1, c2 its cooperativities.
-    ``solve`` is the run's ``_memo_solver``, if the caller has one.
-    """
-    spec = scenario.drives
-    params = scenario.params
-    mode = scenario.detuning_mode
-    solve = solve or _memo_solver(params, mode)
+def _drives_from_spec(spec: dict) -> dict:
+    """Cooperativity targets {c1, c2} or powers {p_c1, p_c2} [W], missing ones 0."""
+    if not isinstance(spec, dict):
+        raise ScenarioError("drives must be an object")
     if "c1" in spec or "c2" in spec:
         extra = set(spec) - {"c1", "c2"}
         if extra:
             raise ScenarioError(f"drives mixes cooperativity targets with {sorted(extra)}")
-        target_c1 = float(spec.get("c1", 0.0))
-        target_c2 = float(spec.get("c2", 0.0))
-        p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, solve=solve)
-        p2 = invert_cooperativity(target_c2, 2, params, detuning_mode=mode, other_power=p1,
+        return {key: _number(spec.get(key, 0.0), f"drives.{key}") for key in ("c1", "c2")}
+    extra = set(spec) - {"p_c1", "p_c2"}
+    if extra:
+        raise ScenarioError(f"unknown drives keys: {sorted(extra)}")
+    return {key: parse_power(spec.get(key, 0.0), f"drives.{key}") for key in ("p_c1", "p_c2")}
+
+
+def _sweep_from_spec(spec: dict) -> dict:
+    """Every key of the sweep's kind, typed and checked against ``SWEEP_KEYS``."""
+    if not isinstance(spec, dict):
+        raise ScenarioError("sweep must be an object")
+    if not spec:
+        return {}
+    kind = spec.get("kind")
+    if kind not in SWEEP_KINDS:
+        raise ScenarioError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
+    unknown = set(spec) - {"kind", *SWEEP_KEYS[kind]}
+    if unknown:
+        raise ScenarioError(f"unknown sweep keys for kind {kind}: {sorted(unknown)}")
+    sweep = {**SWEEP_KEYS[kind], **{k: v for k, v in spec.items() if v is not None}}
+    for key, value in sweep.items():
+        if value is ...:
+            raise ScenarioError(f"{kind} sweep needs {key}")
+        if value is not None and key not in ("kind", "method"):
+            check = _count if key in ("n_points", "n_samples") else _number
+            sweep[key] = check(value, f"sweep.{key}")
+    if kind == "probe_x" and not sweep["x_min_gamma_m"] < sweep["x_max_gamma_m"]:
+        raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
+    if "ratio_min" in sweep and not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
+        raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
+    return sweep
+
+
+def _variants_from_spec(spec, model: str) -> list[dict]:
+    """Variant dicts with label, model and c2_over_c1 (None: the scenario's drives) all set."""
+    if spec is None:
+        return [{"label": None, "model": model, "c2_over_c1": None}]
+    if not isinstance(spec, list) or not spec:
+        raise ScenarioError("variants must be a non-empty list")
+    variants = []
+    for v in spec:
+        if not isinstance(v, dict) or set(v) - {"label", "model", "c2_over_c1"}:
+            raise ScenarioError(f"a variant is an object of label, model, c2_over_c1; got {v!r}")
+        if not isinstance(v.get("label"), str) or not _LABEL_RE.fullmatch(v["label"]):
+            raise ScenarioError(f"variant label must be a plain file-name part: {v.get('label')!r}")
+        variant = {"label": v["label"], "model": v.get("model", model),
+                   "c2_over_c1": v.get("c2_over_c1")}
+        if variant["model"] not in MODELS:
+            raise ScenarioError(f"variant model invalid: {variant['model']!r}")
+        if variant["c2_over_c1"] is not None:
+            ratio = variant["c2_over_c1"] = _number(variant["c2_over_c1"], "variant c2_over_c1")
+            if ratio < 0:
+                raise ScenarioError(f"variant c2_over_c1 must be >= 0, got {ratio!r}")
+        variants.append(variant)
+    return variants
+
+
+def resolve_drives(scenario: Scenario, solve) -> tuple[DriveConfig, float, float, WorkingPoint]:
+    """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
+
+    wp is the working point at ``drives`` and c1, c2 its cooperativities;
+    ``solve`` is the run's ``_memo_solver``.
+    """
+    spec = scenario.drives
+    params = scenario.params
+    mode = scenario.detuning_mode
+    if "c1" in spec:
+        p1 = invert_cooperativity(spec["c1"], 1, params, detuning_mode=mode, solve=solve)
+        p2 = invert_cooperativity(spec["c2"], 2, params, detuning_mode=mode, other_power=p1,
                                   solve=solve)
-        if mode == "bare" and target_c1 > 0 and p2 > 0:  # p2 = 0 would repeat the first call
-            p1 = invert_cooperativity(target_c1, 1, params, detuning_mode=mode, other_power=p2,
+        if mode == "bare" and spec["c1"] > 0 and p2 > 0:  # p2 = 0 would repeat the first call
+            p1 = invert_cooperativity(spec["c1"], 1, params, detuning_mode=mode, other_power=p2,
                                       solve=solve)
         drives = DriveConfig(p_c1=p1, p_c2=p2)
     else:
-        extra = set(spec) - {"p_c1", "p_c2"}
-        if extra:
-            raise ScenarioError(f"unknown drives keys: {sorted(extra)}")
-        drives = DriveConfig(
-            p_c1=parse_power(spec.get("p_c1", 0.0)),
-            p_c2=parse_power(spec.get("p_c2", 0.0)),
-        )
+        drives = DriveConfig(p_c1=spec["p_c1"], p_c2=spec["p_c2"])
     wp = solve(drives)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
     return drives, c1, c2, wp
+
+
+class Run:
+    """One CLI invocation: the scenario with its overrides applied, the run's
+    ``_memo_solver`` (no DriveConfig is solved twice) and the resolved
+    drives, cooperativities and working point."""
+
+    def __init__(self, scenario: Scenario):
+        self.scenario = scenario
+        self.solve = _memo_solver(scenario.params, scenario.detuning_mode)
+        self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario, self.solve)
+
+    @cached_property
+    def p1(self) -> float:
+        """Cavity-1 power for the achieved C1 alone; ratio rows all share it."""
+        s = self.scenario
+        return invert_cooperativity(self.c1, 1, s.params, detuning_mode=s.detuning_mode,
+                                    solve=self.solve)
+
+    def scaled_drives(self, ratio: float) -> DriveConfig:
+        """Drives for C2 = ratio * C1 at the cavity-1 power ``p1``."""
+        s = self.scenario
+        p2 = (
+            invert_cooperativity(ratio * self.c1, 2, s.params, detuning_mode=s.detuning_mode,
+                                 other_power=self.p1, solve=self.solve)
+            if ratio > 0
+            else 0.0
+        )
+        return DriveConfig(p_c1=self.p1, p_c2=p2)
 
 
 def _response_table(first, resp: ProbeResponse) -> np.ndarray:
@@ -331,15 +403,9 @@ def _response_table(first, resp: ProbeResponse) -> np.ndarray:
     ))
 
 
-def derive_summary(scenario: Scenario, resolved=None, solve=None) -> dict:
-    """Working point plus every derived quantity, as a flat JSON-able dict.
-
-    ``resolved`` is the result of ``resolve_drives(scenario)`` and ``solve``
-    the run's ``_memo_solver`` when the caller already has them.
-    """
-    params = scenario.params
-    solve = solve or _memo_solver(params, scenario.detuning_mode)
-    drives, c1, c2, wp = resolved or resolve_drives(scenario, solve)
+def derive_summary(run: Run) -> dict:
+    """Working point plus every derived quantity, as a flat JSON-able dict."""
+    params, drives, c1, c2, wp = run.scenario.params, run.drives, run.c1, run.c2, run.wp
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     split = eia_splitting(gamma_eit, coeffs.s2, params.kappa2)
@@ -348,8 +414,7 @@ def derive_summary(scenario: Scenario, resolved=None, solve=None) -> dict:
     hierarchy = model.hierarchy_report()
 
     on = response_grid(wp, params, params.omega_m, "rwa")
-    drives_off = DriveConfig(p_c1=drives.p_c1, p_c2=0.0)
-    wp_off = wp if drives_off == drives else solve(drives_off)
+    wp_off = run.solve(DriveConfig(p_c1=drives.p_c1, p_c2=0.0))
     off = response_grid(wp_off, params, params.omega_m, "rwa")
     switch_t_over_r = on.transmit_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
     switch_off_over_on = off.reflect_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
@@ -390,36 +455,22 @@ def derive_summary(scenario: Scenario, resolved=None, solve=None) -> dict:
     return {k: clean(v) for k, v in summary.items()}
 
 
-def _auto_probe_points(scenario: Scenario, resolved, x_min: float, x_max: float) -> int:
+def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
     """Default grid density: at least 20 points per estimated peak width.
 
     Uses the absorption-peak half-width estimate kappa2 + s2/Gamma_EIT when
     the second drive is on, else the transparency half-width; floor 801,
     cap 20001.
     """
-    params = scenario.params
-    _, c1, _, wp = resolved
-    coeffs = RwaCoefficients.from_working_point(wp, params)
-    gamma_eit = eit_width(c1, params.gamma_m)
+    params = run.scenario.params
+    coeffs = RwaCoefficients.from_working_point(run.wp, params)
+    gamma_eit = eit_width(run.c1, params.gamma_m)
     if coeffs.s2 > 0:
         width = params.kappa2 + coeffs.s2 / gamma_eit
     else:
         width = gamma_eit
     n = int(math.ceil(20.0 * (x_max - x_min) / width)) + 1
     return max(801, min(n, 20001))
-
-
-def _scaled_drives(scenario: Scenario, c1: float, p1: float, ratio: float, solve) -> DriveConfig:
-    """Drives for C2 = ratio * C1 at the cavity-1 power p1 (it does not depend on the ratio)."""
-    p2 = (
-        invert_cooperativity(
-            ratio * c1, 2, scenario.params,
-            detuning_mode=scenario.detuning_mode, other_power=p1, solve=solve,
-        )
-        if ratio > 0
-        else 0.0
-    )
-    return DriveConfig(p_c1=p1, p_c2=p2)
 
 
 def run_scenario(
@@ -432,46 +483,22 @@ def run_scenario(
     """Execute a scenario: write its table file(s) and return the summary dict.
 
     The summary, plus a "files" entry listing every table written, is also
-    what the subcommands print.
+    what the subcommands print.  ``model_override`` replaces the model of
+    every variant too.
     """
-    out_format = format_override or scenario.out_format
-    out_path = Path(out_override or scenario.out_path or "sweep_output." + out_format)
-    kind = scenario.sweep.get("kind", "probe_x") if scenario.sweep else None
-
-    if points_override is not None and points_override < 2:
-        raise ScenarioError(f"--points must be an integer >= 2, got {points_override}")
-    files: list[str] = []
-    solve = _memo_solver(scenario.params, scenario.detuning_mode)  # no drives solved twice
-    resolved = resolve_drives(scenario, solve)
-    summary = derive_summary(scenario, resolved, solve)
-
-    if kind is None:
-        pass
-    elif kind == "probe_x":
-        files += _run_probe_sweep(scenario, resolved, solve, out_path, out_format,
-                                  model_override, points_override)
-    elif kind == "cooperativity_ratio":
-        files += _run_ratio_sweep(scenario, resolved, solve, out_path, out_format,
-                                  model_override, points_override)
-    elif kind == "roots_vs_ratio":
-        files += _run_root_sweep(scenario, resolved, out_path, out_format, points_override)
-    elif kind == "time_domain":
-        files += _run_time_domain(scenario, resolved, out_path, out_format)
-    summary["files"] = files
+    sweep, variants = scenario.sweep, scenario.variants
+    if points_override is not None:
+        sweep = {**sweep, "n_points": _count(points_override, "--points")}
+    if model_override:
+        variants = [{**v, "model": model_override} for v in variants]
+    scenario = replace(scenario, sweep=sweep, variants=variants,
+                       model=model_override or scenario.model,
+                       out_format=format_override or scenario.out_format)
+    out_path = Path(out_override or scenario.out_path or "sweep_output." + scenario.out_format)
+    run = Run(scenario)
+    summary = derive_summary(run)
+    summary["files"] = _RUNNERS[sweep["kind"]](run, out_path) if sweep else []
     return summary
-
-
-def _variant_list(scenario: Scenario, model_override):
-    if scenario.variants:
-        return [
-            (
-                v["label"],
-                model_override or v.get("model", scenario.model),
-                v.get("c2_over_c1"),
-            )
-            for v in scenario.variants
-        ]
-    return [(None, model_override or scenario.model, None)]
 
 
 def _variant_path(base: Path, label: str | None) -> Path:
@@ -480,102 +507,77 @@ def _variant_path(base: Path, label: str | None) -> Path:
     return base.with_name(f"{base.stem}_{label}{base.suffix}")
 
 
-def _run_probe_sweep(scenario, resolved, solve, out_path, out_format, model_override,
-                     points_override):
-    params = scenario.params
-    gm = params.gamma_m
-    sweep = scenario.sweep
-    x_min = float(sweep.get("x_min_gamma_m", -30.0)) * gm
-    x_max = float(sweep.get("x_max_gamma_m", 30.0)) * gm
-    if not x_min < x_max:
-        raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
-    n_points = points_override if points_override is not None else (
-        sweep.get("n_points") or _auto_probe_points(scenario, resolved, x_min, x_max))
-    xs = np.linspace(x_min, x_max, n_points)
+def _ratio_grid(sweep: dict) -> np.ndarray:
+    return np.linspace(sweep["ratio_min"], sweep["ratio_max"], sweep["n_points"])
 
-    variants = _variant_list(scenario, model_override)
-    _, c1, _, base_wp = resolved
-    if any(ratio is not None for _, _, ratio in variants):
-        p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode,
-                                  solve=solve)
+
+def _run_probe_sweep(run: Run, out_path: Path) -> list[str]:
+    params, sweep = run.scenario.params, run.scenario.sweep
+    gm = params.gamma_m
+    x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
+    xs = np.linspace(x_min, x_max, sweep["n_points"] or _auto_probe_points(run, x_min, x_max))
     written = []
-    for label, model, ratio in variants:
-        wp = base_wp
-        if ratio is not None:
-            wp = solve(_scaled_drives(scenario, c1, p1, ratio, solve))
-        resp = response_grid(wp, params, params.omega_m + xs, model)
-        path = _variant_path(out_path, label)
-        _write_table(path, PROBE_COLUMNS, _response_table(xs / gm, resp), out_format)
+    for variant in run.scenario.variants:
+        ratio = variant["c2_over_c1"]
+        wp = run.wp if ratio is None else run.solve(run.scaled_drives(ratio))
+        resp = response_grid(wp, params, params.omega_m + xs, variant["model"])
+        path = _variant_path(out_path, variant["label"])
+        _write_table(path, PROBE_COLUMNS, _response_table(xs / gm, resp), run.scenario.out_format)
         written.append(str(path))
     return written
 
 
-def _run_ratio_sweep(scenario, resolved, solve, out_path, out_format, model_override,
-                     points_override):
-    params = scenario.params
-    sweep = scenario.sweep
-    model = model_override or scenario.model
-    _, c1, _, _ = resolved
-    lo = float(sweep.get("ratio_min", 0.0))
-    hi = float(sweep.get("ratio_max", 1.0))
-    if not lo < hi:
-        raise ScenarioError("ratio sweep needs ratio_min < ratio_max")
-    n_points = points_override if points_override is not None else sweep.get("n_points", 201)
-    x = float(sweep.get("x_gamma_m", 0.0)) * params.gamma_m
-    ratios = np.linspace(lo, hi, n_points)
-    p1 = invert_cooperativity(c1, 1, params, detuning_mode=scenario.detuning_mode, solve=solve)
-    wps = [solve(_scaled_drives(scenario, c1, p1, ratio, solve)) for ratio in ratios]
+def _run_ratio_sweep(run: Run, out_path: Path) -> list[str]:
+    params, sweep = run.scenario.params, run.scenario.sweep
+    ratios = _ratio_grid(sweep)
+    wps = [run.solve(run.scaled_drives(ratio)) for ratio in ratios]
     # one working point per row, its fields stacked into arrays for the kernel
     stacked = WorkingPoint(*map(np.array, zip(*map(astuple, wps))))
-    resp = response_grid(stacked, params, params.omega_m + x, model)
-    _write_table(out_path, RATIO_COLUMNS, _response_table(ratios, resp), out_format)
+    delta = params.omega_m + sweep["x_gamma_m"] * params.gamma_m
+    resp = response_grid(stacked, params, delta, run.scenario.model)
+    _write_table(out_path, RATIO_COLUMNS, _response_table(ratios, resp), run.scenario.out_format)
     return [str(out_path)]
 
 
-def _run_root_sweep(scenario, resolved, out_path, out_format, points_override):
-    params = scenario.params
-    sweep = scenario.sweep
-    _, c1, _, _ = resolved
-    lo = float(sweep.get("ratio_min", 0.0))
-    hi = float(sweep.get("ratio_max", 1.0))
-    if not lo < hi:
-        raise ScenarioError("ratio sweep needs ratio_min < ratio_max")
-    n_points = points_override if points_override is not None else sweep.get("n_points", 201)
-    ratios = np.linspace(lo, hi, n_points)
+def _run_root_sweep(run: Run, out_path: Path) -> list[str]:
+    params = run.scenario.params
+    ratios = _ratio_grid(run.scenario.sweep)
     coeff_sets = [
         RwaCoefficients.from_cooperativities(
-            c1, ratio * c1, params.kappa1, params.kappa2, params.gamma_m
+            run.c1, ratio * run.c1, params.kappa1, params.kappa2, params.gamma_m
         )
         for ratio in ratios
     ]
     trajectories = root_trajectories(coeff_sets)
     gm = params.gamma_m
     rows = np.column_stack([ratios, -trajectories.imag / gm, trajectories.real / gm])
-    _write_table(out_path, ROOT_COLUMNS, rows, out_format)
+    _write_table(out_path, ROOT_COLUMNS, rows, run.scenario.out_format)
     return [str(out_path)]
 
 
-def _run_time_domain(scenario, resolved, out_path, out_format):
-    params = scenario.params
-    sweep = scenario.sweep
-    _, _, _, wp = resolved
-    model = from_working_point(wp, params)
-    if "t_final" not in sweep:
-        raise ScenarioError("time_domain sweep needs t_final")
-    delta = params.omega_m + float(sweep.get("x_gamma_m", 0.0)) * params.gamma_m
+def _run_time_domain(run: Run, out_path: Path) -> list[str]:
+    params, sweep = run.scenario.params, run.scenario.sweep
     traj = propagate(
-        model,
+        from_working_point(run.wp, params),
         probe_amp=1.0,
-        delta=delta,
-        t_final=float(sweep["t_final"]),
-        method=sweep.get("method", "exact_propagator"),
-        dt=float(sweep["dt"]) if "dt" in sweep else None,
-        n_samples=sweep.get("n_samples", 1001),
+        delta=params.omega_m + sweep["x_gamma_m"] * params.gamma_m,
+        t_final=sweep["t_final"],
+        method=sweep["method"],
+        dt=sweep["dt"],
+        n_samples=sweep["n_samples"],
     )
     # (re, im) pairs of u, v, w: the complex states viewed as floats
     rows = np.column_stack([traj.times, np.ascontiguousarray(traj.states).view(np.float64)])
-    _write_table(out_path, TIME_COLUMNS, rows, out_format)
+    _write_table(out_path, TIME_COLUMNS, rows, run.scenario.out_format)
     return [str(out_path)]
+
+
+_RUNNERS = {
+    "probe_x": _run_probe_sweep,
+    "cooperativity_ratio": _run_ratio_sweep,
+    "roots_vs_ratio": _run_root_sweep,
+    "time_domain": _run_time_domain,
+}
 
 
 def _write_table(path: Path, columns, rows: np.ndarray, out_format: str) -> None:
@@ -597,7 +599,7 @@ def _write_table(path: Path, columns, rows: np.ndarray, out_format: str) -> None
 def load_scenario(ref: str | None) -> Scenario:
     """Load a scenario from a JSON file path or a built-in preset name."""
     if ref is None:
-        return Scenario()
+        return Scenario.from_dict({})
     path = Path(ref)
     if path.is_file():
         try:
@@ -665,27 +667,21 @@ _KIND_BY_COMMAND = {
 def _dispatch(args) -> int:
     scenario = load_scenario(args.scenario)
 
-    if args.command == "derive":
-        summary = derive_summary(scenario)
-        _print_json(summary)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                json.dump(summary, fh, indent=2, sort_keys=True, default=str)
-                fh.write("\n")
-        return 0
-
-    if args.command == "invert":
-        power = invert_cooperativity(args.target, args.cavity, scenario.params,
-                                     detuning_mode=scenario.detuning_mode)
-        result = {"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)}
+    if args.command in ("derive", "invert"):
+        if args.command == "derive":
+            result = derive_summary(Run(scenario))
+        else:
+            power = invert_cooperativity(args.target, args.cavity, scenario.params,
+                                         detuning_mode=scenario.detuning_mode)
+            result = {"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)}
         _print_json(result)
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True)
+                json.dump(result, fh, indent=2, sort_keys=True, default=str)
                 fh.write("\n")
         return 0
 
-    kind = scenario.sweep.get("kind") if scenario.sweep else None
+    kind = scenario.sweep.get("kind")
     allowed = _KIND_BY_COMMAND[args.command]
     if kind not in allowed:
         raise ScenarioError(

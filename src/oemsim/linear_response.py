@@ -23,13 +23,13 @@ internally); thermal occupations are taken as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularResponseError
-from .params import DriveConfig, SystemParams
-from .working_point import WorkingPoint, solve_working_point
+from .params import SystemParams
+from .working_point import WorkingPoint
 
 RESIDUAL_TOL = 1e-10
 
@@ -314,28 +314,3 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
     sol = SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
     return probe_outputs(sol, wp, params)
 
-
-def sweep_probe(
-    params: SystemParams,
-    drives: DriveConfig,
-    x_min: float,
-    x_max: float,
-    n_points: int,
-    rwa: bool = False,
-    detuning_mode: str = "effective",
-) -> list[ProbeResponse]:
-    """Probe spectrum on a uniform grid of x = delta - omega_m.
-
-    The working point is solved once and the whole grid goes through
-    ``response_grid``; rows come back ordered by x.  A failing grid point
-    raises SingularResponseError naming its row index and x.
-    """
-    if n_points < 2:
-        raise InvalidParameterError(f"n_points must be >= 2, got {n_points}")
-    if not x_min < x_max:
-        raise InvalidParameterError("x_min must be < x_max")
-    wp = solve_working_point(params, drives, detuning_mode=detuning_mode)
-    xs = np.linspace(x_min, x_max, n_points)
-    grid = response_grid(wp, params, params.omega_m + xs, "rwa" if rwa else "full")
-    columns = [np.broadcast_to(getattr(grid, f.name), xs.shape).tolist() for f in fields(grid)]
-    return [ProbeResponse(*row) for row in zip(*columns)]

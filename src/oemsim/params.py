@@ -129,24 +129,16 @@ class SystemParams:
         return self.omega_m / max(self.kappa1, self.kappa2)
 
 
-def default_params() -> SystemParams:
-    """Experimentally realizable reference set used by all built-in scenarios.
+# Reference hardware in plain Hz: optical and microwave carriers, 10 MHz mechanics,
+# kappa1 >> gamma_m >> kappa2.
+REFERENCE_HZ = {"omega_c1": 4e14, "omega_c2": 1e10, "omega_m": 1e7, "gamma_m": 1e3,
+                "kappa1": 1e6, "kappa2": 1e2, "g1": 50.0, "g2": 5.0}
 
-    omega_c1 = 2pi*4e14 Hz (optical), omega_c2 = 2pi*10 GHz (microwave),
-    omega_m = 2pi*10 MHz, gamma_m = 2pi*1 kHz, kappa1 = 2pi*1 MHz,
-    kappa2 = 2pi*0.1 kHz, g1 = 2pi*50 Hz, g2 = 2pi*5 Hz; both coupling
-    tones detuned omega_m below their cavity.
-    """
-    return SystemParams.from_hz(
-        omega_c1=4e14,
-        omega_c2=1e10,
-        omega_m=1e7,
-        gamma_m=1e3,
-        kappa1=1e6,
-        kappa2=1e2,
-        g1=50.0,
-        g2=5.0,
-    )
+
+def default_params() -> SystemParams:
+    """Experimentally realizable reference set (``REFERENCE_HZ``) used by all built-in
+    scenarios; both coupling tones detuned omega_m below their cavity."""
+    return SystemParams.from_hz(**REFERENCE_HZ)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,55 @@ def test_invalid_sweep_numbers_exit_2(tmp_path, capsys, command, sweep):
     assert not out.exists()
 
 
+PROBE_5 = {"kind": "probe_x", "n_points": 5}
+MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start of the error)
+    "params_text": ("sweep", {"params": {"g1_hz": "abc"}}, "params.g1_hz must be a number"),
+    "params_null": ("sweep", {"params": {"g1_hz": None}}, "params.g1_hz must be a number"),
+    "target_text": ("sweep", {"drives": {"c1": "abc"}}, "drives.c1 must be a number"),
+    "target_list": ("sweep", {"drives": {"c1": [1]}}, "drives.c1 must be a number"),
+    "target_nan": ("sweep", {"drives": {"c1": "nan"}}, "drives.c1 must be finite"),
+    "power_bool": ("sweep", {"drives": {"p_c1": True}}, "drives.p_c1 must be a number"),
+    "sweep_text": ("sweep", {"sweep": "probe"}, "sweep must be an object"),
+    "output_text": ("sweep", {"output": "e.csv"}, "output must be an object"),
+    "variant_number": ("sweep", {"variants": [3]}, "a variant is an object"),
+    "variant_ratio_text": ("sweep", {"variants": [{"label": "a", "c2_over_c1": "x"}]},
+                           "variant c2_over_c1 must be a number"),
+    "variant_ratio_negative": ("sweep", {"variants": [{"label": "a", "c2_over_c1": -2}]},
+                               "variant c2_over_c1 must be >= 0"),
+    "variant_label_path": ("sweep", {"variants": [{"label": "a/b"}]}, "variant label"),
+    "variant_unknown_key": ("sweep", {"variants": [{"label": "a", "ratio": 0.5}]},
+                            "a variant is an object"),
+    "sweep_unknown_key": ("sweep", {"sweep": {"kind": "probe_x", "n_point": 5}},
+                          "unknown sweep keys for kind probe_x: ['n_point']"),
+    "derive_sweep_unknown_key": ("derive", {"sweep": {"kind": "probe_x", "n_point": 5}},
+                                 "unknown sweep keys"),
+    "x_bounds_not_increasing": ("sweep", {"sweep": {**PROBE_5, "x_min_gamma_m": 2,
+                                                    "x_max_gamma_m": 2}},
+                                "probe sweep needs x_min_gamma_m < x_max_gamma_m"),
+    "ratio_min_negative": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": -1}},
+                           "ratio sweep needs 0 <= ratio_min"),
+    "roots_ratio_min_negative": ("roots", {"sweep": {"kind": "roots_vs_ratio", "ratio_min": -1}},
+                                 "ratio sweep needs 0 <= ratio_min"),
+    "ratio_bounds_not_increasing": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": 0.5,
+                                                        "ratio_max": 0.5}},
+                                    "ratio sweep needs 0 <= ratio_min < ratio_max"),
+    "t_final_missing": ("integrate", {"sweep": {"kind": "time_domain", "n_samples": 5}},
+                        "time_domain sweep needs t_final"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_scenario_exits_2(tmp_path, capsys, case):
+    command, keys, message = MALFORMED[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"drives": {"c1": 30.0, "c2": 20.0}, "sweep": PROBE_5, **keys}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 POINTS_RUNS = {
     "sweep_probe": ("sweep", {"kind": "probe_x", "n_points": 5}),
     "sweep_ratio": ("sweep", {"kind": "cooperativity_ratio", "n_points": 5}),
@@ -226,6 +275,18 @@ def test_fig2_preset_variants(tmp_path):
         else:  # absorption peak rises from the window floor at line center
             assert re_el[center] > 0.5
             assert re_el[center] > re_el[floor] + 0.4
+
+
+def test_model_override_applies_to_every_variant(tmp_path, capsys):
+    args = ["sweep", "--scenario", "fig2", "--points", "5"]
+    assert run_main([*args, "--model", "full", "--out", tmp_path / "f.csv"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["files"]) == 6
+    assert run_main([*args, "--out", tmp_path / "g.csv"]) == 0
+    for ratio in ("r000", "r050", "r100"):
+        full = (tmp_path / f"g_full_{ratio}.csv").read_bytes()
+        assert (tmp_path / f"f_rwa_{ratio}.csv").read_bytes() == full
+        assert (tmp_path / f"f_full_{ratio}.csv").read_bytes() == full
+        assert (tmp_path / f"g_rwa_{ratio}.csv").read_bytes() != full
 
 
 def test_fig3_preset_trends(tmp_path):

@@ -127,16 +127,17 @@ def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
     drives = Counter(args[1] for args, _ in solves)
     assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
 
-    resolved = cli.resolve_drives(scenario)
+    run = cli.Run(scenario)
     monkeypatch.setattr(cli, "solve_working_point", None)  # anything left to solve fails
-    summary = cli.derive_summary(scenario, resolved)
-    assert cli._auto_probe_points(scenario, resolved, -1.0, 1.0) >= 801
+    summary = cli.derive_summary(run)
+    assert cli._auto_probe_points(run, -1.0, 1.0) >= 801
     monkeypatch.undo()
-    assert cli.derive_summary(scenario) == summary
+    assert cli.derive_summary(cli.Run(scenario)) == summary
 
 
 def test_resolved_drives_match_working_point(params):
     scenario = cli.Scenario.from_dict({"drives": {"c1": 25.0, "c2": 10.0}})
-    drives, c1, c2, wp = cli.resolve_drives(scenario)
+    solve = cli._memo_solver(scenario.params, scenario.detuning_mode)
+    drives, c1, c2, wp = cli.resolve_drives(scenario, solve)
     assert wp == om.solve_working_point(params, drives)
     assert c1 == pytest.approx(25.0, rel=1e-9) and c2 == pytest.approx(10.0, rel=1e-9)

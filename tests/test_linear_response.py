@@ -5,9 +5,9 @@ import oemsim as om
 from oemsim.cli import invert_cooperativity
 from oemsim.linear_response import (
     probe_outputs,
+    response_grid,
     solve_sidebands,
     solve_sidebands_closed_form,
-    sweep_probe,
 )
 
 
@@ -125,40 +125,34 @@ def test_transduced_frequency_bookkeeping(params, wp_c40):
     assert resp.transduced_frequency == params.omega_c2 + sol.delta
 
 
+def sweep(params, drives, x_min, x_max, n_points, model):
+    """Probe spectrum on a uniform x grid through the whole-grid kernel, as a CLI sweep does."""
+    wp = om.solve_working_point(params, drives)
+    return response_grid(wp, params, params.omega_m + np.linspace(x_min, x_max, n_points), model)
+
+
 def test_sweep_two_points_are_endpoints(params, drives_c40):
-    rows = sweep_probe(params, drives_c40, -5 * params.gamma_m, 5 * params.gamma_m, 2, rwa=True)
-    assert len(rows) == 2
-    assert rows[0].x == pytest.approx(-5 * params.gamma_m)
-    assert rows[1].x == pytest.approx(5 * params.gamma_m)
+    grid = sweep(params, drives_c40, -5 * params.gamma_m, 5 * params.gamma_m, 2, "rwa")
+    assert len(grid.x) == 2
+    assert grid.x[0] == pytest.approx(-5 * params.gamma_m)
+    assert grid.x[1] == pytest.approx(5 * params.gamma_m)
 
 
 def test_sweep_broadband_transparency_window(params, drives_c40_only):
     # single coupling tone: narrow transparency at center of a broad absorption profile
-    rows = sweep_probe(
-        params, drives_c40_only, -3 * params.kappa1, 3 * params.kappa1, 301, rwa=False
-    )
-    re_el = np.array([r.e_l.real for r in rows])
-    xs = np.array([r.x for r in rows])
-    center = np.argmin(np.abs(xs))
+    grid = sweep(params, drives_c40_only, -3 * params.kappa1, 3 * params.kappa1, 301, "full")
+    re_el = grid.e_l.real
+    center = np.argmin(np.abs(grid.x))
     assert re_el[center] < 0.1
     assert re_el.max() > 1.5
 
 
 def test_sweep_narrow_peak_inside_window(params, drives_c40):
-    rows = sweep_probe(
-        params, drives_c40, -30 * params.gamma_m, 30 * params.gamma_m, 601, rwa=True
-    )
-    re_el = np.array([r.e_l.real for r in rows])
-    xs = np.array([r.x for r in rows]) / params.gamma_m
+    grid = sweep(params, drives_c40, -30 * params.gamma_m, 30 * params.gamma_m, 601, "rwa")
+    re_el = grid.e_l.real
+    xs = grid.x / params.gamma_m
     center = np.argmin(np.abs(xs))
     shoulder = np.argmin(np.abs(xs - 5.0))
     assert re_el[center] > 1.0
     assert re_el[center] > re_el[shoulder] + 0.5
     assert np.all(np.diff(xs) > 0)
-
-
-def test_sweep_validation(params, drives_c40):
-    with pytest.raises(om.InvalidParameterError):
-        sweep_probe(params, drives_c40, 0.0, 1.0, 1)
-    with pytest.raises(om.InvalidParameterError):
-        sweep_probe(params, drives_c40, 1.0, -1.0, 10)

@@ -133,58 +133,45 @@ def response_rwa(x, c: RwaCoefficients):
     return result
 
 
-def _cubic_coeffs_normalized(c: RwaCoefficients):
-    """Real cubic q(y) for x = -i*gamma_m*y: roots y are decay rates / gamma_m.
+def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarray]:
+    """Poles of every set's cubic, from one stacked companion-matrix eigensolve.
 
-    q(y) = (y - k1)(y - gh)(y - k2) + s1n (y - k2) + s2n (y - k1) with all
-    rates normalized by gamma_m, keeping the coefficients O(1)-O(1e4) for the
-    three-decade-separated rates of interest.
+    The cubic is solved in y = i*x/gamma_m with every rate normalized by gamma_m:
+    q(y) = (y - k1)(y - 1/2)(y - k2) + s1 (y - k2) + s2 (y - k1) has real O(1)-O(1e4)
+    coefficients, so purely imaginary x-roots come out with exactly real y.  The
+    companion matrices are those np.roots builds and each eigenvalue gets one Newton
+    step, so each row equals the scalar np.roots solve bit for bit.  Returns the
+    (n, 3) roots in x, rows in ascending |Im|, and the (n,) EIT-regime mask.
     """
-    g = c.gamma_m
-    k1 = c.kappa1 / g
-    k2 = c.kappa2 / g
-    gh = 0.5
-    s1 = c.s1 / g**2
-    s2 = c.s2 / g**2
-    return np.array(
-        [
-            1.0,
-            -(k1 + k2 + gh),
-            k1 * gh + k1 * k2 + gh * k2 + s1 + s2,
-            -(k1 * gh * k2 + s1 * k2 + s2 * k1),
-        ]
-    )
-
-
-def _polish_newton(coeffs, y):
-    p = np.polyval(coeffs, y)
-    dp = np.polyval(np.polyder(coeffs), y)
-    if dp != 0:
-        y = y - p / dp
-    return y
+    # per set in Python floats: gamma_m**2 is libm pow, which numpy's g*g can miss by an ulp
+    k1, k2, s1, s2, g = np.array(
+        [(c.kappa1 / c.gamma_m, c.kappa2 / c.gamma_m, c.s1 / c.gamma_m**2,
+          c.s2 / c.gamma_m**2, c.gamma_m) for c in coeff_sets]
+    ).reshape(-1, 5).T
+    a1 = -(k1 + k2 + 0.5)
+    a2 = k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1 + s2
+    a3 = -(k1 * 0.5 * k2 + s1 * k2 + s2 * k1)
+    companion = np.zeros((len(g), 3, 3))
+    companion[:, 0] = -np.column_stack([a1, a2, a3])
+    companion[:, 1, 0] = 1.0
+    companion[:, 2, 1] = a3 != 0  # an underflowed a3 deflates to the 2x2 np.roots builds
+    y = np.linalg.eigvals(companion)
+    a1, a2, a3, g = (v[:, None] for v in (a1, a2, a3, g))
+    p = ((y + a1) * y + a2) * y + a3
+    dp = (3.0 * y + 2.0 * a1) * y + a2
+    y = y - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+    x = -1j * y * g
+    x = np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
+    eit = np.all(np.abs(x.real) <= PURE_IMAG_TOL * np.maximum(np.abs(x.imag), g), axis=1)
+    return x, eit
 
 
 def denominator_roots(c: RwaCoefficients) -> PoleSet:
-    """Poles of the closed-form response via companion-matrix eigenvalues.
-
-    The cubic is solved in the rotated variable y = i*x/gamma_m, which has
-    real coefficients, so purely imaginary x-roots come out with exactly
-    real y and the EIT-regime classification is numerically clean.  Each
-    eigenvalue gets one Newton polish.
-    """
-    coeffs = _cubic_coeffs_normalized(c)
-    y_roots = np.roots(coeffs)  # companion-matrix eigenvalues
-    y_roots = np.array([_polish_newton(coeffs, y) for y in y_roots])
-    x_roots = -1j * y_roots * c.gamma_m
-    order = np.lexsort((x_roots.real, np.abs(x_roots.imag)))
-    x_roots = x_roots[order]
-
-    pure = all(
-        abs(r.real) <= PURE_IMAG_TOL * max(abs(r.imag), c.gamma_m) for r in x_roots
-    )
+    """Poles of the closed-form response, ordered by ascending |Im|: one set of ``_poles``."""
+    roots, eit = _poles([c])
     return PoleSet(
-        roots=tuple(complex(r) for r in x_roots),
-        classification=EIT_REGIME if pure else NMS_REGIME,
+        roots=tuple(complex(r) for r in roots[0]),
+        classification=EIT_REGIME if eit[0] else NMS_REGIME,
     )
 
 
@@ -196,19 +183,12 @@ def root_trajectories(coeff_sets: Sequence[RwaCoefficients]) -> np.ndarray:
     point, starting from ascending-|Im| order, so each column is one
     continuous trajectory.
     """
-    out = np.empty((len(coeff_sets), 3), dtype=complex)
-    prev = None
-    for i, c in enumerate(coeff_sets):
-        roots = np.array(denominator_roots(c).roots)
-        if prev is None:
-            out[i] = roots
-        else:
-            best = min(
-                permutations(range(3)),
-                key=lambda p: sum(abs(roots[list(p)] - prev) ** 2),
-            )
-            out[i] = roots[list(best)]
-        prev = out[i]
+    out, _ = _poles(coeff_sets)
+    perms = np.array(list(permutations(range(3))))  # itertools order: ties keep the first
+    for i in range(1, len(out)):
+        candidates = out[i][perms]
+        d = np.abs(candidates - out[i - 1]) ** 2
+        out[i] = candidates[np.argmin(d[:, 0] + d[:, 1] + d[:, 2])]
     return out
 
 

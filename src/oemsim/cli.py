@@ -139,7 +139,8 @@ def invert_cooperativity(
 ) -> float:
     """Coupling power [W] whose self-consistent working point gives the target cooperativity.
 
-    The target fixes the photon number, n = C kappa gamma_m / g^2, and
+    The target fixes the photon number, n = C kappa gamma_m / g^2 (unreachable,
+    ConvergenceError, unless finite and > 0), and
     ``working_point.coupling_power`` turns n into a power in closed form; in
     bare mode it holds n in the force balance, with the other cavity driven
     at ``other_power``.  One forward solve at that power confirms the branch:
@@ -150,14 +151,15 @@ def invert_cooperativity(
     """
     if cavity_index not in (1, 2):
         raise InvalidParameterError(f"cavity_index must be 1 or 2, got {cavity_index!r}")
-    if target_c < 0:
-        raise InvalidParameterError("target cooperativity must be >= 0")
+    if not 0.0 <= target_c < math.inf:
+        raise InvalidParameterError("target cooperativity must be finite and >= 0")
     if target_c == 0.0:
         return 0.0
     g, kappa = (params.g1, params.kappa1) if cavity_index == 1 else (params.g2, params.kappa2)
-    if g == 0.0:
-        raise ConvergenceError("target cooperativity unreachable: zero coupling rate")
-    photons = target_c * kappa * params.gamma_m / g**2
+    photons = target_c * kappa * params.gamma_m / (g * g) if g * g > 0 else math.inf
+    if not 0.0 < photons < math.inf:
+        raise ConvergenceError(
+            f"target cooperativity unreachable: {photons!r} photons at g = {g!r}")
     power = coupling_power(params, cavity_index, photons, other_power, detuning_mode)
     drives = DriveConfig(*((power, other_power) if cavity_index == 1 else (other_power, power)))
     wp = solve(drives) if solve else solve_working_point(params, drives, detuning_mode)

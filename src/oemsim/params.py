@@ -178,9 +178,10 @@ def drive_amplitude(power: float, carrier: float, kappa: float) -> float:
     amplitude.
     """
     _require_non_negative(power, "power")
-    _require_positive(carrier, "carrier")
     _require_positive(kappa, "kappa")
-    return math.sqrt(2.0 * kappa * power / (HBAR * carrier))
+    photon_energy = HBAR * carrier  # 0 for a carrier below ~5e-290 rad/s (underflow)
+    _require_positive(photon_energy, "photon energy hbar*carrier")
+    return math.sqrt(2.0 * kappa * power / photon_energy)
 
 
 def coupling_from_geometry(

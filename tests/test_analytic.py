@@ -1,8 +1,12 @@
+import json
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 import oemsim as om
-from oemsim.analytic import EIT_REGIME, NMS_REGIME
+from oemsim import cli
+from oemsim.analytic import EIT_REGIME, NMS_REGIME, PURE_IMAG_TOL
 
 
 def coeffs_for(params, c1, c2):
@@ -148,6 +152,115 @@ def test_trajectories_are_continuous(params):
     assert narrow[0] == pytest.approx(params.kappa2, rel=1e-6)
     assert 1.9 < narrow[-1] / params.kappa2 < 2.05
     assert np.all(np.diff(narrow) > 0)
+
+
+def scalar_poles(c):
+    """The per-set pole solve the batched one replaced: np.roots and one Newton step per root."""
+    g = c.gamma_m
+    k1, k2, gh, s1, s2 = c.kappa1 / g, c.kappa2 / g, 0.5, c.s1 / g**2, c.s2 / g**2
+    coeffs = np.array([1.0, -(k1 + k2 + gh), k1 * gh + k1 * k2 + gh * k2 + s1 + s2,
+                       -(k1 * gh * k2 + s1 * k2 + s2 * k1)])
+    ys = []
+    for y in np.roots(coeffs):
+        p = np.polyval(coeffs, y)
+        dp = np.polyval(np.polyder(coeffs), y)
+        if dp != 0:
+            y = y - p / dp
+        ys.append(y)
+    x = -1j * np.array(ys) * g
+    x = x[np.lexsort((x.real, np.abs(x.imag)))]
+    pure = all(abs(r.real) <= PURE_IMAG_TOL * max(abs(r.imag), g) for r in x)
+    return x, EIT_REGIME if pure else NMS_REGIME
+
+
+def scalar_trajectories(sets):
+    out = np.empty((len(sets), 3), dtype=complex)
+    for i, c in enumerate(sets):
+        roots = scalar_poles(c)[0]
+        if i:
+            best = min(permutations(range(3)),
+                       key=lambda p: sum(abs(roots[list(p)] - out[i - 1]) ** 2))
+            roots = roots[list(best)]
+        out[i] = roots
+    return out
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def random_sweep(rng, n):
+    """C1 along a line between two points around the critical drive, at a fixed C2/C1."""
+    g = 10 ** rng.uniform(-1, 6)
+    k1, k2 = g * 10 ** rng.uniform(0, 4), g * 10 ** rng.uniform(-3, 1)
+    c_crit = (k1 / g - 0.5) ** 2 / (2 * k1 / g)  # s1 = (kappa1 - gamma_m/2)^2 / 4 at s2 = 0
+    ratio = rng.uniform(0.0, 2.0) * rng.choice([0, 1])
+    c1 = np.linspace(*(c_crit * 10 ** rng.uniform(-1, 1, 2)), n)
+    return [om.RwaCoefficients.from_cooperativities(a, ratio * a, k1, k2, g) for a in c1]
+
+
+def test_batched_poles_match_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(41)
+    # every gamma_m whose libm square g**2 differs from g*g in the last bit, then random ones
+    odd = [g for g in 10 ** rng.uniform(-3, 9, 100_000) if g**2 != g * g]
+    assert len(odd) > 20
+    sets = []
+    for g in odd + list(10 ** rng.uniform(-3, 9, 1500)):
+        k1, k2 = g * 10 ** rng.uniform(-4, 5), g * 10 ** rng.uniform(-4, 5)
+        s1 = g * g * 10 ** rng.uniform(-6, 8)
+        s2 = g * g * 10 ** rng.uniform(-6, 8) * rng.choice([0, 1])
+        sets.append(om.RwaCoefficients(k1, k2, g, s1, s2))
+    # a constant term that underflows to 0 (np.roots deflates it), with and without a
+    # vanishing derivative at the zero root
+    sets += [om.RwaCoefficients(1e-200, 1e-200, 1.0, 1e-300, 0.0),
+             om.RwaCoefficients(5e-324, 5e-324, 1.0, 0.0, 0.0)]
+    regimes = set()
+    for c in sets:
+        ps = om.denominator_roots(c)
+        roots, regime = scalar_poles(c)
+        assert same_bits(ps.roots, roots), c
+        assert ps.classification == regime
+        regimes.add(regime)
+    assert regimes == {EIT_REGIME, NMS_REGIME}
+    assert sum(c.s2 == 0 for c in sets) > 500
+
+
+def test_batched_trajectories_match_scalar_oracle_bit_for_bit():
+    rng = np.random.default_rng(43)
+    crossing = starts_nms = 0
+    for _ in range(60):
+        sets = random_sweep(rng, int(rng.integers(2, 80)))
+        regimes = [scalar_poles(c)[1] for c in sets]
+        crossing += len(set(regimes)) == 2
+        starts_nms += regimes[0] == NMS_REGIME
+        assert same_bits(om.root_trajectories(sets), scalar_trajectories(sets))
+    assert crossing >= 10 and starts_nms >= 10
+
+
+def test_roots_cli_matches_scalar_oracle_in_nms_regime(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(sets):
+        seen.append((sets, om.root_trajectories(sets)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(cli, "root_trajectories", spy)
+    path = tmp_path / "nms.json"
+    path.write_text(json.dumps({"drives": {"c1": 800.0, "c2": 0.0},
+                                "sweep": {"kind": "roots_vs_ratio", "n_points": 41}}))
+    assert cli.main(["roots", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    [(sets, traj)] = seen
+    assert all(scalar_poles(c)[1] == NMS_REGIME for c in sets)
+    assert same_bits(traj, scalar_trajectories(sets))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_trajectories_of_empty_and_single_sweeps(params, n):
+    traj = om.root_trajectories([coeffs_for(params, 40.0, 40.0)] * n)
+    assert traj.shape == (n, 3) and traj.dtype == complex
+    if n:
+        assert same_bits(traj[0], om.denominator_roots(coeffs_for(params, 40.0, 40.0)).roots)
 
 
 def test_eia_splitting_trivial_and_degenerate(params):

@@ -167,6 +167,38 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, case):
     assert list(out.iterdir()) == []
 
 
+# finite params whose squares or photon energies leave the float range
+EXTREME_PARAMS = {
+    "g1_huge": ("g1_hz", 1e300, 3, "solver error: target cooperativity unreachable"),
+    "g2_huge": ("g2_hz", 1e300, 3, "solver error: target cooperativity unreachable"),
+    "g1_tiny": ("g1_hz", 1e-300, 3, "solver error: target cooperativity unreachable"),
+    "g2_tiny": ("g2_hz", 1e-300, 3, "solver error: target cooperativity unreachable"),
+    "omega_c1_tiny": ("omega_c1_hz", 1e-300, 2, "error: photon energy hbar*carrier must be"),
+    "omega_c2_tiny": ("omega_c2_hz", 1e-300, 2, "error: photon energy hbar*carrier must be"),
+}
+
+
+@pytest.mark.parametrize("command", ["derive", "invert"])
+@pytest.mark.parametrize("case", sorted(EXTREME_PARAMS))
+def test_extreme_finite_params_exit_without_traceback(tmp_path, capsys, case, command):
+    key, value, code, message = EXTREME_PARAMS[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": {key: value}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    invert = ["--target", 40, "--cavity", 2 if "2" in key else 1] if command == "invert" else []
+    assert run_main([command, *invert, "--scenario", path, "--out", out / "r.json"]) == code
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("target", ["nan", "inf"])
+def test_invert_non_finite_target_exits_2(capsys, target):
+    assert run_main(["invert", "--target", target, "--cavity", 1]) == 2
+    assert "error: target cooperativity must be finite and >= 0" in capsys.readouterr().err
+
+
 POINTS_RUNS = {
     "sweep_probe": ("sweep", {"kind": "probe_x", "n_points": 5}),
     "sweep_ratio": ("sweep", {"kind": "cooperativity_ratio", "n_points": 5}),

@@ -85,12 +85,6 @@ class RwaCoefficients:
             s2=c2 * kappa2 * gamma_m / 2.0,
         )
 
-    def cooperativities(self) -> tuple[float, float]:
-        return (
-            2.0 * self.s1 / (self.kappa1 * self.gamma_m),
-            2.0 * self.s2 / (self.kappa2 * self.gamma_m),
-        )
-
 
 @dataclass(frozen=True)
 class PoleSet:

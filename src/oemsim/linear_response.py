@@ -270,7 +270,8 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
     (each cavity row couples only to itself and the mechanics), solved by eliminating
     the cavity rows; "analytic" keeps the nested elimination of
     ``solve_sidebands_closed_form``.  A point failing the 1e-10 gate of
-    ``solve_sidebands`` raises SingularResponseError naming its row and x.
+    ``solve_sidebands``, or whose reflect_flux, transmit_flux, mech_intensity or
+    flux_budget is not finite, raises SingularResponseError naming its row and x.
     """
     k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
     gm, wm = params.gamma_m, params.omega_m
@@ -304,13 +305,22 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
             qp = w / math.sqrt(2.0)
         else:
             raise InvalidParameterError(f"unknown response model {model!r}")
-    bad = np.flatnonzero(~(np.atleast_1d(residual) <= RESIDUAL_TOL))
+    _check_rows(residual <= RESIDUAL_TOL, delta, wm,
+                f"{model} response residual exceeds {RESIDUAL_TOL:.0e} (singular system)")
+    sol = SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
+    with np.errstate(all="ignore"):  # a float overflow shows up as a non-finite observable
+        out = probe_outputs(sol, wp, params)
+    for name in ("reflect_flux", "transmit_flux", "mech_intensity", "flux_budget"):
+        _check_rows(np.isfinite(getattr(out, name)), delta, wm,
+                    f"{model} response gives a non-finite {name}")
+    return out
+
+
+def _check_rows(ok, delta, omega_m: float, what: str) -> None:
+    """Raise SingularResponseError naming the first row where ``ok`` is False and its x."""
+    bad = np.flatnonzero(~np.atleast_1d(ok))
     if bad.size:
         i = bad[0]
-        d_i = float(np.broadcast_to(delta, np.shape(residual)).flat[i])
-        raise SingularResponseError(
-            f"row {i} (x = {d_i - wm:.6e} rad/s): {model} response residual exceeds "
-            f"{RESIDUAL_TOL:.0e} (singular system)", delta=d_i)
-    sol = SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
-    return probe_outputs(sol, wp, params)
+        d_i = float(np.broadcast_to(delta, np.shape(ok)).flat[i])
+        raise SingularResponseError(f"row {i} (x = {d_i - omega_m:.6e} rad/s): {what}", delta=d_i)
 

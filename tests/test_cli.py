@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,26 @@ def test_extreme_finite_params_exit_without_traceback(tmp_path, capsys, case, co
     assert run_main([command, *invert, "--scenario", path, "--out", out / "r.json"]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["derive", "roots"])
+def test_non_finite_observable_exits_3_without_warnings(tmp_path, capsys, command):
+    """Cavity rates of 1e-200 overflow |a2+|^2 at line center: a solver error naming the row
+    and the observable, no RuntimeWarning, no table."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": {"kappa1_hz": 1e-200, "kappa2_hz": 1e-200},
+                                "sweep": {"kind": "roots_vs_ratio", "n_points": 3}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_main([command, "--scenario", path, "--out", out / "r.csv"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "solver error: row 0 (x = 0.000000e+00 rad/s): rwa response gives a non-finite " \
+           "transmit_flux" in err
+    assert "Traceback" not in err and "Warning" not in err
     assert list(out.iterdir()) == []
 
 

@@ -4,8 +4,11 @@ import json
 import sys
 from collections import Counter
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oemsim as om
 from oemsim import cli
@@ -28,7 +31,7 @@ def old_write_table(path, columns, rows, out_format):
 
 def table_cases():
     rng = np.random.default_rng(5)
-    n = 2 * cli._CHUNK_ROWS + 17  # crosses two chunk boundaries
+    n = 2 * cli._CSV_CHUNK_ROWS + 17  # crosses two chunk boundaries
     rows = rng.standard_normal((n, 5)) * 10.0 ** rng.uniform(-300, 300, (n, 5))
     special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 2.2250738585072014e-308,
                1e300, -1e300, 1.7976931348623157e308, 0.1, 1 / 3, 123456789012.5, 1e-5, 1e16]
@@ -45,6 +48,84 @@ def test_table_writer_bytes_match_per_value_writer(tmp_path, out_format):
         cli._write_table(new, columns[: rows.shape[1]], rows, out_format)
         old_write_table(old, columns[: rows.shape[1]], list(rows), out_format)
         assert new.read_bytes() == old.read_bytes()
+
+
+def percent_g_table(columns, rows):
+    """The CSV bytes ``"%.12g" % v`` gives for every value: the oracle of the vectorized writer."""
+    lines = [",".join(columns)] + [",".join("%.12g" % v for v in row) for row in rows.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_csv_matches_percent_g(path, rows):
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    cli._write_table(path, columns, rows, "csv")
+    assert path.read_bytes() == percent_g_table(columns, rows)
+
+
+EDGE_VALUES = [0.0, -0.0, 1e-4, -1e-4, 1e-5, 1e11, 1e12, 1e-12, 123456789012.5, 999999999999.5,
+               -999999999999.5, 9.9999999999995e-5, 99999.99999995, 0.1, 1 / 3, 100.5, 5e-324,
+               -5e-324, 2.2250738585072014e-308, 1.797e308, 1.7976931348623157e308, 1e100,
+               1e-100, np.inf, -np.inf, np.nan]
+
+
+@pytest.mark.parametrize("n_cols", [1, 2, 3, 13])
+def test_csv_writer_matches_percent_g_on_edge_values(tmp_path, n_cols):
+    rows = np.resize(np.array(EDGE_VALUES), (2 * len(EDGE_VALUES), n_cols))
+    assert_csv_matches_percent_g(tmp_path / "t.csv", rows)
+
+
+@pytest.mark.parametrize("n_cols", [1, 5, 8])
+@pytest.mark.parametrize("n_rows", [0, 1, 2047, 2048, 2049])
+def test_csv_writer_matches_percent_g_on_random_bits(tmp_path, n_rows, n_cols):
+    """Random float64 bit patterns: every exponent, both signs, subnormals, NaN payloads, inf."""
+    rng = np.random.default_rng(1000 * n_rows + n_cols)
+    rows = rng.integers(0, 2**64, (n_rows, n_cols), dtype=np.uint64).view(np.float64)
+    flat = rows.reshape(-1)  # a view
+    flat[::97] = np.resize([np.nan, np.inf, -np.inf, 0.0, -0.0], flat[::97].size)
+    assert_csv_matches_percent_g(tmp_path / "t.csv", rows)
+
+
+def test_csv_writer_matches_percent_g_near_ties_and_powers_of_ten(tmp_path):
+    """Doubles nearest to 13-digit decimal ties (the 13th digit a 5), whose scaled
+    mantissa falls within rounding error of .5; powers of ten and their neighbours one ulp
+    away, where the exponent estimate decides; mantissas at 999999999999.5, where the
+    carry decides."""
+    rng = np.random.default_rng(7)
+    digits = rng.integers(10**11, 10**12, 3000)
+    exps = rng.integers(-330, 296, 3000)
+    ties = [float(f"{d}5e{k}") for d, k in zip(digits.tolist(), exps.tolist())]
+    powers = 10.0 ** np.arange(-300, 300)
+    near_powers = [np.nextafter(p, p * s) for p in powers for s in (0.0, 2.0)] + list(powers)
+    below_carry = [float(f"9999999999995e{k}") for k in range(-320, 296)]
+    rows = np.array(ties + near_powers + below_carry)
+    rows = np.concatenate([rows, -rows])
+    assert_csv_matches_percent_g(tmp_path / "t.csv", rows[: len(rows) // 4 * 4].reshape(-1, 4))
+
+
+@pytest.mark.parametrize("miss", [-1.0, 1.0])
+def test_csv_writer_matches_percent_g_when_the_exponent_estimate_misses(
+        tmp_path, monkeypatch, miss):
+    """An exponent estimate off by one puts the scaled mantissa outside [1e11, 1e12], and
+    "%" must print those values; here log10 misses on every other value."""
+    log10 = np.log10
+
+    def missing_log10(x):
+        out = log10(x)
+        out[::2] += miss
+        return out
+
+    monkeypatch.setattr(np, "log10", missing_log10)
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-30, 30, (300, 3))
+    assert_csv_matches_percent_g(tmp_path / "t.csv", rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=40),
+                       elements=st.floats(allow_nan=True, allow_infinity=True,
+                                          allow_subnormal=True)))
+def test_csv_writer_matches_percent_g_on_any_floats(tmp_path_factory, rows):
+    assert_csv_matches_percent_g(tmp_path_factory.mktemp("csv") / "t.csv", rows)
 
 
 PROBE = {"kind": "probe_x", "x_min_gamma_m": -4.0, "x_max_gamma_m": 4.0, "n_points": 33}

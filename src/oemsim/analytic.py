@@ -127,7 +127,7 @@ def response_rwa(x, c: RwaCoefficients):
     return result
 
 
-def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarray]:
+def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Poles of every set's cubic, from one stacked companion-matrix eigensolve.
 
     The cubic is solved in y = i*x/gamma_m with every rate normalized by gamma_m:
@@ -135,7 +135,8 @@ def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarra
     coefficients, so purely imaginary x-roots come out with exactly real y.  The
     companion matrices are those np.roots builds and each eigenvalue gets one Newton
     step, so each row equals the scalar np.roots solve bit for bit.  Returns the
-    (n, 3) roots in x, rows in ascending |Im|, and the (n,) EIT-regime mask.
+    (n, 3) roots in x, rows in ascending |Im|, the (n,) EIT-regime mask and the (n,)
+    normalized constant terms a3 = q(0).
     """
     # per set in Python floats: gamma_m**2 is libm pow, which numpy's g*g can miss by an ulp
     k1, k2, s1, s2, g = np.array(
@@ -157,12 +158,12 @@ def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarra
     x = -1j * y * g
     x = np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
     eit = np.all(np.abs(x.real) <= PURE_IMAG_TOL * np.maximum(np.abs(x.imag), g), axis=1)
-    return x, eit
+    return x, eit, a3[:, 0]
 
 
 def denominator_roots(c: RwaCoefficients) -> PoleSet:
     """Poles of the closed-form response, ordered by ascending |Im|: one set of ``_poles``."""
-    roots, eit = _poles([c])
+    roots, eit, _ = _poles([c])
     return PoleSet(
         roots=tuple(complex(r) for r in roots[0]),
         classification=EIT_REGIME if eit[0] else NMS_REGIME,
@@ -176,8 +177,18 @@ def root_trajectories(coeff_sets: Sequence[RwaCoefficients]) -> np.ndarray:
     nearest-neighbor matching in the complex plane to the previous sweep
     point, starting from ascending-|Im| order, so each column is one
     continuous trajectory.
+
+    Raises SingularResponseError, naming the first such row, when a set's
+    normalized constant term is below the smallest normal float: with every
+    rate > 0 it is then a subnormal or underflowed product, and the narrowest
+    pole, which scales with it, has lost digits.
     """
-    out, _ = _poles(coeff_sets)
+    out, _, a3 = _poles(coeff_sets)
+    lost = np.flatnonzero(np.abs(a3) < np.finfo(float).tiny)
+    if lost.size:
+        raise SingularResponseError(
+            f"row {lost[0]}: the pole cubic's constant term {a3[lost[0]]:.3e} (in gamma_m "
+            "units) is below the smallest normal float, so its narrow pole has lost digits")
     perms = np.array(list(permutations(range(3))))  # itertools order: ties keep the first
     for i in range(1, len(out)):
         candidates = out[i][perms]

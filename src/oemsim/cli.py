@@ -66,6 +66,7 @@ SWEEP_KEYS = {
 }
 SWEEP_KINDS = tuple(SWEEP_KEYS)
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
+INVERSION_RTOL = 1e-3  # relative miss of the target cooperativity that means another branch
 
 PROBE_COLUMNS = [
     "x_over_gamma_m",
@@ -138,7 +139,6 @@ def invert_cooperativity(
     params: SystemParams,
     detuning_mode: str = "effective",
     other_power: float = 0.0,
-    rtol: float = 1e-3,
     *,
     solve=None,
 ) -> float:
@@ -149,8 +149,8 @@ def invert_cooperativity(
     ``working_point.coupling_power`` turns n into a power in closed form; in
     bare mode it holds n in the force balance, with the other cavity driven
     at ``other_power``.  One forward solve at that power confirms the branch:
-    its cooperativity must match the target within ``rtol`` (0.1% by
-    default), else ConvergenceError.  ``solve`` maps a DriveConfig to its
+    its cooperativity must match the target within ``INVERSION_RTOL`` (0.1%),
+    else ConvergenceError.  ``solve`` maps a DriveConfig to its
     working point at the same params and mode; a scenario run passes its
     ``_memo_solver``, so the confirming solve is the one a table row reuses.
     """
@@ -169,7 +169,7 @@ def invert_cooperativity(
     drives = DriveConfig(*((power, other_power) if cavity_index == 1 else (other_power, power)))
     wp = solve(drives) if solve else solve_working_point(params, drives, detuning_mode)
     achieved = cooperativity(g, wp.n1 if cavity_index == 1 else wp.n2, kappa, params.gamma_m)
-    if not abs(achieved - target_c) <= rtol * target_c:
+    if not abs(achieved - target_c) <= INVERSION_RTOL * target_c:
         got = "NaN" if math.isnan(achieved) else repr(achieved)
         raise ConvergenceError(
             f"cooperativity inversion off target: {got} vs {target_c} "

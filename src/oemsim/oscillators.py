@@ -14,9 +14,9 @@ absorption peak needs the rate hierarchy kappa1 >> gamma_m >> kappa2, i.e. a
 mechanical linewidth between the two cavity linewidths.
 
 The system is linear with constant coefficients, so the time-domain
-propagation is done exactly (eigendecomposition plus the particular
-harmonic solution); an independent fixed-step RK4 path exists purely as a
-cross-check.
+propagation is done exactly (the matrix exponential of one output step,
+applied sample after sample); an independent fixed-step RK4 path exists
+purely as a cross-check.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .params import SystemParams, _require_positive
 from .working_point import WorkingPoint
 
 STABILITY_FACTOR = 0.1  # rk4 guard: dt <= STABILITY_FACTOR / max_rate
+HIERARCHY_FACTOR = 10.0  # ">>" of the rate hierarchy: a ratio of at least 10
 
 
 @dataclass(frozen=True)
@@ -59,15 +60,15 @@ class OscillatorModel:
     def gamma_m(self) -> float:
         return 2.0 * self.gamma_m_half
 
-    def hierarchy_report(self, factor: float = 10.0) -> dict:
+    def hierarchy_report(self) -> dict:
         """Whether kappa1 >> gamma_m >> kappa2 holds, with the two ratios.
 
-        Ratios sitting exactly at the factor count as satisfied (a small
+        Ratios sitting exactly at HIERARCHY_FACTOR count as satisfied (a small
         relative slack absorbs the rounding of e.g. a ratio of exactly 10).
         """
         r1 = self.kappa1 / self.gamma_m
         r2 = self.gamma_m / self.kappa2
-        cut = factor * (1.0 - 1e-9)
+        cut = HIERARCHY_FACTOR * (1.0 - 1e-9)
         return {
             "kappa1_over_gamma_m": r1,
             "gamma_m_over_kappa2": r2,
@@ -154,20 +155,20 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return e
 
 
-def _affine_power(matrix: np.ndarray, drive: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The map y -> M y + r applied k >= 1 times, as (M^k, (M^{k-1} + ... + 1) r).
+def _orbit(step: np.ndarray, n: int) -> np.ndarray:
+    """The first n points of the orbit of (0, 0, 0, 1) under a 4x4 step matrix, as rows.
 
-    Binary powering: O(log k) 3x3 products.  All factors are powers of the
-    same map, so the order in which they are composed does not matter.
+    Doubling: with rows 0..m-1 filled and ``power`` the step applied m times, rows
+    m..2m-1 are rows 0..m-1 times power^T; then power <- power @ power.
     """
-    power_matrix, power_drive = np.eye(3, dtype=complex), np.zeros(3, dtype=complex)
-    while True:
-        if k & 1:
-            power_matrix, power_drive = matrix @ power_matrix, matrix @ power_drive + drive
-        k >>= 1
-        if not k:
-            return power_matrix, power_drive
-        matrix, drive = matrix @ matrix, matrix @ drive + drive
+    rows = np.zeros((n, 4), dtype=complex)
+    rows[:1, 3] = 1.0
+    m, power = 1, step
+    while m < n:
+        k = min(m, n - m)
+        rows[m:m + k] = rows[:k] @ power.T
+        m, power = 2 * m, power @ power
+    return rows
 
 
 def propagate(
@@ -181,51 +182,43 @@ def propagate(
 ) -> Trajectory:
     """Integrate the driven oscillator triple from (u, v, w) = (0, 0, 0).
 
+    Both methods work in the probe co-rotating frame y = exp(i delta t) z, an
+    exact change of variables that makes the drive constant: dy/dt = B y + d
+    with B = A + i delta I and d = (probe_amp, 0, 0).  On (y, 1) this is the
+    linear system with the 4x4 generator G = [[B, d], [0, 0]], so a step of
+    either method is one 4x4 matrix, and the samples are the orbit of
+    (0, 0, 0, 1) under it (``_orbit``).
+
     exact_propagator:
-        z(t) = Z exp(-i delta t) - V exp(L t) V^{-1} Z, with (V, L) the
-        eigendecomposition of the system matrix and Z the harmonic steady
-        state.  Exact for this linear system and unconditionally stable; if
-        the eigenvector matrix is too ill-conditioned (defective matrix),
-        falls back to the matrix exponential exp(A t) of every output time
-        (``_expm``, scaling and squaring).
+        the step exp(G t_final / (n_samples - 1)) (``_expm``, scaling and
+        squaring) between the n_samples equally spaced output times.  Exact
+        for this linear system, unconditionally stable, and equally valid at
+        exceptional points, where A has no eigenbasis.
     rk4:
-        classic fixed-step RK4 run in the probe co-rotating frame
-        (y = exp(i delta t) z, an exact change of variables that makes the
-        drive constant), guarded by dt <= 0.1/max_rate of the transformed
-        system.  The constant-drive step is an affine map y <- M y + r; it is
-        composed (by binary powering) into the map of one output stride and
-        of the final partial stride, so the work grows with n_samples and
-        only logarithmically with the steps per sample.  Still plain RK4 at
-        step h = t_final / ceil(t_final / dt), with no eigenbasis and no
-        matrix exponential, so it stays an independent verification path.
+        classic fixed-step RK4, guarded by dt <= 0.1/max_rate of B, at step
+        h = t_final / ceil(t_final / dt).  On this linear system one step is
+        the degree-4 Taylor polynomial of h G; its powers (``matrix_power``)
+        give the map of one output stride and of the final partial stride, so
+        the work grows with n_samples and only logarithmically with the steps
+        per sample.  No eigenbasis and no matrix exponential enters, so it
+        stays an independent verification path.
     """
     if not t_final > 0:
         raise InvalidParameterError("t_final must be > 0")
-    a = model.system_matrix()
+    g = np.zeros((4, 4), dtype=complex)
+    g[:3, :3] = model.system_matrix() + 1j * delta * np.eye(3)
+    g[0, 3] = probe_amp
 
     if method == "exact_propagator":
-        z_ss = np.array(harmonic_steady_state(model, delta, probe_amp), dtype=complex)
         times = np.linspace(0.0, t_final, n_samples)
-        evals, evecs = np.linalg.eig(a)
-        # near-defective eigenbasis (exceptional point): switch to expm
-        use_eig = np.linalg.cond(evecs) < 1e7
-        if use_eig:
-            c0 = np.linalg.solve(evecs, -z_ss)  # homogeneous part coefficients
-            # all samples at once, an explicit sum over the three eigenmodes (no BLAS product)
-            hom = sum(np.multiply.outer(np.exp(evals[k] * times) * c0[k], evecs[:, k])
-                      for k in range(3))
-        else:
-            hom = _expm(a * times[:, None, None]) @ -z_ss
-        states = np.multiply.outer(np.exp(-1j * delta * times), z_ss) + hom
-        return Trajectory(times=times, states=states)
+        ys = _orbit(_expm(g * (t_final / max(1, n_samples - 1))), n_samples)[:, :3]
+        return Trajectory(times=times, states=ys * np.exp(-1j * delta * times)[:, None])
 
     if method != "rk4":
         raise InvalidParameterError(f"unknown integration method {method!r}")
     if dt is None or not dt > 0:
         raise InvalidParameterError("rk4 requires dt > 0")
-
-    b = a + 1j * delta * np.eye(3)  # co-rotating frame: dy/dt = B y + d
-    max_rate = _max_rate(b)
+    max_rate = _max_rate(g[:3, :3])
     if max_rate > 0 and dt > STABILITY_FACTOR / max_rate:
         raise StepSizeError(
             f"dt = {dt:.3e} s violates the stability guard "
@@ -233,28 +226,18 @@ def propagate(
         )
     n_steps = max(1, math.ceil(t_final / dt))
     h = t_final / n_steps
-    d = np.array([probe_amp, 0.0, 0.0], dtype=complex)
-
-    # constant-drive affine RK4 step: y <- R y + r
-    hb = h * b
-    hb2 = hb @ hb
-    hb3 = hb2 @ hb
-    hb4 = hb3 @ hb
-    eye = np.eye(3, dtype=complex)
-    step_matrix = eye + hb + hb2 / 2.0 + hb3 / 6.0 + hb4 / 24.0
-    step_drive = h * (eye + hb / 2.0 + hb2 / 6.0 + hb3 / 24.0) @ d
+    hg = h * g
+    eye = np.eye(4, dtype=complex)
+    step = eye
+    for k in range(4, 0, -1):  # Horner: I + hG (I + hG/2 (I + hG/3 (I + hG/4)))
+        step = eye + hg @ step / k
 
     # samples at the steps k % stride == 0 and at k == n_steps: whole strides, then the rest
     stride = max(1, n_steps // max(1, n_samples - 1))
     n_strides, rest = divmod(n_steps, stride)
     steps = list(range(0, n_steps + 1, stride)) + ([n_steps] if rest else [])
     times = np.array(steps, dtype=float) * h
-    stride_matrix, stride_drive = _affine_power(step_matrix, step_drive, stride)
-    ys = np.zeros((len(steps), 3), dtype=complex)
-    for i in range(1, n_strides + 1):
-        ys[i] = stride_matrix @ ys[i - 1] + stride_drive
+    ys = _orbit(np.linalg.matrix_power(step, stride), n_strides + 1)
     if rest:
-        rest_matrix, rest_drive = _affine_power(step_matrix, step_drive, rest)
-        ys[-1] = rest_matrix @ ys[-2] + rest_drive
-    return Trajectory(times=times, states=ys * np.exp(-1j * delta * times)[:, None])
-
+        ys = np.vstack([ys, ys[-1] @ np.linalg.matrix_power(step, rest).T])
+    return Trajectory(times=times, states=ys[:, :3] * np.exp(-1j * delta * times)[:, None])

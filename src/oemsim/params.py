@@ -212,10 +212,10 @@ def cooperativity(g: float, photon_number: float, kappa: float, gamma_m: float) 
     return g * g * photon_number / (kappa * gamma_m)
 
 
-def critical_power(params: SystemParams, carrier: float | None = None) -> float:
+def critical_power(params: SystemParams) -> float:
     """Coupling power at which the transparency-window poles collide [W].
 
-    P_cr = (hbar*omega_l / (4 g1^2 kappa1)) * (kappa1^2 + omega_m^2)
+    P_cr = (hbar*omega_c1 / (4 g1^2 kappa1)) * (kappa1^2 + omega_m^2)
            * (gamma_m/2 - kappa1)^2
 
     Below this power the response poles of the single-coupling (C2 = 0)
@@ -223,15 +223,12 @@ def critical_power(params: SystemParams, carrier: float | None = None) -> float:
     the window splits into two normal modes.  Scales as 1/g1^2 and vanishes
     when gamma_m -> 2*kappa1 (zero pole splitting).
     """
-    if carrier is None:
-        carrier = params.omega_c1
-    _require_positive(carrier, "carrier")
     if params.g1 == 0.0:
         raise InvalidParameterError("critical_power requires g1 > 0")
     k1 = params.kappa1
     return (
         HBAR
-        * carrier
+        * params.omega_c1
         / (4.0 * params.g1**2 * k1)
         * (k1**2 + params.omega_m**2)
         * (params.gamma_m / 2.0 - k1) ** 2

@@ -214,6 +214,26 @@ def test_non_finite_observable_exits_3_without_warnings(tmp_path, capsys, comman
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("kappa_hz, code", [(1e-154, 3), (1e-150, 0)])
+def test_roots_with_subnormal_constant_term_exits_3(tmp_path, capsys, kappa_hz, code):
+    """At 1e-154 the pole cubic's constant term is subnormal in gamma_m units and the narrow
+    pole would print with lost digits: a solver error, no table.  1e-150 still runs."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": {"kappa1_hz": kappa_hz, "kappa2_hz": kappa_hz},
+                                "sweep": {"kind": "roots_vs_ratio", "n_points": 3}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main(["roots", "--scenario", path, "--out", out / "r.csv"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code:
+        assert "solver error: row 0: the pole cubic's constant term" in err
+        assert list(out.iterdir()) == []
+    else:
+        assert err == ""
+        assert [p.name for p in out.iterdir()] == ["r.csv"]
+
+
 @pytest.mark.parametrize("target", ["nan", "inf"])
 def test_invert_non_finite_target_exits_2(capsys, target):
     assert run_main(["invert", "--target", target, "--cavity", 1]) == 2

@@ -204,6 +204,66 @@ def test_trajectory_time_grid_validation():
         om.Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.zeros((3, 3), dtype=complex))
 
 
+def eigenbasis_propagate(model, probe_amp, delta, times):
+    """The eigenmode sum the exact propagator used before its one-step map, kept as the oracle.
+
+    z(t) = Z exp(-i delta t) - V exp(L t) V^{-1} Z with (V, L) the eigendecomposition of the
+    system matrix and Z the harmonic steady state; valid away from exceptional points.
+    """
+    z_ss = np.array(om.harmonic_steady_state(model, delta, probe_amp), dtype=complex)
+    evals, evecs = np.linalg.eig(model.system_matrix())
+    c0 = np.linalg.solve(evecs, -z_ss)
+    hom = sum(np.multiply.outer(np.exp(evals[k] * times) * c0[k], evecs[:, k]) for k in range(3))
+    return np.multiply.outer(np.exp(-1j * delta * times), z_ss) + hom
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_propagator_matches_eigenbasis_in_dense_grids_regime(params, seed):
+    # the regime of the benchmark's long traces: C1 10-60, C2/C1 0.2-1.2, |x| <= 3 gamma_m
+    rng = np.random.default_rng(seed)
+    c1 = rng.uniform(10.0, 60.0)
+    c2 = c1 * rng.uniform(0.2, 1.2)
+    gm = params.gamma_m
+    model = om.OscillatorModel(
+        delta1=params.omega_m, delta2=params.omega_m, omega_m=params.omega_m,
+        kappa1=params.kappa1, kappa2=params.kappa2, gamma_m_half=gm / 2.0,
+        g_eff1=math.sqrt(c1 * params.kappa1 * gm / 2.0),
+        g_eff2=math.sqrt(c2 * params.kappa2 * gm / 2.0),
+    )
+    delta = params.omega_m + rng.uniform(-3.0, 3.0) * gm
+    traj = om.propagate(model, 1.0, delta, rng.uniform(1e-3, 3e-3), n_samples=30000)
+    expected = eigenbasis_propagate(model, 1.0, delta, traj.times)
+    scale = np.abs(expected).max(axis=0)
+    assert np.all(np.abs(traj.states - expected) <= 3e-11 * scale)
+
+
+def exact_per_step(model, probe_amp, delta, t_final, n_samples):
+    """The exact propagator's one-step map applied sample after sample, without doubling."""
+    g = np.zeros((4, 4), dtype=complex)
+    g[:3, :3] = model.system_matrix() + 1j * delta * np.eye(3)
+    g[0, 3] = probe_amp
+    step = oscillators._expm(g * (t_final / max(1, n_samples - 1)))
+    times = np.linspace(0.0, t_final, n_samples)
+    y = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+    states = []
+    for t in times:
+        states.append(y[:3] * np.exp(-1j * delta * t))
+        y = step @ y
+    return times, np.array(states)
+
+
+@pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 1023, 1024, 1025])
+def test_exact_orbit_matches_per_step_loop(scaled_model, n_samples):
+    delta, t_final = scaled_model.omega_m + 3.0, 5.0 / scaled_model.kappa2
+    times, states = exact_per_step(scaled_model, 1.0, delta, t_final, n_samples)
+    traj = om.propagate(scaled_model, 1.0, delta, t_final, n_samples=n_samples)
+    assert traj.times.tobytes() == times.tobytes()
+    assert traj.states.shape == states.shape == (n_samples, 3)
+    assert np.all(traj.states[0] == 0)
+    scale = np.abs(states).max(axis=0)
+    assert np.all(np.abs(traj.states - states) <= 1e-12 * scale)
+
+
 def rk4_per_step(model, probe_amp, delta, t_final, dt, n_samples):
     """The per-step RK4 loop the composed stride maps replaced, kept as the oracle."""
     b = model.system_matrix() + 1j * delta * np.eye(3)

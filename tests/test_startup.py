@@ -34,6 +34,6 @@ def test_exceptional_point_fallback_loads_no_scipy():
         "m = om.OscillatorModel(delta1=5.0, delta2=5.0, omega_m=5.0, kappa1=2.0,\n"
         "                       kappa2=3.0, gamma_m_half=1.0, g_eff1=0.5, g_eff2=0.0)\n"
         "om.propagate(m, 1.0, 4.0, 6.0, method='exact_propagator', n_samples=5)\n"
-        "assert calls == [(5, 3, 3)], calls\n"
+        "assert calls == [(4, 4)], calls\n"
         "assert not any(m.startswith('scipy') for m in sys.modules)\n"
     )

@@ -251,8 +251,10 @@ def peak_height(c1: float, c2: float) -> PeakHeight:
 
     exact = 2 (1 + C2) / (1 + C1 + C2); for C2 = 0 this is the transparency
     dip depth 2/(1 + C1).  large_c_approx = 2 / (1 + C1/C2) (undefined at
-    C2 = 0, returned as None); both tend to 1 at C1 = C2, the perfect
-    absorption/routing point.
+    C2 = 0, returned as None) is 1 at C1 = C2.  exact is 1, so the
+    line-center reflection |1 - E_L(0)|^2 vanishes, at C2 = C1 - 1, where the
+    transmission 4 C1 C2 / (1 + C1 + C2)^2 is C2/C1; the transmission peaks
+    at C2 = C1 + 1, at C1/(C1 + 1), and C2 = C1 reflects (1/(1 + 2 C1))^2.
     """
     _require_non_negative(c1, "c1")
     _require_non_negative(c2, "c2")

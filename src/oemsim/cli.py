@@ -393,12 +393,8 @@ class Run:
     def scaled_drives(self, ratio: float) -> DriveConfig:
         """Drives for C2 = ratio * C1 at the cavity-1 power ``p1``."""
         s = self.scenario
-        p2 = (
-            invert_cooperativity(ratio * self.c1, 2, s.params, detuning_mode=s.detuning_mode,
-                                 other_power=self.p1, solve=self.solve)
-            if ratio > 0
-            else 0.0
-        )
+        p2 = invert_cooperativity(ratio * self.c1, 2, s.params, detuning_mode=s.detuning_mode,
+                                  other_power=self.p1, solve=self.solve)
         return DriveConfig(p_c1=self.p1, p_c2=p2)
 
 
@@ -491,7 +487,8 @@ def run_scenario(
 
     The summary, plus a "files" entry listing every table written, is also
     what the subcommands print.  ``model_override`` replaces the model of
-    every variant too.
+    every variant too.  The sweep kind's producer (``_PRODUCERS``) makes the
+    tables one at a time; this is the one place that names and writes them.
     """
     sweep, variants = scenario.sweep, scenario.variants
     if points_override is not None:
@@ -504,7 +501,13 @@ def run_scenario(
     out_path = Path(out_override or scenario.out_path or "sweep_output." + scenario.out_format)
     run = Run(scenario)
     summary = derive_summary(run)
-    summary["files"] = _RUNNERS[sweep["kind"]](run, out_path) if sweep else []
+    summary["files"] = []
+    tables = _PRODUCERS[sweep["kind"]](run) if sweep else ()
+    for label, columns, rows in tables:
+        path = _variant_path(out_path, label)
+        _write_table(path, columns, rows, scenario.out_format)
+        summary["files"].append(str(path))
+        del rows  # free this table before the producer makes the next
     return summary
 
 
@@ -518,23 +521,19 @@ def _ratio_grid(sweep: dict) -> np.ndarray:
     return np.linspace(sweep["ratio_min"], sweep["ratio_max"], sweep["n_points"])
 
 
-def _run_probe_sweep(run: Run, out_path: Path) -> list[str]:
+def _probe_tables(run: Run):
     params, sweep = run.scenario.params, run.scenario.sweep
     gm = params.gamma_m
     x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
     xs = np.linspace(x_min, x_max, sweep["n_points"] or _auto_probe_points(run, x_min, x_max))
-    written = []
     for variant in run.scenario.variants:
         ratio = variant["c2_over_c1"]
         wp = run.wp if ratio is None else run.solve(run.scaled_drives(ratio))
         resp = response_grid(wp, params, params.omega_m + xs, variant["model"])
-        path = _variant_path(out_path, variant["label"])
-        _write_table(path, PROBE_COLUMNS, _response_table(xs / gm, resp), run.scenario.out_format)
-        written.append(str(path))
-    return written
+        yield variant["label"], PROBE_COLUMNS, _response_table(xs / gm, resp)
 
 
-def _run_ratio_sweep(run: Run, out_path: Path) -> list[str]:
+def _ratio_tables(run: Run):
     params, sweep = run.scenario.params, run.scenario.sweep
     ratios = _ratio_grid(sweep)
     wps = [run.solve(run.scaled_drives(ratio)) for ratio in ratios]
@@ -542,11 +541,10 @@ def _run_ratio_sweep(run: Run, out_path: Path) -> list[str]:
     stacked = WorkingPoint(*map(np.array, zip(*map(astuple, wps))))
     delta = params.omega_m + sweep["x_gamma_m"] * params.gamma_m
     resp = response_grid(stacked, params, delta, run.scenario.model)
-    _write_table(out_path, RATIO_COLUMNS, _response_table(ratios, resp), run.scenario.out_format)
-    return [str(out_path)]
+    yield None, RATIO_COLUMNS, _response_table(ratios, resp)
 
 
-def _run_root_sweep(run: Run, out_path: Path) -> list[str]:
+def _root_tables(run: Run):
     params = run.scenario.params
     ratios = _ratio_grid(run.scenario.sweep)
     coeff_sets = [
@@ -557,12 +555,11 @@ def _run_root_sweep(run: Run, out_path: Path) -> list[str]:
     ]
     trajectories = root_trajectories(coeff_sets)
     gm = params.gamma_m
-    rows = np.column_stack([ratios, -trajectories.imag / gm, trajectories.real / gm])
-    _write_table(out_path, ROOT_COLUMNS, rows, run.scenario.out_format)
-    return [str(out_path)]
+    yield None, ROOT_COLUMNS, np.column_stack(
+        [ratios, -trajectories.imag / gm, trajectories.real / gm])
 
 
-def _run_time_domain(run: Run, out_path: Path) -> list[str]:
+def _time_tables(run: Run):
     params, sweep = run.scenario.params, run.scenario.sweep
     traj = propagate(
         from_working_point(run.wp, params),
@@ -574,16 +571,16 @@ def _run_time_domain(run: Run, out_path: Path) -> list[str]:
         n_samples=sweep["n_samples"],
     )
     # (re, im) pairs of u, v, w: the complex states viewed as floats
-    rows = np.column_stack([traj.times, np.ascontiguousarray(traj.states).view(np.float64)])
-    _write_table(out_path, TIME_COLUMNS, rows, run.scenario.out_format)
-    return [str(out_path)]
+    yield None, TIME_COLUMNS, np.column_stack(
+        [traj.times, np.ascontiguousarray(traj.states).view(np.float64)])
 
 
-_RUNNERS = {
-    "probe_x": _run_probe_sweep,
-    "cooperativity_ratio": _run_ratio_sweep,
-    "roots_vs_ratio": _run_root_sweep,
-    "time_domain": _run_time_domain,
+# sweep kind -> generator of its tables, one (variant label, columns, rows) at a time
+_PRODUCERS = {
+    "probe_x": _probe_tables,
+    "cooperativity_ratio": _ratio_tables,
+    "roots_vs_ratio": _root_tables,
+    "time_domain": _time_tables,
 }
 
 
@@ -697,12 +694,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_scenario=True):
-        p.add_argument(
-            "--scenario",
-            required=needs_scenario,
-            help=f"scenario JSON file or preset name {PRESETS}",
-        )
+    def add_common(p):
+        p.add_argument("--scenario", required=True,
+                       help=f"scenario JSON file or preset name {PRESETS}")
         p.add_argument("--out", help="output file (overrides scenario output.path)")
         p.add_argument("--format", choices=("csv", "json"), help="table format override")
 

@@ -138,20 +138,20 @@ def _max_rate(matrix: np.ndarray) -> float:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix in a stack (..., n, n), by scaling and squaring.
+    """exp of one square matrix, by scaling and squaring.
 
-    Each matrix is scaled by a power of two to 1-norm <= 1/2, exponentiated
+    The matrix is scaled by a power of two to 1-norm <= 1/2, exponentiated
     by its degree-16 Taylor series (truncation below 1e-19) and squared back
     as often as it was halved.
     """
-    squarings = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1))[1] + 1, 0)
-    x = a / (2.0 ** squarings)[..., None, None]
-    eye = np.eye(a.shape[-1], dtype=a.dtype)
+    squarings = max(int(np.frexp(np.abs(a).sum(axis=0).max())[1]) + 1, 0)
+    x = a / 2.0 ** squarings
+    eye = np.eye(len(a), dtype=a.dtype)
     e = eye
     for k in range(16, 0, -1):  # Horner: I + x/16 (... (I + x/2 (I + x)) ...)
         e = eye + x @ e / k
-    for k in range(int(squarings.max(initial=0))):
-        e = np.where((squarings > k)[..., None, None], e @ e, e)
+    for _ in range(squarings):
+        e = e @ e
     return e
 
 
@@ -205,6 +205,8 @@ def propagate(
     """
     if not t_final > 0:
         raise InvalidParameterError("t_final must be > 0")
+    if n_samples < 1:
+        raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples!r}")
     g = np.zeros((4, 4), dtype=complex)
     g[:3, :3] = model.system_matrix() + 1j * delta * np.eye(3)
     g[0, 3] = probe_amp

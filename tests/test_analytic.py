@@ -7,6 +7,7 @@ import pytest
 import oemsim as om
 from oemsim import cli
 from oemsim.analytic import EIT_REGIME, NMS_REGIME, PURE_IMAG_TOL
+from oemsim.linear_response import response_grid
 
 
 def coeffs_for(params, c1, c2):
@@ -315,6 +316,27 @@ def test_peak_height_matches_response_at_zero(params):
             om.response_rwa(0.0, c).real, rel=1e-12, abs=1e-12
         )
         assert abs(om.response_rwa(0.0, c).imag) < 1e-12
+
+
+@pytest.mark.parametrize("c1", [10.0, 40.0])
+def test_routing_optima_at_line_center(params, c1):
+    """RWA at x = 0: reflection vanishes at C2 = C1 - 1 (transmission C2/C1), transmission
+    peaks at C2 = C1 + 1 (at C1/(C1 + 1)), and C2 = C1 reflects (1/(1 + 2 C1))^2."""
+    p1 = cli.invert_cooperativity(c1, 1, params)
+
+    def line_center(c2):
+        p2 = cli.invert_cooperativity(c2, 2, params, other_power=p1)
+        wp = om.solve_working_point(params, om.DriveConfig(p_c1=p1, p_c2=p2))
+        return response_grid(wp, params, params.omega_m, "rwa")
+
+    dark = line_center(c1 - 1.0)
+    assert dark.reflect_flux < 1e-24
+    assert dark.transmit_flux == pytest.approx((c1 - 1.0) / c1, rel=1e-10)
+    assert line_center(c1).reflect_flux == pytest.approx((1.0 / (1.0 + 2.0 * c1)) ** 2, rel=1e-8)
+    best = line_center(c1 + 1.0).transmit_flux
+    assert best == pytest.approx(c1 / (c1 + 1.0), rel=1e-10)
+    for c2 in (c1, c1 + 0.5, c1 + 1.5, c1 + 2.0):
+        assert line_center(c2).transmit_flux < best
 
 
 def test_large_c_approx_converges():

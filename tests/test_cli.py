@@ -153,6 +153,17 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
                                     "ratio sweep needs 0 <= ratio_min < ratio_max"),
     "t_final_missing": ("integrate", {"sweep": {"kind": "time_domain", "n_samples": 5}},
                         "time_domain sweep needs t_final"),
+    "detuning_mode_unknown": ("sweep", {"detuning_mode": "dressed"},
+                              "detuning_mode must be 'effective' or 'bare'"),
+    "output_path_number": ("sweep", {"output": {"path": 3}}, "output.path must be a string"),
+    "output_format_unknown": ("sweep", {"output": {"format": "xml"}},
+                              "output.format must be csv or json"),
+    "params_list": ("sweep", {"params": [1e7]}, "params must be an object"),
+    "params_unknown_key": ("sweep", {"params": {"g3_hz": 5.0}}, "unknown params keys: ['g3_hz']"),
+    "drives_number": ("sweep", {"drives": 40}, "drives must be an object"),
+    "variants_empty": ("sweep", {"variants": []}, "variants must be a non-empty list"),
+    "variant_model_unknown": ("sweep", {"variants": [{"label": "a", "model": "exact"}]},
+                              "variant model invalid"),
 }
 
 
@@ -165,6 +176,22 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, case):
     out.mkdir()
     assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["json_list", "no_such_scenario"])
+def test_unloadable_scenario_exits_2(tmp_path, capsys, case):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps([{"sweep": PROBE_5}]))
+    ref, message = {
+        "json_list": (path, "scenario document must be a JSON object"),
+        "no_such_scenario": (tmp_path / "none.json", "is neither a file nor a preset"),
+    }[case]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main(["sweep", "--scenario", ref, "--out", out / "t.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario") and message in err
     assert list(out.iterdir()) == []
 
 

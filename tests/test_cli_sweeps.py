@@ -1,6 +1,7 @@
 """CLI sweeps through the whole-grid kernel: table bytes, no per-point path, no repeated solves."""
 
 import json
+import math
 import sys
 from collections import Counter
 
@@ -214,6 +215,43 @@ def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
     assert cli._auto_probe_points(run, -1.0, 1.0) >= 801
     monkeypatch.undo()
     assert cli.derive_summary(cli.Run(scenario)) == summary
+
+
+def test_bare_mode_hits_both_targets(tmp_path, monkeypatch):
+    """Both targets in bare mode: resolve_drives inverts C1, then C2 at that power, then C1
+    again at the final C2 power; derive and a ratio sweep both land on the two targets."""
+    doc = {"detuning_mode": "bare", "drives": {"c1": 40.0, "c2": 40.0},
+           "sweep": {**RATIO, "n_points": 3}, "output": {"path": str(tmp_path / "r.csv")}}
+    scenario = cli.Scenario.from_dict(doc)
+    inversions = counted(monkeypatch, "invert_cooperativity")
+    solves = counted(monkeypatch, "solve_working_point")
+    run = cli.Run(scenario)
+    assert [args[1] for args, _ in inversions] == [1, 2, 1]
+    assert run.c1 == pytest.approx(40.0, rel=1e-9)
+    assert run.c2 == pytest.approx(40.0, rel=1e-9)
+    derived = cli.derive_summary(run)
+    solves.clear()
+    swept = cli.run_scenario(scenario)
+    for summary in (derived, swept):
+        assert summary["c1"] == pytest.approx(40.0, rel=1e-9)
+        assert summary["c2"] == pytest.approx(40.0, rel=1e-9)
+    drives = Counter(args[1] for args, _ in solves)
+    assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_auto_probe_grid_follows_the_absorption_peak_width(tmp_path):
+    """No n_points with both tones on: 20 points per kappa2 + s2/Gamma_EIT, with
+    s2/Gamma_EIT = kappa2 C2/(1 + C1) (s2 = C2 kappa2 gamma_m/2, Gamma_EIT = (1 + C1) gamma_m/2)."""
+    sweep = {"kind": "probe_x", "x_min_gamma_m": -10.0, "x_max_gamma_m": 10.0}
+    scenario = write_scenario(tmp_path, "auto", sweep, drives={"c1": 40.0, "c2": 40.0})
+    out = tmp_path / "auto.csv"
+    assert cli.main(["sweep", "--scenario", str(scenario), "--out", str(out)]) == 0
+    params = om.default_params()
+    width = params.kappa2 * (1.0 + 40.0 / 41.0) / params.gamma_m  # in gamma_m units
+    expected = math.ceil(20.0 * 20.0 / width) + 1
+    assert 801 < expected < 20001
+    assert len(out.read_text().splitlines()) == 1 + expected
 
 
 def test_resolved_drives_match_working_point(params):

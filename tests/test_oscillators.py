@@ -175,14 +175,13 @@ def test_expm_matches_scipy():
         a *= rng.uniform(0.0, 5.0)
         expected = linalg.expm(a)
         assert np.abs(oscillators._expm(a) - expected).max() <= 1e-12 * np.abs(expected).max()
-    # the exceptional point of the fallback test, stacked over its time grid
+    # the exceptional point of the fallback test, over its time grid
     model = om.OscillatorModel(delta1=5.0, delta2=5.0, omega_m=5.0, kappa1=2.0, kappa2=3.0,
                                gamma_m_half=1.0, g_eff1=0.5, g_eff2=0.0)
     a = model.system_matrix()
-    times = np.linspace(0.0, 6.0, 31)
-    stacked = oscillators._expm(a * times[:, None, None])
-    for t, got in zip(times, stacked):
+    for t in np.linspace(0.0, 6.0, 31):
         expected = linalg.expm(a * t)
+        got = oscillators._expm(a * t)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -197,6 +196,13 @@ def test_rk4_solves_no_harmonic_steady_state(scaled_model, monkeypatch):
     after = om.propagate(scaled_model, 1.0, 1.01e4, 0.05, **kwargs)
     assert np.array_equal(after.times, before.times)
     assert np.array_equal(after.states, before.states)
+
+
+@pytest.mark.parametrize("n_samples", [-1, 0])
+@pytest.mark.parametrize("method", ["exact_propagator", "rk4"])
+def test_propagate_rejects_fewer_than_one_sample(scaled_model, method, n_samples):
+    with pytest.raises(om.InvalidParameterError, match="n_samples must be >= 1"):
+        om.propagate(scaled_model, 1.0, 1e4, 0.05, method=method, dt=1e-4, n_samples=n_samples)
 
 
 def test_trajectory_time_grid_validation():

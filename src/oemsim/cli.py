@@ -47,6 +47,7 @@ from .params import (
     SystemParams,
     cooperativity,
     critical_power,
+    drive_amplitude,
     eit_width,
 )
 from .working_point import WorkingPoint, coupling_power, solve_working_point
@@ -156,6 +157,7 @@ def invert_cooperativity(
     """
     if cavity_index not in (1, 2):
         raise InvalidParameterError(f"cavity_index must be 1 or 2, got {cavity_index!r}")
+    target_c = float(target_c)  # a numpy scalar would warn where the arithmetic overflows
     if not 0.0 <= target_c < math.inf:
         raise InvalidParameterError("target cooperativity must be finite and >= 0")
     if target_c == 0.0:
@@ -166,6 +168,10 @@ def invert_cooperativity(
         raise ConvergenceError(
             f"target cooperativity unreachable: {photons!r} photons at g = {g!r}")
     power = coupling_power(params, cavity_index, photons, other_power, detuning_mode)
+    carrier = params.omega_c1 if cavity_index == 1 else params.omega_c2
+    if not (power < math.inf and math.isfinite(drive_amplitude(power, carrier, kappa))):
+        raise ConvergenceError(
+            f"target cooperativity unreachable: {power!r} W or its drive amplitude overflows")
     drives = DriveConfig(*((power, other_power) if cavity_index == 1 else (other_power, power)))
     wp = solve(drives) if solve else solve_working_point(params, drives, detuning_mode)
     achieved = cooperativity(g, wp.n1 if cavity_index == 1 else wp.n2, kappa, params.gamma_m)
@@ -235,11 +241,14 @@ class Scenario:
         if out_format not in ("csv", "json"):
             raise ScenarioError(f"output.format must be csv or json, got {out_format!r}")
 
+        sweep = _sweep_from_spec(doc.get("sweep", {}))
+        if doc.get("variants") is not None and sweep.get("kind") != "probe_x":
+            raise ScenarioError(f"variants need a probe_x sweep, got kind {sweep.get('kind')!r}")
         return cls(
             params=params,
             detuning_mode=mode,
             drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0})),
-            sweep=_sweep_from_spec(doc.get("sweep", {})),
+            sweep=sweep,
             model=model,
             variants=_variants_from_spec(doc.get("variants"), model),
             out_path=out_path,
@@ -344,6 +353,8 @@ def _variants_from_spec(spec, model: str) -> list[dict]:
             ratio = variant["c2_over_c1"] = _number(variant["c2_over_c1"], "variant c2_over_c1")
             if ratio < 0:
                 raise ScenarioError(f"variant c2_over_c1 must be >= 0, got {ratio!r}")
+        if any(v["label"] == variant["label"] for v in variants):
+            raise ScenarioError(f"variant labels must be unique: {variant['label']!r} repeats")
         variants.append(variant)
     return variants
 

@@ -3,7 +3,7 @@
 Writing every mean value as A = sum_n A_n exp(-i n delta t) and keeping terms
 first order in the probe amplitude E_p closes the dynamics on five unknowns:
 the upper/lower sidebands of both cavities and the mechanical coherence Q_+.
-The full model solves that 5x5 complex system.  With ``rwa=True`` the
+The full model solves that 5x5 complex system.  In the RWA model the
 counter-rotating (lower-sideband) unknowns are dropped *and* the mechanical
 susceptibility is linearized about omega_m,
 
@@ -15,6 +15,12 @@ half damping.  The reduced 3x3 system is then algebraically identical to the
 closed-form nested-fraction response (see ``analytic``) at
 Delta_1 = Delta_2 = omega_m, and conserves probe photon flux exactly across
 its three decay channels.
+
+One kernel, ``_solve_grid``, solves every model on a whole grid at once by
+eliminating the cavity rows into the mechanical row, and gates every point
+on its re-substitution residual.  ``response_grid`` adds the observables;
+it is what the CLI runs.  ``solve_sidebands`` and
+``solve_sidebands_closed_form`` are one point of the same kernel.
 
 All sideband amplitudes are normalized per unit probe amplitude (E_p = 1
 internally); thermal occupations are taken as zero.
@@ -81,129 +87,6 @@ class ProbeResponse:
     transduced_frequency: float
 
 
-def _build_system(wp: WorkingPoint, params: SystemParams, delta: float, rwa: bool):
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2 = params.g1, params.g2
-    a10, a20 = wp.a10, wp.a20
-    d1, d2 = wp.delta1, wp.delta2
-    gm, wm = params.gamma_m, params.omega_m
-
-    if rwa:
-        # unknowns (a1+, a2+, Q+); mechanical row linearized about omega_m
-        a = np.array(
-            [
-                [-1j * (delta - d1) + k1, 0.0, -1j * g1 * a10],
-                [0.0, -1j * (delta - d2) + k2, 1j * g2 * a20],
-                [g1 * np.conj(a10), -g2 * np.conj(a20), 2.0 * ((delta - wm) + 0.5j * gm)],
-            ],
-            dtype=complex,
-        )
-        b = np.array([1.0, 0.0, 0.0], dtype=complex)
-    else:
-        # unknowns (a1+, conj(a1-), a2+, conj(a2-), Q+); mechanical row kept
-        # quadratic, scaled by 1/(2 omega_m) to match the cavity-row magnitudes
-        mech = (wm**2 - delta**2 - 1j * delta * gm) / (2.0 * wm)
-        a = np.array(
-            [
-                [-1j * (delta - d1) + k1, 0.0, 0.0, 0.0, -1j * g1 * a10],
-                [0.0, -1j * (delta + d1) + k1, 0.0, 0.0, 1j * g1 * np.conj(a10)],
-                [0.0, 0.0, -1j * (delta - d2) + k2, 0.0, 1j * g2 * a20],
-                [0.0, 0.0, 0.0, -1j * (delta + d2) + k2, -1j * g2 * np.conj(a20)],
-                [
-                    -0.5 * g1 * np.conj(a10),
-                    -0.5 * g1 * a10,
-                    0.5 * g2 * np.conj(a20),
-                    0.5 * g2 * a20,
-                    mech,
-                ],
-            ],
-            dtype=complex,
-        )
-        b = np.array([1.0, 0.0, 0.0, 0.0, 0.0], dtype=complex)
-    return a, b
-
-
-def solve_sidebands(
-    wp: WorkingPoint, params: SystemParams, delta: float, rwa: bool = False
-) -> SidebandSolution:
-    """Solve the sideband linear system at probe-coupling detuning delta.
-
-    Direct dense solve with partial pivoting (the systems are 3x3/5x5).
-    Raises SingularResponseError if the system is singular or the
-    re-substitution residual exceeds 1e-10, reporting the offending detuning.
-    """
-    a, b = _build_system(wp, params, delta, rwa)
-    try:
-        z = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResponseError(
-            f"sideband system singular at delta = {delta:.6e} rad/s", delta=delta
-        ) from exc
-
-    # per-row relative re-substitution check
-    row_scale = np.abs(a) @ np.abs(z) + np.abs(b)
-    residual = float(np.max(np.abs(a @ z - b) / np.where(row_scale > 0, row_scale, 1.0)))
-    if residual > RESIDUAL_TOL:
-        raise SingularResponseError(
-            f"sideband solve residual {residual:.2e} exceeds {RESIDUAL_TOL:.0e} "
-            f"at delta = {delta:.6e} rad/s (near-singular system)",
-            delta=delta,
-        )
-
-    if rwa:
-        a1p, a2p, qp = z
-        a1m = a2m = 0.0j
-    else:
-        a1p, b1, a2p, b2, qp = z
-        a1m, a2m = np.conj(b1), np.conj(b2)
-    return SidebandSolution(
-        a1_plus=complex(a1p),
-        a1_minus=complex(a1m),
-        a2_plus=complex(a2p),
-        a2_minus=complex(a2m),
-        q_plus=complex(qp),
-        delta=delta,
-        rwa=rwa,
-        residual=residual,
-    )
-
-
-def solve_sidebands_closed_form(
-    wp: WorkingPoint, params: SystemParams, delta: float
-) -> SidebandSolution:
-    """RWA sideband amplitudes by nested elimination instead of a matrix solve.
-
-    Independent evaluation route for the same reduced model: eliminate a2+
-    into the mechanical row, then the mechanical coherence into the cavity-1
-    row.  Agrees with ``solve_sidebands(..., rwa=True)`` to rounding error.
-    """
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2 = params.g1, params.g2
-    d_1 = k1 - 1j * (delta - wp.delta1)
-    d_2 = k2 - 1j * (delta - wp.delta2)
-    d_m = 2.0 * ((delta - params.omega_m) + 0.5j * params.gamma_m)
-    if d_2 == 0 or d_m == 0:
-        raise SingularResponseError("closed-form elimination hit a zero pivot", delta=delta)
-
-    m_mech = d_m + 1j * g2**2 * wp.n2 / d_2
-    denom = d_1 + 1j * g1**2 * wp.n1 / m_mech
-    if m_mech == 0 or denom == 0:
-        raise SingularResponseError("closed-form response evaluated on a pole", delta=delta)
-    a1p = 1.0 / denom
-    qp = -g1 * np.conj(wp.a10) * a1p / m_mech
-    a2p = -1j * g2 * wp.a20 * qp / d_2
-    return SidebandSolution(
-        a1_plus=complex(a1p),
-        a1_minus=0.0j,
-        a2_plus=complex(a2p),
-        a2_minus=0.0j,
-        q_plus=complex(qp),
-        delta=delta,
-        rwa=True,
-        residual=0.0,
-    )
-
-
 def probe_outputs(
     sol: SidebandSolution, wp: WorkingPoint, params: SystemParams
 ) -> ProbeResponse:
@@ -253,7 +136,7 @@ def _arrow_solve(diag, col, row, corner):
 
 
 def _arrow_residual(diag, col, row, corner, xs, q):
-    """Per grid point, max over rows of |A z - b| / (|A| |z| + |b|), as in ``solve_sidebands``."""
+    """Per grid point, max over rows of |A z - b| / (|A| |z| + |b|) of the arrow system."""
     b = [1.0] + [0.0] * (len(xs) - 1)
     rows = [(d * x + c * q - bj, abs(d) * abs(x) + abs(c) * abs(q) + bj)
             for d, c, x, bj in zip(diag, col, xs, b)]
@@ -262,16 +145,16 @@ def _arrow_residual(diag, col, row, corner, xs, q):
     return np.max([abs(err) / np.where(scale > 0, scale, 1.0) for err, scale in rows], axis=0)
 
 
-def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> ProbeResponse:
-    """Probe response of ``model`` on a whole grid, as a ProbeResponse of arrays.
+def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> SidebandSolution:
+    """Sideband amplitudes of ``model`` on a whole grid, as a SidebandSolution of arrays.
 
     ``delta`` and the working-point fields broadcast (one working point and a delta
-    grid, or one delta and a WorkingPoint of arrays).  Every system is an arrow matrix
-    (each cavity row couples only to itself and the mechanics), solved by eliminating
-    the cavity rows; "analytic" keeps the nested elimination of
-    ``solve_sidebands_closed_form``.  A point failing the 1e-10 gate of
-    ``solve_sidebands``, or whose reflect_flux, transmit_flux, mech_intensity or
-    flux_budget is not finite, raises SingularResponseError naming its row and x.
+    grid, or one delta and a WorkingPoint of arrays).  "full", "rwa" and "oscillator"
+    are arrow matrices (each cavity row couples only to itself and the mechanics),
+    solved by eliminating the cavity rows; "analytic" is the rwa system solved by
+    nested elimination (a2+ into the mechanical row, then Q+ into the cavity-1 row).
+    A point whose re-substitution residual exceeds 1e-10 raises
+    SingularResponseError naming its row and x.
     """
     k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
     gm, wm = params.gamma_m, params.omega_m
@@ -283,6 +166,8 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
     a1m = a2m = 0.0j
     with np.errstate(all="ignore"):  # a singular point shows up as a failed gate
         if model == "full":
+            # unknowns (a1+, conj(a1-), a2+, conj(a2-), Q+); mechanical row kept
+            # quadratic, scaled by 1/(2 omega_m) to match the cavity-row magnitudes
             (a1p, b1, a2p, b2), qp, residual = _arrow_solve(
                 [cav[0], -1j * (delta + d1) + k1, cav[1], -1j * (delta + d2) + k2],
                 [-1j * g1 * a10, 1j * g1 * np.conj(a10), 1j * g2 * a20, -1j * g2 * np.conj(a20)],
@@ -291,6 +176,7 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
                 (wm**2 - delta**2 - 1j * delta * gm) / (2.0 * wm))
             a1m, a2m = np.conj(b1), np.conj(b2)
         elif model == "rwa":
+            # unknowns (a1+, a2+, Q+); mechanical row linearized about omega_m
             (a1p, a2p), qp, residual = _arrow_solve(*rwa)
         elif model == "analytic":
             m_mech = rwa[3] + 1j * g2**2 * wp.n2 / cav[1]
@@ -307,11 +193,52 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
             raise InvalidParameterError(f"unknown response model {model!r}")
     _check_rows(residual <= RESIDUAL_TOL, delta, wm,
                 f"{model} response residual exceeds {RESIDUAL_TOL:.0e} (singular system)")
-    sol = SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
+    return SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
+
+
+def _solve_point(wp: WorkingPoint, params: SystemParams, delta: float, model: str):
+    """One point of ``_solve_grid`` as a SidebandSolution of Python scalars."""
+    s = _solve_grid(wp, params, delta, model)
+    amplitudes = (s.a1_plus, s.a1_minus, s.a2_plus, s.a2_minus, s.q_plus)
+    return SidebandSolution(*map(complex, amplitudes), float(delta), s.rwa, float(s.residual))
+
+
+def solve_sidebands(
+    wp: WorkingPoint, params: SystemParams, delta: float, rwa: bool = False
+) -> SidebandSolution:
+    """Sideband amplitudes at probe-coupling detuning delta: one point of the
+    "full" (or, with ``rwa=True``, the "rwa") kernel that ``response_grid`` runs.
+
+    Raises SingularResponseError, with ``.delta`` set, if the point fails the
+    1e-10 re-substitution gate (a singular or non-finite system).
+    """
+    return _solve_point(wp, params, delta, "rwa" if rwa else "full")
+
+
+def solve_sidebands_closed_form(
+    wp: WorkingPoint, params: SystemParams, delta: float
+) -> SidebandSolution:
+    """RWA sideband amplitudes by nested elimination instead of the arrow elimination:
+    one point of the "analytic" kernel.  Agrees with ``solve_sidebands(..., rwa=True)``
+    to rounding error; raises as it does.
+    """
+    return _solve_point(wp, params, delta, "analytic")
+
+
+def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> ProbeResponse:
+    """Probe response of ``model`` on a whole grid, as a ProbeResponse of arrays.
+
+    The sideband amplitudes come from ``_solve_grid`` (broadcasting ``delta``
+    against the working-point fields, 1e-10 residual gate), the observables
+    from ``probe_outputs``.  A point whose reflect_flux, transmit_flux,
+    mech_intensity or flux_budget is not finite raises SingularResponseError
+    naming its row and x.
+    """
+    sol = _solve_grid(wp, params, delta, model)
     with np.errstate(all="ignore"):  # a float overflow shows up as a non-finite observable
         out = probe_outputs(sol, wp, params)
     for name in ("reflect_flux", "transmit_flux", "mech_intensity", "flux_budget"):
-        _check_rows(np.isfinite(getattr(out, name)), delta, wm,
+        _check_rows(np.isfinite(getattr(out, name)), sol.delta, params.omega_m,
                     f"{model} response gives a non-finite {name}")
     return out
 

@@ -106,15 +106,19 @@ def _real_roots(params, terms) -> list[float]:
     The balance times its Lorentzian denominators is a polynomial in q of
     degree 1 + 2 per Lorentzian term.  Its roots with a negligible imaginary
     part are polished by Newton steps on the balance itself and merged when
-    they agree to 1e-9.  No real root at all raises ConvergenceError.
+    they agree to 1e-9.  No real root at all, or a coefficient that
+    overflows, raises ConvergenceError.
     """
     num, den = np.array([params.omega_m, 0.0]), np.array([1.0])  # balance = num / den
-    for s, delta, kappa, c, lorentzian in terms:
-        add = s * c * den
-        if lorentzian:  # num/den + s c/D = (num D + s c den) / (den D)
-            d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
-            num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
-        num[len(num) - len(add):] += add
+    with np.errstate(over="ignore", invalid="ignore"):  # checked as a whole below
+        for s, delta, kappa, c, lorentzian in terms:
+            add = s * c * den
+            if lorentzian:  # num/den + s c/D = (num D + s c den) / (den D)
+                d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
+                num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
+            num[len(num) - len(add):] += add
+    if not np.isfinite(num).all():
+        raise ConvergenceError("force balance coefficients overflow")
     z = np.roots(num)
     q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
     for _ in range(POLISH_STEPS):

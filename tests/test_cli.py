@@ -164,6 +164,9 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
     "variants_empty": ("sweep", {"variants": []}, "variants must be a non-empty list"),
     "variant_model_unknown": ("sweep", {"variants": [{"label": "a", "model": "exact"}]},
                               "variant model invalid"),
+    "variant_label_repeated": ("sweep", {"variants": [{"label": "a"}, {"label": "a",
+                                                                       "model": "full"}]},
+                               "variant labels must be unique: 'a' repeats"),
 }
 
 
@@ -350,8 +353,55 @@ def test_variant_files(tmp_path):
     summary = cli.run_scenario(cli.Scenario.from_dict(doc))
     assert summary["files"] == [str(tmp_path / "fig_off.csv"), str(tmp_path / "fig_on.csv")]
     for f in summary["files"]:
-        lines = open(f).read().splitlines()
-        assert len(lines) == 8
+        with open(f) as fh:
+            assert len(fh.read().splitlines()) == 8
+
+
+@pytest.mark.parametrize("command, sweep", [
+    ("sweep", RATIO_SWEEP),
+    ("roots", {"kind": "roots_vs_ratio", "n_points": 3}),
+    ("integrate", RK4_SWEEP),
+    ("derive", None),
+], ids=["ratio", "roots", "time_domain", "no_sweep"])
+def test_variants_need_a_probe_sweep(tmp_path, capsys, command, sweep):
+    doc = {"variants": [{"label": "full", "model": "full"}, {"label": "rwa", "model": "rwa"}]}
+    if sweep:
+        doc["sweep"] = sweep
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
+    kind = sweep["kind"] if sweep else None
+    assert f"error: variants need a probe_x sweep, got kind {kind!r}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "derive"])
+def test_fig2_variants_run(tmp_path, capsys, command):
+    out = tmp_path / "fig2.csv"
+    assert run_main([command, "--scenario", "fig2", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert len(written) == (6 if command == "sweep" else 1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", ["effective", "bare"])
+@pytest.mark.parametrize("command", ["sweep", "invert"])
+def test_overflowing_cooperativity_target_is_unreachable(tmp_path, capsys, mode, command):
+    """A finite target whose coupling power (about 1e292 W) or drive amplitude overflows."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"detuning_mode": mode, "sweep": {
+        "kind": "cooperativity_ratio", "n_points": 3, "ratio_max": 1e300}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    target = ["--target", 1e300, "--cavity", 2] if command == "invert" else []
+    assert run_main([command, *target, "--scenario", path, "--out", out / "t.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and "Traceback" not in err
+    assert "unreachable" in err or "force balance coefficients overflow" in err
+    assert list(out.iterdir()) == []
 
 
 def test_fig2_preset_variants(tmp_path):

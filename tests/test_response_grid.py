@@ -1,5 +1,7 @@
-"""The whole-grid response kernel against the scalar oracles it replaced in the CLI."""
+"""The whole-grid response kernel against independent per-point oracles: a dense LU
+solve of the sideband matrices and the oscillator steady state."""
 
+import dataclasses
 import math
 import re
 
@@ -42,14 +44,52 @@ def random_wp(rng, params):
     )
 
 
+def dense_system(wp, params, delta, rwa):
+    """The sideband matrix and right-hand side, entry by entry."""
+    k1, k2 = params.kappa1, params.kappa2
+    g1, g2 = params.g1, params.g2
+    a10, a20 = wp.a10, wp.a20
+    d1, d2 = wp.delta1, wp.delta2
+    gm, wm = params.gamma_m, params.omega_m
+    if rwa:
+        # unknowns (a1+, a2+, Q+); mechanical row linearized about omega_m
+        a = [
+            [-1j * (delta - d1) + k1, 0.0, -1j * g1 * a10],
+            [0.0, -1j * (delta - d2) + k2, 1j * g2 * a20],
+            [g1 * np.conj(a10), -g2 * np.conj(a20), 2.0 * ((delta - wm) + 0.5j * gm)],
+        ]
+    else:
+        # unknowns (a1+, conj(a1-), a2+, conj(a2-), Q+); mechanical row kept
+        # quadratic, scaled by 1/(2 omega_m) to match the cavity-row magnitudes
+        a = [
+            [-1j * (delta - d1) + k1, 0.0, 0.0, 0.0, -1j * g1 * a10],
+            [0.0, -1j * (delta + d1) + k1, 0.0, 0.0, 1j * g1 * np.conj(a10)],
+            [0.0, 0.0, -1j * (delta - d2) + k2, 0.0, 1j * g2 * a20],
+            [0.0, 0.0, 0.0, -1j * (delta + d2) + k2, -1j * g2 * np.conj(a20)],
+            [-0.5 * g1 * np.conj(a10), -0.5 * g1 * a10, 0.5 * g2 * np.conj(a20),
+             0.5 * g2 * a20, (wm**2 - delta**2 - 1j * delta * gm) / (2.0 * wm)],
+        ]
+    b = np.zeros(len(a), dtype=complex)
+    b[0] = 1.0
+    return np.array(a, dtype=complex), b
+
+
+def dense_solution(wp, params, delta, rwa):
+    """Sideband amplitudes by an LU solve of the dense matrix."""
+    z = np.linalg.solve(*dense_system(wp, params, delta, rwa))
+    if rwa:
+        (a1p, a2p, qp), a1m, a2m = z, 0.0j, 0.0j
+    else:
+        a1p, b1, a2p, b2, qp = z
+        a1m, a2m = np.conj(b1), np.conj(b2)
+    return linear_response.SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, rwa, 0.0)
+
+
 def oracle(wp, params, delta, model):
-    """One ProbeResponse from the scalar per-point routes."""
-    if model == "full":
-        return om.probe_outputs(om.solve_sidebands(wp, params, delta, rwa=False), wp, params)
-    if model == "rwa":
-        return om.probe_outputs(om.solve_sidebands(wp, params, delta, rwa=True), wp, params)
-    if model == "analytic":
-        return om.probe_outputs(om.solve_sidebands_closed_form(wp, params, delta), wp, params)
+    """One ProbeResponse from an independent per-point route: the dense LU solve
+    ("analytic" is the rwa system) or the oscillator steady state."""
+    if model != "oscillator":
+        return om.probe_outputs(dense_solution(wp, params, delta, model != "full"), wp, params)
     u, v, w = om.harmonic_steady_state(om.from_working_point(wp, params), delta)
     k1, k2 = params.kappa1, params.kappa2
     return {"e_l": 2 * k1 * u, "e_r": 2 * k2 * v, "mech_intensity": abs(w) ** 2 / 2,
@@ -148,3 +188,35 @@ def test_gate_rejects_nan(params, wp_c40, model):
 def test_unknown_model_rejected(params, wp_c40):
     with pytest.raises(om.InvalidParameterError):
         response_grid(wp_c40, params, params.omega_m, "dense")
+
+
+def scalar_route(wp, params, delta, model):
+    if model == "analytic":
+        return om.solve_sidebands_closed_form(wp, params, delta)
+    return om.solve_sidebands(wp, params, delta, rwa=model == "rwa")
+
+
+@pytest.mark.parametrize("model", ("full", "rwa", "analytic"))
+def test_scalar_solvers_are_one_point_of_the_grid_kernel(model):
+    rng = np.random.default_rng(60 + MODELS.index(model))
+    for _ in range(6):
+        params, wp = random_case(rng)
+        for x in rng.uniform(-3, 3, 20) * rng.choice([30 * params.gamma_m, params.kappa1]):
+            delta = params.omega_m + x
+            sol = scalar_route(wp, params, delta, model)
+            assert all(type(getattr(sol, f)) is complex
+                       for f in ("a1_plus", "a1_minus", "a2_plus", "a2_minus", "q_plus"))
+            assert type(sol.delta) is float and type(sol.residual) is float
+            got, want = om.probe_outputs(sol, wp, params), response_grid(wp, params, delta, model)
+            for f in dataclasses.fields(want):
+                a, b = np.asarray(getattr(got, f.name)), np.asarray(getattr(want, f.name))
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (f.name, a, b)
+
+
+@pytest.mark.parametrize("model", ("full", "rwa", "analytic"))
+def test_scalar_solvers_reject_nan_working_point(params, wp_c40, model):
+    broken = om.WorkingPoint(**{**vars(wp_c40), "a10": complex("nan+nanj"), "n1": math.nan})
+    delta = params.omega_m + 0.3 * params.gamma_m
+    with pytest.raises(om.SingularResponseError) as info:
+        scalar_route(broken, params, delta, model)
+    assert info.value.delta == delta

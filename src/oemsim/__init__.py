@@ -33,6 +33,7 @@ from .errors import (
     ScenarioError,
     SingularResponseError,
     StepSizeError,
+    UnstableWorkingPointError,
 )
 from .linear_response import (
     ProbeResponse,
@@ -60,7 +61,7 @@ from .params import (
     drive_amplitude,
     eit_width,
 )
-from .working_point import WorkingPoint, solve_working_point
+from .working_point import WorkingPoint, solve_working_point, stability_margin
 
 __version__ = "0.1.0"
 
@@ -84,6 +85,7 @@ __all__ = [
     "StepSizeError",
     "SystemParams",
     "Trajectory",
+    "UnstableWorkingPointError",
     "WorkingPoint",
     "cooperativity",
     "coupling_from_geometry",
@@ -103,4 +105,5 @@ __all__ = [
     "solve_sidebands",
     "solve_sidebands_closed_form",
     "solve_working_point",
+    "stability_margin",
 ]

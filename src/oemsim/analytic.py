@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SingularResponseError
+from .errors import ConvergenceError, SingularResponseError
 from .params import _require_non_negative, _require_positive
 
 EIT_REGIME = "EIT_regime"
@@ -218,12 +218,18 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
 
     All Gamma quantities are half-widths (pole decay rates).  s2 is the
     cavity-2 drive weight g2^2 |a20|^2 / 2, so the discriminant reads
-    Gamma_EIT^2 - 2 g2^2 |a20|^2.
+    Gamma_EIT^2 - 2 g2^2 |a20|^2.  A Gamma_EIT whose square overflows raises
+    ConvergenceError.
     """
     _require_positive(gamma_eit, "gamma_eit")
     _require_non_negative(s2, "s2")
     _require_positive(kappa2, "kappa2")
-    disc = complex(gamma_eit**2 - 4.0 * s2)
+    try:
+        gamma_sq = gamma_eit**2
+    except OverflowError:
+        raise ConvergenceError(
+            f"EIA splitting: Gamma_EIT^2 overflows at Gamma_EIT = {gamma_eit:.6e} rad/s") from None
+    disc = complex(gamma_sq - 4.0 * s2)
     root = np.sqrt(disc)
     gamma_plus = 0.5 * (gamma_eit + root)
     gamma_minus = 0.5 * (gamma_eit - root)
@@ -234,7 +240,7 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
         gamma_plus=gamma_plus,
         gamma_minus=gamma_minus,
         gamma_eia_approx=kappa2 + s2 / gamma_eit,
-        narrow_coupling=4.0 * s2 / gamma_eit**2 <= 0.1,
+        narrow_coupling=4.0 * s2 / gamma_sq <= 0.1,
     )
 
 

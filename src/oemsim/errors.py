@@ -16,6 +16,19 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+class UnstableWorkingPointError(ConvergenceError):
+    """A working point whose linearized dynamics grow: there is no steady state to probe.
+
+    ``row`` is the index of the first unstable working point of the batch checked and
+    ``margin`` its largest eigenvalue real part [rad/s].
+    """
+
+    def __init__(self, message, row, margin):
+        super().__init__(message)
+        self.row = row
+        self.margin = margin
+
+
 class SingularResponseError(RuntimeError):
     """A sideband linear system was singular (probe sits on an exact pole)."""
 

@@ -24,6 +24,11 @@ whose real roots are every steady state; at high drive there are several
 power.  With n_i held, only the other denominator is cleared and the balance
 is a cubic, or q0 = +-g_i n_i / omega_m outright when the other tone is off;
 ``coupling_power`` then reads the power off n_i = E_ci^2 / D_i.
+
+A steady state is only worth linearizing about if small deviations from it
+decay: ``stability_margin`` is the largest real part of the eigenvalues of
+the linearized dynamics (``drift_matrix``), and ``require_stable`` refuses a
+working point whose margin is positive.
 """
 
 from __future__ import annotations
@@ -32,12 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import ConvergenceError, InvalidParameterError, UnstableWorkingPointError
 from .params import HBAR, DriveConfig, SystemParams, drive_amplitude
 
 REL_TOL = 1e-10
 IMAG_TOL = 1e-6  # a polynomial root z with |Im z| <= IMAG_TOL |z| counts as real
 POLISH_STEPS = 3  # Newton steps on the force balance itself
+STABILITY_RTOL = 1e-12  # a margin below this fraction of the drift matrix norm is rounding
 
 
 @dataclass(frozen=True)
@@ -226,3 +232,53 @@ def coupling_power(
         raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
     carrier = (params.omega_c1, params.omega_c2)[i]
     return photons * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa)
+
+
+def drift_matrix(wp: WorkingPoint, params: SystemParams) -> np.ndarray:
+    """Real drift matrix of the mean-field equations linearized about ``wp``, shape (..., 6, 6).
+
+    In the coordinates (Re da1, Im da1, Re da2, Im da2, dq, dp):
+
+        da1' = -(i Delta_1 + kappa1) da1 + i g1 a10 dq
+        da2' = -(i Delta_2 + kappa2) da2 - i g2 a20 dq
+        dq'  =  omega_m dp
+        dp'  = -omega_m dq - gamma_m dp + 2 g1 Re(a10* da1) - 2 g2 Re(a20* da2)
+
+    The working-point fields may be arrays; the matrices then stack along the leading axes.
+    """
+    m = np.zeros(np.broadcast(wp.a10, wp.a20, wp.delta1, wp.delta2).shape + (6, 6))
+    for re, kappa, g, a, delta in ((0, params.kappa1, params.g1, np.asarray(wp.a10), wp.delta1),
+                                   (2, params.kappa2, -params.g2, np.asarray(wp.a20), wp.delta2)):
+        im = re + 1
+        m[..., re, re] = m[..., im, im] = -kappa
+        m[..., re, im], m[..., im, re] = delta, -delta
+        m[..., re, 4], m[..., im, 4] = -g * a.imag, g * a.real
+        m[..., 5, re], m[..., 5, im] = 2.0 * g * a.real, 2.0 * g * a.imag
+    m[..., 4, 5], m[..., 5, 4], m[..., 5, 5] = params.omega_m, -params.omega_m, -params.gamma_m
+    return m
+
+
+def stability_margin(wp: WorkingPoint, params: SystemParams):
+    """Largest real part of the drift matrix's eigenvalues [rad/s], per working point.
+
+    Negative when every small deviation from ``wp`` decays; the growth rate of the
+    fastest-growing mode otherwise.  A WorkingPoint of arrays takes one stacked eigensolve.
+    """
+    return np.linalg.eigvals(drift_matrix(wp, params)).real.max(axis=-1)
+
+
+def require_stable(wp: WorkingPoint, params: SystemParams, what: str) -> None:
+    """Raise UnstableWorkingPointError naming the first row of ``wp`` that is unstable.
+
+    A margin within ``STABILITY_RTOL`` of the drift matrix's norm is eigensolver
+    rounding, not growth, and passes.  ``what`` names the batch in the message.
+    """
+    m = drift_matrix(wp, params)
+    margin = np.atleast_1d(np.linalg.eigvals(m).real.max(axis=-1))
+    bad = np.flatnonzero(margin > STABILITY_RTOL * np.linalg.norm(m, axis=(-2, -1)))
+    if bad.size:
+        i = int(bad[0])
+        raise UnstableWorkingPointError(
+            f"{what} row {i}: unstable working point, its linearized dynamics grow at "
+            f"max Re(lambda) = {margin[i] / params.gamma_m:+.5f} gamma_m",
+            row=i, margin=float(margin[i]))

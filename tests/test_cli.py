@@ -264,6 +264,61 @@ def test_roots_with_subnormal_constant_term_exits_3(tmp_path, capsys, kappa_hz, 
         assert [p.name for p in out.iterdir()] == ["r.csv"]
 
 
+BLUE_DETUNED = {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}, "model": "full"}
+TONE2_BLUE = {"params": {"delta2_hz": -1e7}, "drives": {"c1": 40.0, "c2": 0.0}}
+UNSTABLE = {  # case: (command, scenario, the start of the error line)
+    "derive": ("derive", BLUE_DETUNED, "derive [as driven, tone 2 off] row 0"),
+    "probe_sweep": ("sweep", {**BLUE_DETUNED, "sweep": {"kind": "probe_x", "n_points": 3}},
+                    "derive [as driven, tone 2 off] row 0"),
+    "integrate": ("integrate", {**BLUE_DETUNED, "sweep": {"kind": "time_domain",
+                                                          "t_final": 1e-6}},
+                  "derive [as driven, tone 2 off] row 0"),
+    "invert": ("invert", BLUE_DETUNED, "invert row 0"),
+    # tone 2 blue-detuned amplifies once C2 > C1 + 1: the run's own point (C2 = 0) is
+    # stable, the rows at C2/C1 = 1.5 and 2 are not
+    "ratio_row": ("sweep", {**TONE2_BLUE, "sweep": {"kind": "cooperativity_ratio",
+                                                    "ratio_max": 2.0, "n_points": 5}},
+                  "cooperativity_ratio row 3"),
+    "probe_variant": ("sweep", {**TONE2_BLUE, "sweep": {"kind": "probe_x", "n_points": 3},
+                                "variants": [{"label": "a", "c2_over_c1": 0.5},
+                                             {"label": "b", "c2_over_c1": 1.5}]},
+                      "probe_x variant row 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNSTABLE))
+def test_unstable_working_point_exits_3(tmp_path, capsys, case):
+    """A working point whose linearized dynamics grow writes no table (the blue-detuned
+    case used to print reflect_flux 1.0103 at x = 0 and exit 0)."""
+    command, doc, message = UNSTABLE[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    invert = ["--target", 40, "--cavity", 1] if command == "invert" else []
+    assert run_main([command, *invert, "--scenario", path, "--out", out / "t.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"solver error: {message}: unstable working point")
+    assert "gamma_m" in captured.err and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["derive", "sweep"])
+def test_overflowing_eia_splitting_exits_3(tmp_path, capsys, command):
+    """C1 = C2 = 1e200 inverts fine, but Gamma_EIT^2 overflows: one line naming it, no
+    traceback, no warning (pytest turns warnings into errors), no table."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"drives": {"c1": 1e200, "c2": 1e200},
+                                "sweep": {"kind": "cooperativity_ratio", "n_points": 3}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 3
+    err = capsys.readouterr().err
+    assert err == "solver error: EIA splitting: Gamma_EIT^2 overflows at Gamma_EIT = " \
+                  "3.141593e+203 rad/s\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("target", ["nan", "inf"])
 def test_invert_non_finite_target_exits_2(capsys, target):
     assert run_main(["invert", "--target", target, "--cavity", 1]) == 2

@@ -76,7 +76,7 @@ def test_csv_writer_matches_percent_g_on_edge_values(tmp_path, n_cols):
 
 
 @pytest.mark.parametrize("n_cols", [1, 5, 8])
-@pytest.mark.parametrize("n_rows", [0, 1, 2047, 2048, 2049])
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 2047, 2048, 2049])
 def test_csv_writer_matches_percent_g_on_random_bits(tmp_path, n_rows, n_cols):
     """Random float64 bit patterns: every exponent, both signs, subnormals, NaN payloads, inf."""
     rng = np.random.default_rng(1000 * n_rows + n_cols)

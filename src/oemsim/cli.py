@@ -13,8 +13,8 @@ with an SI prefix ("1.3mW", "3.3uW").  Outputs are deterministic: fixed
 column order, numbers serialized with 12 significant digits, no
 environment- or time-dependent content, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 config/parse error, 3 solver failure
-(non-convergence or singular system), 4 I/O failure.
+Exit codes: 0 success, 2 config/parse error (a grid too large to allocate
+included), 3 solver failure (non-convergence or singular system), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -48,10 +48,14 @@ from .params import (
     SystemParams,
     cooperativity,
     critical_power,
-    drive_amplitude,
     eit_width,
 )
-from .working_point import WorkingPoint, coupling_power, require_stable, solve_working_point
+from .working_point import (
+    WorkingPoint,
+    invert_cooperativity,
+    require_stable,
+    solve_working_point,
+)
 
 MODELS = ("full", "rwa", "analytic", "oscillator")
 # Every key of each sweep kind with its default (a null value also takes it): ``...`` marks
@@ -68,7 +72,6 @@ SWEEP_KEYS = {
 }
 SWEEP_KINDS = tuple(SWEEP_KEYS)
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
-INVERSION_RTOL = 1e-3  # relative miss of the target cooperativity that means another branch
 
 PROBE_COLUMNS = [
     "x_over_gamma_m",
@@ -121,69 +124,6 @@ def _fmt(value: float) -> str:
 
 def _round12(value: float) -> float:
     return float(_fmt(value))
-
-
-def _memo_solver(params: SystemParams, detuning_mode: str):
-    """``solve_working_point`` at fixed params and mode that solves each DriveConfig once."""
-    solved: dict[DriveConfig, WorkingPoint] = {}
-
-    def solve(drives: DriveConfig) -> WorkingPoint:
-        if drives not in solved:
-            solved[drives] = solve_working_point(params, drives, detuning_mode=detuning_mode)
-        return solved[drives]
-
-    return solve
-
-
-def invert_cooperativity(
-    target_c: float,
-    cavity_index: int,
-    params: SystemParams,
-    detuning_mode: str = "effective",
-    other_power: float = 0.0,
-    *,
-    solve=None,
-) -> float:
-    """Coupling power [W] whose self-consistent working point gives the target cooperativity.
-
-    The target fixes the photon number, n = C kappa gamma_m / g^2 (unreachable,
-    ConvergenceError, unless finite and > 0), and
-    ``working_point.coupling_power`` turns n into a power in closed form; in
-    bare mode it holds n in the force balance, with the other cavity driven
-    at ``other_power``.  One forward solve at that power confirms the branch:
-    its cooperativity must match the target within ``INVERSION_RTOL`` (0.1%),
-    else ConvergenceError.  ``solve`` maps a DriveConfig to its
-    working point at the same params and mode; a scenario run passes its
-    ``_memo_solver``, so the confirming solve is the one a table row reuses.
-    """
-    if cavity_index not in (1, 2):
-        raise InvalidParameterError(f"cavity_index must be 1 or 2, got {cavity_index!r}")
-    target_c = float(target_c)  # a numpy scalar would warn where the arithmetic overflows
-    if not 0.0 <= target_c < math.inf:
-        raise InvalidParameterError("target cooperativity must be finite and >= 0")
-    if target_c == 0.0:
-        return 0.0
-    g, kappa = (params.g1, params.kappa1) if cavity_index == 1 else (params.g2, params.kappa2)
-    photons = target_c * kappa * params.gamma_m / (g * g) if g * g > 0 else math.inf
-    if not 0.0 < photons < math.inf:
-        raise ConvergenceError(
-            f"target cooperativity unreachable: {photons!r} photons at g = {g!r}")
-    power = coupling_power(params, cavity_index, photons, other_power, detuning_mode)
-    carrier = params.omega_c1 if cavity_index == 1 else params.omega_c2
-    if not (power < math.inf and math.isfinite(drive_amplitude(power, carrier, kappa))):
-        raise ConvergenceError(
-            f"target cooperativity unreachable: {power!r} W or its drive amplitude overflows")
-    drives = DriveConfig(*((power, other_power) if cavity_index == 1 else (other_power, power)))
-    wp = solve(drives) if solve else solve_working_point(params, drives, detuning_mode)
-    achieved = cooperativity(g, wp.n1 if cavity_index == 1 else wp.n2, kappa, params.gamma_m)
-    if not abs(achieved - target_c) <= INVERSION_RTOL * target_c:
-        got = "NaN" if math.isnan(achieved) else repr(achieved)
-        raise ConvergenceError(
-            f"cooperativity inversion off target: {got} vs {target_c} "
-            "(the forward solve found another branch)",
-            residual=abs(achieved - target_c) / target_c,
-        )
-    return power
 
 
 @dataclass
@@ -360,54 +300,68 @@ def _variants_from_spec(spec, model: str) -> list[dict]:
     return variants
 
 
-def resolve_drives(scenario: Scenario, solve) -> tuple[DriveConfig, float, float, WorkingPoint]:
+def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float, WorkingPoint]:
     """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
 
-    wp is the working point at ``drives`` and c1, c2 its cooperativities;
-    ``solve`` is the run's ``_memo_solver``.
+    wp is the working point at ``drives`` and c1, c2 its cooperativities.
+    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve.
     """
-    spec = scenario.drives
-    params = scenario.params
-    mode = scenario.detuning_mode
+    spec, params, mode = scenario.drives, scenario.params, scenario.detuning_mode
     if "c1" in spec:
-        p1 = invert_cooperativity(spec["c1"], 1, params, detuning_mode=mode, solve=solve)
-        p2 = invert_cooperativity(spec["c2"], 2, params, detuning_mode=mode, other_power=p1,
-                                  solve=solve)
-        if mode == "bare" and spec["c1"] > 0 and p2 > 0:  # p2 = 0 would repeat the first call
-            p1 = invert_cooperativity(spec["c1"], 1, params, detuning_mode=mode, other_power=p2,
-                                      solve=solve)
-        drives = DriveConfig(p_c1=p1, p_c2=p2)
+        drives, wp = invert_cooperativity(params, spec["c1"], spec["c2"], mode)
     else:
         drives = DriveConfig(p_c1=spec["p_c1"], p_c2=spec["p_c2"])
-    wp = solve(drives)
+        wp = solve_working_point(params, drives, mode)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
     return drives, c1, c2, wp
 
 
 class Run:
-    """One CLI invocation: the scenario with its overrides applied, the run's
-    ``_memo_solver`` (no DriveConfig is solved twice) and the resolved
-    drives, cooperativities and working point."""
+    """One CLI invocation: the scenario with its overrides applied and the resolved
+    drives, cooperativities and working point.
+
+    Ratio rows and probe variants set C2 = ratio * C1 at one fixed cavity-1 power,
+    the power that gives the run's C1 with tone 2 off.  In bare mode tone 2 moves q0,
+    so C1 drifts along a ratio sweep while the first column prints the target ratio:
+    on bare fig5 it falls from 40 to 39.999968 at C2/C1 = 1.  No DriveConfig is solved
+    twice: an inversion that lands on drives the run holds is handed their point.
+    """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.solve = _memo_solver(scenario.params, scenario.detuning_mode)
-        self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario, self.solve)
+        self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario)
 
     @cached_property
-    def p1(self) -> float:
-        """Cavity-1 power for the achieved C1 alone; ratio rows all share it."""
+    def wp_off(self) -> WorkingPoint:
+        """The working point at the run's cavity-1 power with tone 2 off."""
+        if self.drives.p_c2 == 0.0:
+            return self.wp
         s = self.scenario
-        return invert_cooperativity(self.c1, 1, s.params, detuning_mode=s.detuning_mode,
-                                    solve=self.solve)
+        return solve_working_point(s.params, replace(self.drives, p_c2=0.0), s.detuning_mode)
 
-    def scaled_drives(self, ratio: float) -> DriveConfig:
-        """Drives for C2 = ratio * C1 at the cavity-1 power ``p1``."""
+    @cached_property
+    def alone(self) -> tuple[DriveConfig, WorkingPoint]:
+        """Drives and working point for the run's C1 with tone 2 off; ratio rows share the power."""
         s = self.scenario
-        p2 = invert_cooperativity(ratio * self.c1, 2, s.params, detuning_mode=s.detuning_mode,
-                                  other_power=self.p1, solve=self.solve)
-        return DriveConfig(p_c1=self.p1, p_c2=p2)
+        off = (replace(self.drives, p_c2=0.0), self.wp_off)
+        return invert_cooperativity(s.params, self.c1, 0.0, s.detuning_mode, known=off)
+
+    def scaled(self, ratios, what: str) -> list[WorkingPoint]:
+        """Working points at C2 = ratio * C1 (None: the run's own), gated as the batch ``what``."""
+        s = self.scenario
+        wps = []
+        for ratio in ratios:
+            if ratio is None:
+                wps.append(self.wp)
+            elif ratio * self.c1 == 0.0:
+                wps.append(self.alone[1])
+            else:
+                wps.append(invert_cooperativity(
+                    s.params, None, ratio * self.c1, s.detuning_mode,
+                    p_c1=self.alone[0].p_c1, known=(self.drives, self.wp))[1])
+        require_stable(_stacked(wps), s.params, what)
+        return wps
 
 
 def _response_table(first, resp: ProbeResponse) -> np.ndarray:
@@ -428,7 +382,7 @@ def derive_summary(run: Run) -> dict:
     model = from_working_point(wp, params)
     hierarchy = model.hierarchy_report()
 
-    wp_off = run.solve(DriveConfig(p_c1=drives.p_c1, p_c2=0.0))
+    wp_off = run.wp_off
     require_stable(_stacked([wp, wp_off]), params, "derive [as driven, tone 2 off]")
     on = response_grid(wp, params, params.omega_m, "rwa")
     off = response_grid(wp_off, params, params.omega_m, "rwa")
@@ -545,9 +499,8 @@ def _probe_tables(run: Run):
     x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
     xs = np.linspace(x_min, x_max, sweep["n_points"] or _auto_probe_points(run, x_min, x_max))
     variants = run.scenario.variants
-    wps = [run.wp if v["c2_over_c1"] is None else run.solve(run.scaled_drives(v["c2_over_c1"]))
-           for v in variants]
-    require_stable(_stacked(wps), params, "probe_x variant")  # before any table is written
+    # every variant's point is solved and gated before any table is written
+    wps = run.scaled([v["c2_over_c1"] for v in variants], "probe_x variant")
     for variant, wp in zip(variants, wps):
         resp = response_grid(wp, params, params.omega_m + xs, variant["model"])
         yield variant["label"], PROBE_COLUMNS, _response_table(xs / gm, resp)
@@ -556,8 +509,7 @@ def _probe_tables(run: Run):
 def _ratio_tables(run: Run):
     params, sweep = run.scenario.params, run.scenario.sweep
     ratios = _ratio_grid(sweep)
-    stacked = _stacked([run.solve(run.scaled_drives(ratio)) for ratio in ratios])
-    require_stable(stacked, params, "cooperativity_ratio")
+    stacked = _stacked(run.scaled(ratios, "cooperativity_ratio"))
     delta = params.omega_m + sweep["x_gamma_m"] * params.gamma_m
     resp = response_grid(stacked, params, delta, run.scenario.model)
     yield None, RATIO_COLUMNS, _response_table(ratios, resp)
@@ -757,11 +709,10 @@ def _dispatch(args) -> int:
         if args.command == "derive":
             result = derive_summary(Run(scenario))
         else:
-            solve = _memo_solver(scenario.params, scenario.detuning_mode)
-            power = invert_cooperativity(args.target, args.cavity, scenario.params,
-                                         detuning_mode=scenario.detuning_mode, solve=solve)
-            drives = DriveConfig(*((power, 0.0) if args.cavity == 1 else (0.0, power)))
-            require_stable(solve(drives), scenario.params, "invert")  # the confirming solve
+            targets = (args.target, 0.0) if args.cavity == 1 else (0.0, args.target)
+            drives, wp = invert_cooperativity(scenario.params, *targets, scenario.detuning_mode)
+            require_stable(wp, scenario.params, "invert")  # the confirming solve
+            power = drives.p_c1 if args.cavity == 1 else drives.p_c2
             result = {"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)}
         _print_json(result)
         if args.out:
@@ -793,6 +744,9 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ScenarioError, InvalidParameterError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or trace too large to allocate
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
     except (ConvergenceError, SingularResponseError, StepSizeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

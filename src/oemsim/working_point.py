@@ -21,9 +21,9 @@ therefore self-consistent in q0.  Multiplied by D_1 D_2 it is the quintic
 
 whose real roots are every steady state; at high drive there are several
 (bistability).  A cooperativity target fixes a photon number instead of a
-power.  With n_i held, only the other denominator is cleared and the balance
-is a cubic, or q0 = +-g_i n_i / omega_m outright when the other tone is off;
-``coupling_power`` then reads the power off n_i = E_ci^2 / D_i.
+power.  With both n_i held the balance gives q0 = (g1 n1 - g2 n2) / omega_m
+outright; with n_2 held and tone 1 at a given power it is a cubic.
+``invert_cooperativity`` then reads the powers off n_i = E_ci^2 / D_i.
 
 A steady state is only worth linearizing about if small deviations from it
 decay: ``stability_margin`` is the largest real part of the eigenvalues of
@@ -33,17 +33,19 @@ working point whose margin is positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError, UnstableWorkingPointError
-from .params import HBAR, DriveConfig, SystemParams, drive_amplitude
+from .params import HBAR, DriveConfig, SystemParams, cooperativity, drive_amplitude
 
 REL_TOL = 1e-10
 IMAG_TOL = 1e-6  # a polynomial root z with |Im z| <= IMAG_TOL |z| counts as real
 POLISH_STEPS = 3  # Newton steps on the force balance itself
 STABILITY_RTOL = 1e-12  # a margin below this fraction of the drift matrix norm is rounding
+INVERSION_RTOL = 1e-3  # relative miss of a cooperativity target that means another branch
 
 
 @dataclass(frozen=True)
@@ -202,36 +204,77 @@ def solve_working_point(
     )
 
 
-def coupling_power(
+def invert_cooperativity(
     params: SystemParams,
-    cavity_index: int,
-    photons: float,
-    other_power: float = 0.0,
+    c1: float | None,
+    c2: float,
     detuning_mode: str = "effective",
-) -> float:
-    """Coupling power [W] that puts ``photons`` into cavity ``cavity_index`` at its working point.
+    p_c1: float = 0.0,
+    known: tuple[DriveConfig, WorkingPoint] | None = None,
+) -> tuple[DriveConfig, WorkingPoint]:
+    """Coupling powers [W] whose working point has the target cooperativities, and that point.
 
-    n = E^2 / (kappa^2 + Delta^2) with E^2 = 2 kappa P / (hbar omega_c) gives
-    P = n hbar omega_c (kappa^2 + Delta^2) / (2 kappa).  In effective mode
-    Delta is the stored detuning.  In bare mode it is Delta_i(q0), with q0 the
-    smallest-|q0| real root of the force balance with this cavity's photon
-    number held at n and the other cavity driven at ``other_power``.  Whether
-    the forward solve at this power picks the same root is for the caller to
-    confirm.
+    ``c1=None`` drives cavity 1 at ``p_c1`` and targets C2 alone.  A target fixes a
+    photon number, n_i = C_i kappa_i gamma_m / g_i^2 (ConvergenceError unless finite and
+    > 0; a zero target holds no photons), and n_i = E_i^2 / (kappa_i^2 + Delta_i^2) with
+    E_i^2 = 2 kappa_i P_i / (hbar omega_ci) gives P_i = n_i hbar omega_ci (kappa_i^2 +
+    Delta_i^2) / (2 kappa_i).  In effective mode Delta_i is the stored detuning.  In bare
+    mode it is Delta_i(q0), with q0 the smallest-|q0| real root of the force balance with
+    the target photon numbers held: linear in q0 when both are, the cubic when cavity 1
+    is driven at ``p_c1``.  One forward solve at these powers confirms the branch: every
+    target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
+    ``known`` is a (drives, working point) pair the caller holds at the same params and
+    mode; when the powers come out as those drives, that point is checked instead.
     """
-    i = cavity_index - 1
-    kappa = (params.kappa1, params.kappa2)[i]
-    delta = (params.delta_bare1, params.delta_bare2)[i]
-    if detuning_mode == "bare":  # the held photon number replaces this cavity's own drive
-        e1 = drive_amplitude(other_power, params.omega_c1, params.kappa1)
-        e2 = drive_amplitude(other_power, params.omega_c2, params.kappa2)
-        held = (photons, None) if i == 0 else (None, photons)
-        q0 = min(_real_roots(params, _terms(params, e1, e2, held)), key=abs)
-        delta += (-params.g1, params.g2)[i] * q0
-    elif detuning_mode != "effective":
+    if detuning_mode not in ("effective", "bare"):
         raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
-    carrier = (params.omega_c1, params.omega_c2)[i]
-    return photons * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa)
+    cavities = ((params.g1, params.kappa1, params.omega_c1),
+                (params.g2, params.kappa2, params.omega_c2))
+    targets, photons = [], []
+    for c, (g, kappa, _) in zip((c1, c2), cavities):
+        n = None  # cavity 1 driven at p_c1
+        if c is not None:
+            c = float(c)  # a numpy scalar would warn where the arithmetic overflows
+            if not 0.0 <= c < math.inf:
+                raise InvalidParameterError("target cooperativity must be finite and >= 0")
+            n = c * kappa * params.gamma_m / (g * g) if g * g > 0 else math.inf
+            if c == 0.0:
+                n = 0.0
+            elif not 0.0 < n < math.inf:
+                raise ConvergenceError(
+                    f"target cooperativity unreachable: {n!r} photons at g = {g!r}")
+        targets.append(c)
+        photons.append(n)
+    deltas = (params.delta_bare1, params.delta_bare2)
+    if detuning_mode == "bare":  # a held photon number replaces its cavity's own drive
+        e1 = drive_amplitude(p_c1, params.omega_c1, params.kappa1)
+        q0 = min(_real_roots(params, _terms(params, e1, 0.0, photons)), key=abs)
+        deltas = (params.delta_bare1 - params.g1 * q0, params.delta_bare2 + params.g2 * q0)
+    powers = [p_c1 if c1 is None else 0.0, 0.0]
+    for i, ((_, kappa, carrier), n, delta) in enumerate(zip(cavities, photons, deltas)):
+        if n:  # not cavity 1 at p_c1 (None) or a zero target
+            powers[i] = n * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa)
+            if not (powers[i] < math.inf
+                    and math.isfinite(drive_amplitude(powers[i], carrier, kappa))):
+                raise ConvergenceError("target cooperativity unreachable: "
+                                       f"{powers[i]!r} W or its drive amplitude overflows")
+    drives = DriveConfig(*powers)
+    if known is not None and known[0] == drives:
+        wp = known[1]
+    else:
+        wp = solve_working_point(params, drives, detuning_mode)
+    for c, (g, kappa, _), n in zip(targets, cavities, (wp.n1, wp.n2)):
+        if not c:
+            continue
+        achieved = cooperativity(g, n, kappa, params.gamma_m)
+        if not abs(achieved - c) <= INVERSION_RTOL * c:
+            got = "NaN" if math.isnan(achieved) else repr(achieved)
+            raise ConvergenceError(
+                f"cooperativity inversion off target: {got} vs {c} "
+                "(the forward solve found another branch)",
+                residual=abs(achieved - c) / c,
+            )
+    return drives, wp
 
 
 def drift_matrix(wp: WorkingPoint, params: SystemParams) -> np.ndarray:

@@ -14,9 +14,7 @@ def params():
 @pytest.fixture(scope="session")
 def drives_c40(params):
     """Coupling powers producing C1 = C2 = 40 at the pinned operating point."""
-    p1 = invert_cooperativity(40.0, 1, params)
-    p2 = invert_cooperativity(40.0, 2, params)
-    return om.DriveConfig(p_c1=p1, p_c2=p2)
+    return invert_cooperativity(params, 40.0, 40.0)[0]
 
 
 @pytest.fixture(scope="session")

@@ -42,8 +42,8 @@ def test_criterion_01_critical_power(params):
 
 
 def test_criterion_02_cooperativity_power_mapping(params):
-    p1 = cli.invert_cooperativity(40.0, 1, params)
-    p2 = cli.invert_cooperativity(40.0, 2, params)
+    drives, _ = cli.invert_cooperativity(params, 40.0, 40.0)
+    p1, p2 = drives.p_c1, drives.p_c2
     assert p1 == pytest.approx(1.3e-3, rel=0.05)
     assert p2 == pytest.approx(3.3e-6, rel=0.05)
     report(2, f"C1=40 at {p1 * 1e3:.3f} mW, C2=40 at {p2 * 1e6:.3f} uW (5% of 1.3 mW / 3.3 uW)")
@@ -78,7 +78,7 @@ def test_criterion_05_eia_half_width(params, wp_c40):
 
 
 def test_criterion_06_root_structure(params):
-    p_c1 = cli.invert_cooperativity(40.0, 1, params)
+    p_c1 = cli.invert_cooperativity(params, 40.0, 0.0)[0].p_c1
     assert p_c1 < om.critical_power(params)
     ratios = np.linspace(0.0, 1.0, 201)
     sets = [
@@ -158,15 +158,10 @@ def test_criterion_09_switching(params, wp_c40, drives_c40):
 
 
 def test_criterion_10_dark_mode_trend(params):
-    p_c1 = cli.invert_cooperativity(40.0, 1, params)
+    p_c1 = cli.invert_cooperativity(params, 40.0, 0.0)[0].p_c1
     intensities = []
     for ratio in np.linspace(0.0, 1.0, 21):
-        p_c2 = (
-            cli.invert_cooperativity(40.0 * ratio, 2, params, other_power=p_c1)
-            if ratio > 0
-            else 0.0
-        )
-        wp = om.solve_working_point(params, om.DriveConfig(p_c1=p_c1, p_c2=p_c2))
+        _, wp = cli.invert_cooperativity(params, None, 40.0 * ratio, p_c1=p_c1)
         resp = probe_outputs(
             solve_sidebands(wp, params, params.omega_m, rwa=True), wp, params
         )

@@ -322,11 +322,10 @@ def test_peak_height_matches_response_at_zero(params):
 def test_routing_optima_at_line_center(params, c1):
     """RWA at x = 0: reflection vanishes at C2 = C1 - 1 (transmission C2/C1), transmission
     peaks at C2 = C1 + 1 (at C1/(C1 + 1)), and C2 = C1 reflects (1/(1 + 2 C1))^2."""
-    p1 = cli.invert_cooperativity(c1, 1, params)
+    p1 = cli.invert_cooperativity(params, c1, 0.0)[0].p_c1
 
     def line_center(c2):
-        p2 = cli.invert_cooperativity(c2, 2, params, other_power=p1)
-        wp = om.solve_working_point(params, om.DriveConfig(p_c1=p1, p_c2=p2))
+        _, wp = cli.invert_cooperativity(params, None, c2, p_c1=p1)
         return response_grid(wp, params, params.omega_m, "rwa")
 
     dark = line_center(c1 - 1.0)

@@ -27,12 +27,12 @@ def test_parse_power_forms():
 
 
 def test_invert_cooperativity_trivial_and_reference(params):
-    assert cli.invert_cooperativity(0.0, 1, params) == 0.0
-    p1 = cli.invert_cooperativity(40.0, 1, params)
+    assert cli.invert_cooperativity(params, 0.0, 0.0)[0] == om.DriveConfig(0.0, 0.0)
+    p1 = cli.invert_cooperativity(params, 40.0, 0.0)[0].p_c1
     assert p1 == pytest.approx(1.3e-3, rel=0.05)
-    p2 = cli.invert_cooperativity(40.0, 2, params)
+    p2 = cli.invert_cooperativity(params, 0.0, 40.0)[0].p_c2
     assert p2 == pytest.approx(3.3e-6, rel=0.05)
-    p2_half = cli.invert_cooperativity(20.0, 2, params)
+    p2_half = cli.invert_cooperativity(params, 0.0, 20.0)[0].p_c2
     assert p2_half == pytest.approx(1.6e-6, rel=0.05)
     # round trip through the working point
     wp = om.solve_working_point(params, om.DriveConfig(p_c1=p1, p_c2=p2))
@@ -47,7 +47,7 @@ def test_invert_cooperativity_unreachable():
         kappa1=1e6, kappa2=1e2, g1=0.0, g2=5.0,
     )
     with pytest.raises(om.ConvergenceError):
-        cli.invert_cooperativity(10.0, 1, p)
+        cli.invert_cooperativity(p, 10.0, 0.0)
 
 
 def test_nan_during_inversion_exits_3(params, monkeypatch, capsys):
@@ -60,24 +60,30 @@ def test_nan_during_inversion_exits_3(params, monkeypatch, capsys):
             return math.nan
         return real_cooperativity(g, n, kappa, gamma_m)
 
-    monkeypatch.setattr(cli, "cooperativity", nan_inside_bracket)
+    monkeypatch.setattr(om.working_point, "cooperativity", nan_inside_bracket)
     with pytest.raises(om.ConvergenceError, match="NaN"):
-        cli.invert_cooperativity(40.0, 1, params)
+        cli.invert_cooperativity(params, 40.0, 0.0)
     assert cli.main(["invert", "--target", "40", "--cavity", "1"]) == 3
     assert "solver error" in capsys.readouterr().err
 
 
-def test_inversion_landing_on_another_branch_exits_3(params, tmp_path, capsys):
-    # a solve that returns another working point than the closed form's
-    def other_branch(drives):
-        return om.solve_working_point(params, om.DriveConfig(drives.p_c1 / 2, drives.p_c2))
+def test_inversion_landing_on_another_branch_exits_3(params, tmp_path, capsys, monkeypatch):
+    # a forward solve that returns another working point than the closed form's
+    real_solve = om.solve_working_point
 
+    def other_branch(params, drives, detuning_mode="effective"):
+        return real_solve(params, om.DriveConfig(drives.p_c1 / 2, drives.p_c2), detuning_mode)
+
+    monkeypatch.setattr(om.working_point, "solve_working_point", other_branch)
     with pytest.raises(om.ConvergenceError, match="another branch"):
-        cli.invert_cooperativity(40.0, 1, params, solve=other_branch)
+        cli.invert_cooperativity(params, 40.0, 0.0)
+    assert cli.main(["invert", "--target", "40", "--cavity", "1"]) == 3
+    assert "another branch" in capsys.readouterr().err
+    monkeypatch.undo()
     # bare mode, C1 = 1e5 alone: the held photon number puts q0 on the upper branch of the
     # bistable force balance, but the forward solve takes the smallest-|q0| (lower) branch
     with pytest.raises(om.ConvergenceError, match="another branch"):
-        cli.invert_cooperativity(1e5, 1, params, detuning_mode="bare")
+        cli.invert_cooperativity(params, 1e5, 0.0, "bare")
     bare = tmp_path / "bare.json"
     bare.write_text(json.dumps({"detuning_mode": "bare"}))
     assert run_main(["invert", "--target", "1e5", "--cavity", "1", "--scenario", bare]) == 3
@@ -316,6 +322,35 @@ def test_overflowing_eia_splitting_exits_3(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err == "solver error: EIA splitting: Gamma_EIT^2 overflows at Gamma_EIT = " \
                   "3.141593e+203 rad/s\n"
+    assert list(out.iterdir()) == []
+
+
+# 800 PB of float64, above the 2**57-byte (144 PB) virtual address space of any current
+# 64-bit CPU, so the allocation fails at once and nothing is allocated
+HUGE = 10**17
+UNALLOCATABLE = {  # case: (command, scenario or preset, extra arguments)
+    "ratio_points": ("sweep", "fig5", ["--points", HUGE]),
+    "roots_points": ("roots", "fig3", ["--points", HUGE]),
+    "probe_n_points": ("sweep", {"sweep": {"kind": "probe_x", "n_points": HUGE}}, []),
+    "time_n_samples": ("integrate", {"sweep": {"kind": "time_domain", "t_final": 1e-6,
+                                               "n_samples": HUGE}}, []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNALLOCATABLE))
+def test_unallocatable_grid_exits_2(tmp_path, capsys, case):
+    """A grid or trace too large to allocate is an input error: one line, exit 2, no table."""
+    command, scenario, extra = UNALLOCATABLE[case]
+    if isinstance(scenario, dict):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        scenario = path
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main([command, "--scenario", scenario, *extra, "--out", out / "t.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: Unable to allocate") and captured.out == ""
+    assert "Traceback" not in captured.err and captured.err.count("\n") == 1
     assert list(out.iterdir()) == []
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 import oemsim as om
 from oemsim import cli
+from oemsim import working_point as wpmod
 
 
 def old_write_table(path, columns, rows, out_format):
@@ -166,25 +167,32 @@ def test_cli_sweeps_never_call_the_scalar_solvers(tmp_path, monkeypatch):
 
 
 def counted(monkeypatch, name):
+    """Record every call of ``working_point.<name>``, made from cli or from working_point."""
     calls = []
-    real = getattr(cli, name)
+    real = getattr(wpmod, name)
 
     def wrapper(*args, **kwargs):
         calls.append((args, tuple(sorted(kwargs.items()))))
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, wrapper)
+    for module in (cli, wpmod):
+        monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
 def test_invert_cooperativity_solves_each_power_once(params, monkeypatch):
     solves = counted(monkeypatch, "solve_working_point")
     for mode in ("effective", "bare"):
-        solves.clear()
-        power = cli.invert_cooperativity(35.0, 1, params, detuning_mode=mode)
-        assert power > 0
-        drives = [args[1] for args, _ in solves]
-        assert len(drives) == len(set(drives)), Counter(drives).most_common(1)
+        p1 = cli.invert_cooperativity(params, 35.0, 0.0, mode)[0].p_c1
+        for c1, c2, p_c1 in ((35.0, 0.0, 0.0), (0.0, 35.0, 0.0), (35.0, 20.0, 0.0),
+                             (None, 20.0, p1)):
+            solves.clear()
+            drives, wp = cli.invert_cooperativity(params, c1, c2, mode, p_c1=p_c1)
+            assert drives.p_c1 > 0 or drives.p_c2 > 0
+            assert [args[1] for args, _ in solves] == [drives]  # the one confirming solve
+            solves.clear()
+            held = cli.invert_cooperativity(params, c1, c2, mode, p_c1=p_c1, known=(drives, wp))
+            assert held == (drives, wp) and not solves  # a point the caller holds: no solve
 
 
 def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
@@ -204,39 +212,45 @@ def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "invert_cooperativity", invert)
     cli.run_scenario(scenario)
-    # an inversion is a closed form plus one confirming solve, shared through the run's memo
+    # an inversion is a closed form plus at most one confirming solve: none when it lands on
+    # drives the run already holds (here the C1-alone power is the resolved one)
     assert solves_per_inversion and max(solves_per_inversion) <= 1, solves_per_inversion
     drives = Counter(args[1] for args, _ in solves)
     assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
 
     run = cli.Run(scenario)
-    monkeypatch.setattr(cli, "solve_working_point", None)  # anything left to solve fails
+    for module in (cli, wpmod):  # anything left to solve fails
+        monkeypatch.setattr(module, "solve_working_point", None)
     summary = cli.derive_summary(run)
     assert cli._auto_probe_points(run, -1.0, 1.0) >= 801
     monkeypatch.undo()
     assert cli.derive_summary(cli.Run(scenario)) == summary
 
 
-def test_bare_mode_hits_both_targets(tmp_path, monkeypatch):
-    """Both targets in bare mode: resolve_drives inverts C1, then C2 at that power, then C1
-    again at the final C2 power; derive and a ratio sweep both land on the two targets."""
+def test_bare_mode_hits_both_targets(tmp_path, monkeypatch, capsys):
+    """Both targets in bare mode: resolve_drives holds both photon numbers in one inversion,
+    whose one forward solve lands on C1 = C2 = 40; derive and a ratio sweep both report them."""
     doc = {"detuning_mode": "bare", "drives": {"c1": 40.0, "c2": 40.0},
            "sweep": {**RATIO, "n_points": 3}, "output": {"path": str(tmp_path / "r.csv")}}
     scenario = cli.Scenario.from_dict(doc)
     inversions = counted(monkeypatch, "invert_cooperativity")
     solves = counted(monkeypatch, "solve_working_point")
     run = cli.Run(scenario)
-    assert [args[1] for args, _ in inversions] == [1, 2, 1]
-    assert run.c1 == pytest.approx(40.0, rel=1e-9)
-    assert run.c2 == pytest.approx(40.0, rel=1e-9)
+    assert len(inversions) == 1
+    assert [args[1] for args, _ in solves] == [run.drives]
+    assert abs(run.c1 - 40.0) <= 1e-12 and abs(run.c2 - 40.0) <= 1e-12, (run.c1, run.c2)
     derived = cli.derive_summary(run)
     solves.clear()
     swept = cli.run_scenario(scenario)
-    for summary in (derived, swept):
-        assert summary["c1"] == pytest.approx(40.0, rel=1e-9)
-        assert summary["c2"] == pytest.approx(40.0, rel=1e-9)
     drives = Counter(args[1] for args, _ in solves)
     assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"detuning_mode": "bare", "drives": {"c1": 40.0, "c2": 40.0}}))
+    capsys.readouterr()
+    assert cli.main(["derive", "--scenario", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    for summary in (derived, swept, printed):
+        assert abs(summary["c1"] - 40.0) <= 1e-12 and abs(summary["c2"] - 40.0) <= 1e-12
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 3
 
 
@@ -256,7 +270,6 @@ def test_auto_probe_grid_follows_the_absorption_peak_width(tmp_path):
 
 def test_resolved_drives_match_working_point(params):
     scenario = cli.Scenario.from_dict({"drives": {"c1": 25.0, "c2": 10.0}})
-    solve = cli._memo_solver(scenario.params, scenario.detuning_mode)
-    drives, c1, c2, wp = cli.resolve_drives(scenario, solve)
+    drives, c1, c2, wp = cli.resolve_drives(scenario)
     assert wp == om.solve_working_point(params, drives)
     assert c1 == pytest.approx(25.0, rel=1e-9) and c2 == pytest.approx(10.0, rel=1e-9)

@@ -17,7 +17,7 @@ def el_of(sol, params):
 
 @pytest.fixture(scope="module")
 def drives_c40_only(params):
-    return om.DriveConfig(p_c1=invert_cooperativity(40.0, 1, params), p_c2=0.0)
+    return invert_cooperativity(params, 40.0, 0.0)[0]
 
 
 def test_empty_cavity_lorentzian():

@@ -53,6 +53,15 @@ def oracle_margin(a, scale):
     return hi * scale
 
 
+def tone2_blue_rows(ratios):
+    """The TONE2_BLUE run and its working points at C2 = ratio * C1, cavity 1 at the C1-alone
+    power, ungated."""
+    run = cli.Run(cli.Scenario.from_dict(TONE2_BLUE))
+    p1 = run.alone[0].p_c1
+    params = run.scenario.params
+    return run, [cli.invert_cooperativity(params, None, r * run.c1, p_c1=p1)[1] for r in ratios]
+
+
 def run_wp(doc):
     run = cli.Run(cli.Scenario.from_dict(doc))
     return run, run.wp, run.scenario.params
@@ -90,8 +99,7 @@ def test_margin_matches_routh_hurwitz_oracle():
 
 
 def test_stacked_margins_equal_per_point_margins():
-    run = cli.Run(cli.Scenario.from_dict(TONE2_BLUE))
-    wps = [run.solve(run.scaled_drives(r)) for r in (0.0, 0.5, 1.5, 2.0)]
+    run, wps = tone2_blue_rows((0.0, 0.5, 1.5, 2.0))
     stacked = cli._stacked(wps)
     params = run.scenario.params
     assert wpmod.drift_matrix(stacked, params).shape == (4, 6, 6)
@@ -100,10 +108,10 @@ def test_stacked_margins_equal_per_point_margins():
 
 
 def test_gate_names_the_first_unstable_row():
-    run = cli.Run(cli.Scenario.from_dict(TONE2_BLUE))
+    run, wps = tone2_blue_rows((0.0, 1.0, 1.5, 2.0))
     params = run.scenario.params
     # tone 2 blue-detuned amplifies once C2 exceeds C1 + 1: rows 2 and 3 grow
-    stacked = cli._stacked([run.solve(run.scaled_drives(r)) for r in (0.0, 1.0, 1.5, 2.0)])
+    stacked = cli._stacked(wps)
     with pytest.raises(om.UnstableWorkingPointError, match=r"^sweep row 2: unstable") as info:
         wpmod.require_stable(stacked, params, "sweep")
     assert info.value.row == 2

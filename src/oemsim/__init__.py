@@ -35,13 +35,7 @@ from .errors import (
     StepSizeError,
     UnstableWorkingPointError,
 )
-from .linear_response import (
-    ProbeResponse,
-    SidebandSolution,
-    probe_outputs,
-    solve_sidebands,
-    solve_sidebands_closed_form,
-)
+from .linear_response import ProbeResponse, response_grid
 from .oscillators import (
     OscillatorModel,
     Trajectory,
@@ -80,7 +74,6 @@ __all__ = [
     "ProbeResponse",
     "RwaCoefficients",
     "ScenarioError",
-    "SidebandSolution",
     "SingularResponseError",
     "StepSizeError",
     "SystemParams",
@@ -98,12 +91,10 @@ __all__ = [
     "from_working_point",
     "harmonic_steady_state",
     "peak_height",
-    "probe_outputs",
     "propagate",
+    "response_grid",
     "response_rwa",
     "root_trajectories",
-    "solve_sidebands",
-    "solve_sidebands_closed_form",
     "solve_working_point",
     "stability_margin",
 ]

@@ -134,27 +134,38 @@ def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarra
     q(y) = (y - k1)(y - 1/2)(y - k2) + s1 (y - k2) + s2 (y - k1) has real O(1)-O(1e4)
     coefficients, so purely imaginary x-roots come out with exactly real y.  The
     companion matrices are those np.roots builds and each eigenvalue gets one Newton
-    step, so each row equals the scalar np.roots solve bit for bit.  Returns the
-    (n, 3) roots in x, rows in ascending |Im|, the (n,) EIT-regime mask and the (n,)
-    normalized constant terms a3 = q(0).
+    step, so each row equals the scalar np.roots solve bit for bit.  A step that
+    overflows is taken divided through by y (the eigenvalue alone would put -a1/2 into
+    both widths of a huge pair), and the eigenvalue is kept where that fails too.
+    Returns the (n, 3) roots in x, rows in ascending |Im|, the (n,) EIT-regime mask and
+    the (n,) normalized constant terms a3 = q(0).  Raises SingularResponseError naming
+    the first row whose coefficients overflow.
     """
     # per set in Python floats: gamma_m**2 is libm pow, which numpy's g*g can miss by an ulp
     k1, k2, s1, s2, g = np.array(
         [(c.kappa1 / c.gamma_m, c.kappa2 / c.gamma_m, c.s1 / c.gamma_m**2,
           c.s2 / c.gamma_m**2, c.gamma_m) for c in coeff_sets]
     ).reshape(-1, 5).T
-    a1 = -(k1 + k2 + 0.5)
-    a2 = k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1 + s2
-    a3 = -(k1 * 0.5 * k2 + s1 * k2 + s2 * k1)
+    with np.errstate(over="ignore"):  # checked below
+        a1 = -(k1 + k2 + 0.5)
+        a2 = k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1 + s2
+        a3 = -(k1 * 0.5 * k2 + s1 * k2 + s2 * k1)
+    bad = np.flatnonzero(~np.isfinite(np.column_stack([a1, a2, a3])).all(axis=1))
+    if bad.size:
+        raise SingularResponseError(f"row {bad[0]}: the pole cubic's coefficients overflow")
     companion = np.zeros((len(g), 3, 3))
     companion[:, 0] = -np.column_stack([a1, a2, a3])
     companion[:, 1, 0] = 1.0
     companion[:, 2, 1] = a3 != 0  # an underflowed a3 deflates to the 2x2 np.roots builds
     y = np.linalg.eigvals(companion)
     a1, a2, a3, g = (v[:, None] for v in (a1, a2, a3, g))
-    p = ((y + a1) * y + a2) * y + a3
-    dp = (3.0 * y + 2.0 * a1) * y + a2
-    y = y - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+    with np.errstate(all="ignore"):  # a pair |y| ~ 1e125 (C2/C1 ~ 1e250) overflows y**3
+        p = ((y + a1) * y + a2) * y + a3
+        dp = (3.0 * y + 2.0 * a1) * y + a2
+        step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
+        step = np.where(np.isfinite(step), step,
+                        ((y + a1) * y + a2 + a3 / y) / (3.0 * y + 2.0 * a1 + a2 / y))
+    y = np.where(np.isfinite(step), y - step, y)
     x = -1j * y * g
     x = np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
     eit = np.all(np.abs(x.real) <= PURE_IMAG_TOL * np.maximum(np.abs(x.imag), g), axis=1)
@@ -178,10 +189,10 @@ def root_trajectories(coeff_sets: Sequence[RwaCoefficients]) -> np.ndarray:
     point, starting from ascending-|Im| order, so each column is one
     continuous trajectory.
 
-    Raises SingularResponseError, naming the first such row, when a set's
-    normalized constant term is below the smallest normal float: with every
-    rate > 0 it is then a subnormal or underflowed product, and the narrowest
-    pole, which scales with it, has lost digits.
+    Raises SingularResponseError, naming the first such row, as ``_poles`` does
+    or when a set's normalized constant term is below the smallest normal float:
+    with every rate > 0 it is then a subnormal or underflowed product, and the
+    narrowest pole, which scales with it, has lost digits.
     """
     out, _, a3 = _poles(coeff_sets)
     lost = np.flatnonzero(np.abs(a3) < np.finfo(float).tiny)
@@ -190,10 +201,11 @@ def root_trajectories(coeff_sets: Sequence[RwaCoefficients]) -> np.ndarray:
             f"row {lost[0]}: the pole cubic's constant term {a3[lost[0]]:.3e} (in gamma_m "
             "units) is below the smallest normal float, so its narrow pole has lost digits")
     perms = np.array(list(permutations(range(3))))  # itertools order: ties keep the first
-    for i in range(1, len(out)):
-        candidates = out[i][perms]
-        d = np.abs(candidates - out[i - 1]) ** 2
-        out[i] = candidates[np.argmin(d[:, 0] + d[:, 1] + d[:, 2])]
+    with np.errstate(over="ignore"):  # poles ~1e154 rad/s: an overflowed distance loses
+        for i in range(1, len(out)):
+            candidates = out[i][perms]
+            d = np.abs(candidates - out[i - 1]) ** 2
+            out[i] = candidates[np.argmin(d[:, 0] + d[:, 1] + d[:, 2])]
     return out
 
 

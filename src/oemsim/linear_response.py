@@ -18,9 +18,8 @@ its three decay channels.
 
 One kernel, ``_solve_grid``, solves every model on a whole grid at once by
 eliminating the cavity rows into the mechanical row, and gates every point
-on its re-substitution residual.  ``response_grid`` adds the observables;
-it is what the CLI runs.  ``solve_sidebands`` and
-``solve_sidebands_closed_form`` are one point of the same kernel.
+on its re-substitution residual.  ``response_grid``, the one public entry,
+adds the observables; ``model`` selects the system it solves.
 
 All sideband amplitudes are normalized per unit probe amplitude (E_p = 1
 internally); thermal occupations are taken as zero.
@@ -64,17 +63,15 @@ class SidebandSolution:
 class ProbeResponse:
     """Observables at one probe detuning (arrays over a grid), flux-normalized to the probe input.
 
-    x = delta - omega_m.  e_l and e_r are the normalized output-field
-    amplitudes 2 kappa_i a_i+ / E_p; the physical cavity-1 output at the
-    probe frequency is e_l - 1.  reflect_flux = |e_l - 1|^2 and
-    transmit_flux = (kappa1/kappa2) |e_r|^2 are photon-flux fractions;
-    mech_intensity = |Q_+|^2 / E_p^2.  flux_budget sums reflection,
-    transmission, lower-sideband output and mechanical-bath absorption; it
-    is exactly 1 for the RWA model.  transduced_frequency is where the
-    cavity-2 upper sideband emerges: omega_c2 + (omega_p - omega_c1).
+    e_l and e_r are the normalized output-field amplitudes 2 kappa_i a_i+ / E_p;
+    the physical cavity-1 output at the probe frequency is e_l - 1.
+    reflect_flux = |e_l - 1|^2 and transmit_flux = (kappa1/kappa2) |e_r|^2 are
+    photon-flux fractions; mech_intensity = |Q_+|^2 / E_p^2.  flux_budget sums
+    reflection, transmission, lower-sideband output and mechanical-bath
+    absorption; it is exactly 1 for the RWA model.  The cavity-2 upper sideband
+    emerges at omega_c2 + (omega_p - omega_c1) = omega_c2 + delta.
     """
 
-    x: float
     e_l: complex
     e_r: complex
     reflect_flux: float
@@ -84,12 +81,9 @@ class ProbeResponse:
     lower_sideband_flux2: float
     bath_flux: float
     flux_budget: float
-    transduced_frequency: float
 
 
-def probe_outputs(
-    sol: SidebandSolution, wp: WorkingPoint, params: SystemParams
-) -> ProbeResponse:
+def probe_outputs(sol: SidebandSolution, params: SystemParams) -> ProbeResponse:
     """Assemble the flux-normalized observables from a sideband solution (scalars or arrays).
 
     Flux bookkeeping (probe input flux = E_p^2/(2 kappa1) photons/s):
@@ -113,7 +107,6 @@ def probe_outputs(
     else:
         bath = 4.0 * k1 * params.gamma_m * q2 * (sol.delta / params.omega_m) ** 2
     return ProbeResponse(
-        x=sol.delta - params.omega_m,
         e_l=e_l,
         e_r=e_r,
         reflect_flux=reflect,
@@ -123,7 +116,6 @@ def probe_outputs(
         lower_sideband_flux2=low2,
         bath_flux=bath,
         flux_budget=reflect + transmit + low1 + low2 + bath,
-        transduced_frequency=params.omega_c2 + sol.delta,
     )
 
 
@@ -196,37 +188,9 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
     return SidebandSolution(a1p, a1m, a2p, a2m, qp, delta, model != "full", residual)
 
 
-def _solve_point(wp: WorkingPoint, params: SystemParams, delta: float, model: str):
-    """One point of ``_solve_grid`` as a SidebandSolution of Python scalars."""
-    s = _solve_grid(wp, params, delta, model)
-    amplitudes = (s.a1_plus, s.a1_minus, s.a2_plus, s.a2_minus, s.q_plus)
-    return SidebandSolution(*map(complex, amplitudes), float(delta), s.rwa, float(s.residual))
-
-
-def solve_sidebands(
-    wp: WorkingPoint, params: SystemParams, delta: float, rwa: bool = False
-) -> SidebandSolution:
-    """Sideband amplitudes at probe-coupling detuning delta: one point of the
-    "full" (or, with ``rwa=True``, the "rwa") kernel that ``response_grid`` runs.
-
-    Raises SingularResponseError, with ``.delta`` set, if the point fails the
-    1e-10 re-substitution gate (a singular or non-finite system).
-    """
-    return _solve_point(wp, params, delta, "rwa" if rwa else "full")
-
-
-def solve_sidebands_closed_form(
-    wp: WorkingPoint, params: SystemParams, delta: float
-) -> SidebandSolution:
-    """RWA sideband amplitudes by nested elimination instead of the arrow elimination:
-    one point of the "analytic" kernel.  Agrees with ``solve_sidebands(..., rwa=True)``
-    to rounding error; raises as it does.
-    """
-    return _solve_point(wp, params, delta, "analytic")
-
-
 def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> ProbeResponse:
-    """Probe response of ``model`` on a whole grid, as a ProbeResponse of arrays.
+    """Probe response of ``model`` ("full", "rwa", "analytic" or "oscillator") on a whole
+    grid: a ProbeResponse of arrays, or of scalars for a scalar delta and working point.
 
     The sideband amplitudes come from ``_solve_grid`` (broadcasting ``delta``
     against the working-point fields, 1e-10 residual gate), the observables
@@ -236,7 +200,7 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
     """
     sol = _solve_grid(wp, params, delta, model)
     with np.errstate(all="ignore"):  # a float overflow shows up as a non-finite observable
-        out = probe_outputs(sol, wp, params)
+        out = probe_outputs(sol, params)
     for name in ("reflect_flux", "transmit_flux", "mech_intensity", "flux_budget"):
         _check_rows(np.isfinite(getattr(out, name)), sol.delta, params.omega_m,
                     f"{model} response gives a non-finite {name}")

@@ -201,7 +201,10 @@ def propagate(
         give the map of one output stride and of the final partial stride, so
         the work grows with n_samples and only logarithmically with the steps
         per sample.  No eigenbasis and no matrix exponential enters, so it
-        stays an independent verification path.
+        stays an independent verification path.  It samples step 0, every
+        (n_steps // (n_samples - 1))-th step and the last step, so the row count
+        can differ from n_samples: 300 samples of 1000 steps give 335 rows, and
+        more samples than steps give n_steps + 1 rows.
     """
     if not t_final > 0:
         raise InvalidParameterError("t_final must be > 0")

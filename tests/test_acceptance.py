@@ -5,14 +5,11 @@ Each test prints one PASS line once its assertions hold; run with
 All tests run on the reference parameter set at desk scale (< 1 min total).
 """
 
-import math
-
 import numpy as np
 import pytest
 
 import oemsim as om
 from oemsim import cli
-from oemsim.linear_response import probe_outputs, solve_sidebands
 
 
 def report(num, text):
@@ -20,9 +17,9 @@ def report(num, text):
 
 
 def refine_peak(fun, x_lo, x_hi, n=801):
-    """Grid argmax plus one parabolic refinement step."""
+    """Grid argmax plus one parabolic refinement step; ``fun`` takes the whole grid."""
     xs = np.linspace(x_lo, x_hi, n)
-    vals = np.array([fun(x) for x in xs])
+    vals = fun(xs)
     i = int(np.clip(vals.argmax(), 1, n - 2))
     y0, y1, y2 = vals[i - 1], vals[i], vals[i + 1]
     denom = y0 - 2.0 * y1 + y2
@@ -30,9 +27,8 @@ def refine_peak(fun, x_lo, x_hi, n=801):
     return x_pk, fun(x_pk)
 
 
-def re_el(wp, params, x, rwa):
-    sol = solve_sidebands(wp, params, params.omega_m + x, rwa=rwa)
-    return (2.0 * params.kappa1 * sol.a1_plus).real
+def re_el(wp, params, x, model):
+    return om.response_grid(wp, params, params.omega_m + x, model).e_l.real
 
 
 def test_criterion_01_critical_power(params):
@@ -57,7 +53,7 @@ def test_criterion_03_eit_width(params):
 
 def test_criterion_04_eia_peak_height(params, wp_c40):
     x_pk, height = refine_peak(
-        lambda x: re_el(wp_c40, params, x, rwa=True),
+        lambda x: re_el(wp_c40, params, x, "rwa"),
         -0.5 * params.gamma_m, 0.5 * params.gamma_m, 401,
     )
     assert abs(x_pk) < 0.05 * params.gamma_m
@@ -98,36 +94,23 @@ def test_criterion_06_root_structure(params):
 def test_criterion_07_oracle_equivalence(params, wp_c40):
     coeffs = om.RwaCoefficients.from_working_point(wp_c40, params)
     model = om.from_working_point(wp_c40, params)
-    rng = np.random.default_rng(2024)
-    worst_solver = worst_osc = 0.0
-    for x in rng.uniform(-30 * params.gamma_m, 30 * params.gamma_m, 1000):
-        reference = om.response_rwa(x, coeffs)
-        sol = solve_sidebands(wp_c40, params, params.omega_m + x, rwa=True)
-        worst_solver = max(
-            worst_solver,
-            abs(2.0 * params.kappa1 * sol.a1_plus - reference) / abs(reference),
-        )
-        u, _, _ = om.harmonic_steady_state(model, params.omega_m + x)
-        worst_osc = max(worst_osc, abs(2.0 * params.kappa1 * u - reference) / abs(reference))
+    xs = np.random.default_rng(2024).uniform(-30 * params.gamma_m, 30 * params.gamma_m, 1000)
+    reference = om.response_rwa(xs, coeffs)
+    solver = om.response_grid(wp_c40, params, params.omega_m + xs, "rwa").e_l
+    worst_solver = np.max(np.abs(solver - reference) / np.abs(reference))
+    u = np.array([om.harmonic_steady_state(model, params.omega_m + x)[0] for x in xs])
+    worst_osc = np.max(np.abs(2.0 * params.kappa1 * u - reference) / np.abs(reference))
     assert worst_solver < 1e-10
     assert worst_osc < 1e-10
     report(7, f"1000 random x: solver {worst_solver:.2e}, oscillator {worst_osc:.2e} (< 1e-10)")
 
 
 def test_criterion_08_flux_conservation(params, wp_c40):
-    xs = np.linspace(-30.0, 30.0, 1201) * params.gamma_m
-    worst_rwa = 0.0
-    budget_lo, budget_hi = math.inf, -math.inf
-    for x in xs:
-        rwa = probe_outputs(
-            solve_sidebands(wp_c40, params, params.omega_m + x, rwa=True), wp_c40, params
-        )
-        worst_rwa = max(worst_rwa, abs(rwa.flux_budget - 1.0))
-        full = probe_outputs(
-            solve_sidebands(wp_c40, params, params.omega_m + x, rwa=False), wp_c40, params
-        )
-        budget_lo = min(budget_lo, full.flux_budget)
-        budget_hi = max(budget_hi, full.flux_budget)
+    deltas = params.omega_m + np.linspace(-30.0, 30.0, 1201) * params.gamma_m
+    rwa = om.response_grid(wp_c40, params, deltas, "rwa").flux_budget
+    worst_rwa = np.max(np.abs(rwa - 1.0))
+    full = om.response_grid(wp_c40, params, deltas, "full").flux_budget
+    budget_lo, budget_hi = full.min(), full.max()
     assert worst_rwa < 1e-9
     assert 0.98 <= budget_lo and budget_hi <= 1.02
     report(8, f"rwa |budget-1| <= {worst_rwa:.1e}; full budget in "
@@ -135,18 +118,14 @@ def test_criterion_08_flux_conservation(params, wp_c40):
 
 
 def test_criterion_09_switching(params, wp_c40, drives_c40):
-    on = probe_outputs(
-        solve_sidebands(wp_c40, params, params.omega_m, rwa=True), wp_c40, params
-    )
+    on = om.response_grid(wp_c40, params, params.omega_m, "rwa")
     transmit_expect = 4.0 * 40.0 * 40.0 / 81.0**2
     reflect_expect = (1.0 / 81.0) ** 2
     assert on.transmit_flux == pytest.approx(transmit_expect, abs=1e-3)
     assert on.reflect_flux == pytest.approx(reflect_expect, abs=1e-3)
 
     wp_off = om.solve_working_point(params, om.DriveConfig(p_c1=drives_c40.p_c1, p_c2=0.0))
-    off = probe_outputs(
-        solve_sidebands(wp_off, params, params.omega_m, rwa=True), wp_off, params
-    )
+    off = om.response_grid(wp_off, params, params.omega_m, "rwa")
     ratio_tr = on.transmit_flux / on.reflect_flux
     ratio_off_on = off.reflect_flux / on.reflect_flux
     assert ratio_tr >= 1e3
@@ -162,10 +141,7 @@ def test_criterion_10_dark_mode_trend(params):
     intensities = []
     for ratio in np.linspace(0.0, 1.0, 21):
         _, wp = cli.invert_cooperativity(params, None, 40.0 * ratio, p_c1=p_c1)
-        resp = probe_outputs(
-            solve_sidebands(wp, params, params.omega_m, rwa=True), wp, params
-        )
-        intensities.append(resp.mech_intensity)
+        intensities.append(om.response_grid(wp, params, params.omega_m, "rwa").mech_intensity)
     intensities = np.array(intensities)
     assert np.all(np.diff(intensities) < 0)
     suppression = intensities[-1] / intensities[0]
@@ -176,9 +152,9 @@ def test_criterion_10_dark_mode_trend(params):
 
 def test_criterion_11_full_model_peak_shift(params, wp_c40):
     gm = params.gamma_m
-    x_full, h_full = refine_peak(lambda x: re_el(wp_c40, params, x, rwa=False),
+    x_full, h_full = refine_peak(lambda x: re_el(wp_c40, params, x, "full"),
                                  -3.0 * gm, 3.0 * gm, 1201)
-    x_rwa, h_rwa = refine_peak(lambda x: re_el(wp_c40, params, x, rwa=True),
+    x_rwa, h_rwa = refine_peak(lambda x: re_el(wp_c40, params, x, "rwa"),
                                -3.0 * gm, 3.0 * gm, 1201)
     assert abs(x_full) < 2.0 * gm
     assert h_full == pytest.approx(h_rwa, rel=0.05)

@@ -270,6 +270,40 @@ def test_roots_with_subnormal_constant_term_exits_3(tmp_path, capsys, kappa_hz, 
         assert [p.name for p in out.iterdir()] == ["r.csv"]
 
 
+HUGE_RATIO = {  # case: (params, ratio_max, exit code)
+    "pair_cube_overflows": ({}, 1e250, 0),  # y**3 of the pair poles in the Newton step
+    "pair_distance_overflows": ({}, 1e300, 0),  # |x|^2 in the trajectory matching
+    "coefficient_overflows": ({"kappa1_hz": 1e13}, 1e300, 3),  # s2 * kappa1 / gamma_m^3
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_RATIO))
+def test_roots_at_huge_c2_over_c1(tmp_path, capsys, params, case):
+    """Past C2/C1 = 0 the rows follow the large-C2 limit: pair widths (gamma_m/2 + kappa2)/2
+    and third width kappa1 (C2/C1 = 5e249 used to print nan with exit 0).  A cubic whose
+    coefficients overflow is a solver error naming its row.  No RuntimeWarning either way."""
+    extra, ratio_max, code = HUGE_RATIO[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": extra, "sweep": {
+        "kind": "roots_vs_ratio", "ratio_max": ratio_max, "n_points": 3}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(["roots", "--scenario", path, "--out", out / "r.csv"]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("solver error: row 1: the pole cubic's coefficients overflow")
+        assert list(out.iterdir()) == []
+        return
+    assert err == ""
+    widths = np.loadtxt(out / "r.csv", delimiter=",", skiprows=1)[1:, 1:4]
+    gm = params.gamma_m
+    limit = [(gm / 2 + params.kappa2) / 2 / gm] * 2 + [params.kappa1 / gm]
+    for row in widths:
+        assert np.sort(row) == pytest.approx(limit, rel=1e-11)
+
+
 BLUE_DETUNED = {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}, "model": "full"}
 TONE2_BLUE = {"params": {"delta2_hz": -1e7}, "drives": {"c1": 40.0, "c2": 0.0}}
 UNSTABLE = {  # case: (command, scenario, the start of the error line)

@@ -24,7 +24,9 @@ def test_cli_import_loads_no_scipy():
                "assert not any(m.startswith('scipy') for m in sys.modules)")
 
 
-def test_exceptional_point_fallback_loads_no_scipy():
+def test_exact_propagator_takes_one_expm_and_loads_no_scipy():
+    """An exact_propagator run makes one ``_expm`` call, on the 4x4 generator, and
+    loads no scipy module."""
     run_python(
         "import sys, oemsim as om\n"
         "from oemsim import oscillators\n"

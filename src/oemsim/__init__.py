@@ -46,10 +46,8 @@ from .oscillators import (
 from .params import (
     HBAR,
     DriveConfig,
-    Geometry,
     SystemParams,
     cooperativity,
-    coupling_from_geometry,
     critical_power,
     default_params,
     drive_amplitude,
@@ -66,7 +64,6 @@ __all__ = [
     "ConvergenceError",
     "DriveConfig",
     "EiaSplitting",
-    "Geometry",
     "InvalidParameterError",
     "OscillatorModel",
     "PeakHeight",
@@ -81,7 +78,6 @@ __all__ = [
     "UnstableWorkingPointError",
     "WorkingPoint",
     "cooperativity",
-    "coupling_from_geometry",
     "critical_power",
     "default_params",
     "denominator_roots",

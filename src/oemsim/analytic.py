@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,8 +86,7 @@ class RwaCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class PoleSet:
+class PoleSet(NamedTuple):
     """The three response poles, ordered by ascending |Im|.
 
     classification is EIT_regime when every root is purely imaginary within
@@ -209,8 +208,7 @@ def root_trajectories(coeff_sets: Sequence[RwaCoefficients]) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class EiaSplitting:
+class EiaSplitting(NamedTuple):
     """Splitting of the transparency-window pole by the second coupling tone.
 
     gamma_plus/gamma_minus are the two descendants of Gamma_EIT (complex when
@@ -230,8 +228,8 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
 
     All Gamma quantities are half-widths (pole decay rates).  s2 is the
     cavity-2 drive weight g2^2 |a20|^2 / 2, so the discriminant reads
-    Gamma_EIT^2 - 2 g2^2 |a20|^2.  A Gamma_EIT whose square overflows raises
-    ConvergenceError.
+    Gamma_EIT^2 - 2 g2^2 |a20|^2.  A Gamma_EIT whose square overflows or
+    underflows to 0 raises ConvergenceError.
     """
     _require_positive(gamma_eit, "gamma_eit")
     _require_non_negative(s2, "s2")
@@ -241,6 +239,9 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     except OverflowError:
         raise ConvergenceError(
             f"EIA splitting: Gamma_EIT^2 overflows at Gamma_EIT = {gamma_eit:.6e} rad/s") from None
+    if gamma_sq == 0.0:
+        raise ConvergenceError(
+            f"EIA splitting: Gamma_EIT^2 underflows at Gamma_EIT = {gamma_eit:.6e} rad/s")
     disc = complex(gamma_sq - 4.0 * s2)
     root = np.sqrt(disc)
     gamma_plus = 0.5 * (gamma_eit + root)
@@ -256,8 +257,7 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     )
 
 
-@dataclass(frozen=True)
-class PeakHeight:
+class PeakHeight(NamedTuple):
     """Line-center response height: exact x=0 value and its large-C estimate."""
 
     exact: float

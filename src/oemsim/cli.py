@@ -25,10 +25,10 @@ import json
 import math
 import re
 import sys
-from dataclasses import astuple, dataclass, replace
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,8 +126,7 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     """Validated scenario document driving one CLI run.
 
     ``sweep`` is empty or holds every key of its kind (``SWEEP_KEYS``), already
@@ -185,6 +184,9 @@ class Scenario:
         sweep = _sweep_from_spec(doc.get("sweep", {}))
         if doc.get("variants") is not None and sweep.get("kind") != "probe_x":
             raise ScenarioError(f"variants need a probe_x sweep, got kind {sweep.get('kind')!r}")
+        if model == "full" and sweep.get("kind") == "roots_vs_ratio":
+            raise ScenarioError("the roots_vs_ratio table tracks the RWA poles; "
+                                "model 'full' has no such table")
         return cls(
             params=params,
             detuning_mode=mode,
@@ -338,27 +340,27 @@ class Run:
         if self.drives.p_c2 == 0.0:
             return self.wp
         s = self.scenario
-        return solve_working_point(s.params, replace(self.drives, p_c2=0.0), s.detuning_mode)
+        return solve_working_point(s.params, DriveConfig(self.drives.p_c1, 0.0), s.detuning_mode)
 
     @cached_property
     def alone(self) -> tuple[DriveConfig, WorkingPoint]:
         """Drives and working point for the run's C1 with tone 2 off; ratio rows share the power."""
         s = self.scenario
-        off = (replace(self.drives, p_c2=0.0), self.wp_off)
+        off = (DriveConfig(self.drives.p_c1, 0.0), self.wp_off)
         return invert_cooperativity(s.params, self.c1, 0.0, s.detuning_mode, known=off)
 
-    def scaled(self, ratios, what: str) -> list[WorkingPoint]:
-        """Working points at C2 = ratio * C1 (None: the run's own), gated as the batch ``what``."""
+    def scaled(self, targets, what: str) -> list[WorkingPoint]:
+        """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``."""
         s = self.scenario
         wps = []
-        for ratio in ratios:
-            if ratio is None:
+        for c2 in targets:
+            if c2 is None:
                 wps.append(self.wp)
-            elif ratio * self.c1 == 0.0:
+            elif c2 == 0.0:
                 wps.append(self.alone[1])
             else:
                 wps.append(invert_cooperativity(
-                    s.params, None, ratio * self.c1, s.detuning_mode,
+                    s.params, None, c2, s.detuning_mode,
                     p_c1=self.alone[0].p_c1, known=(self.drives, self.wp))[1])
         require_stable(_stacked(wps), s.params, what)
         return wps
@@ -462,9 +464,9 @@ def run_scenario(
         sweep = {**sweep, "n_points": _count(points_override, "--points")}
     if model_override:
         variants = [{**v, "model": model_override} for v in variants]
-    scenario = replace(scenario, sweep=sweep, variants=variants,
-                       model=model_override or scenario.model,
-                       out_format=format_override or scenario.out_format)
+    scenario = scenario._replace(sweep=sweep, variants=variants,
+                                 model=model_override or scenario.model,
+                                 out_format=format_override or scenario.out_format)
     out_path = Path(out_override or scenario.out_path or "sweep_output." + scenario.out_format)
     run = Run(scenario)
     summary = derive_summary(run)
@@ -486,11 +488,19 @@ def _variant_path(base: Path, label: str | None) -> Path:
 
 def _stacked(wps) -> WorkingPoint:
     """One WorkingPoint whose fields are arrays over ``wps``, for the kernel and the gate."""
-    return WorkingPoint(*map(np.array, zip(*map(astuple, wps))))
+    return WorkingPoint(*map(np.array, zip(*wps)))
 
 
-def _ratio_grid(sweep: dict) -> np.ndarray:
-    return np.linspace(sweep["ratio_min"], sweep["ratio_max"], sweep["n_points"])
+def _c2_targets(run: Run) -> tuple[np.ndarray, np.ndarray]:
+    """The sweep's C2/C1 grid and its C2 targets ratio * C1; ScenarioError if one overflows."""
+    sweep = run.scenario.sweep
+    ratios = np.linspace(sweep["ratio_min"], sweep["ratio_max"], sweep["n_points"])
+    with np.errstate(over="ignore"):  # checked below
+        c2 = ratios * run.c1
+    if not np.isfinite(c2).all():
+        raise ScenarioError(f"sweep.ratio_max = {sweep['ratio_max']!r} is too large: "
+                            f"C2 = ratio * C1 overflows at C1 = {run.c1:g}")
+    return ratios, c2
 
 
 def _probe_tables(run: Run):
@@ -499,8 +509,9 @@ def _probe_tables(run: Run):
     x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
     xs = np.linspace(x_min, x_max, sweep["n_points"] or _auto_probe_points(run, x_min, x_max))
     variants = run.scenario.variants
+    targets = [None if v["c2_over_c1"] is None else v["c2_over_c1"] * run.c1 for v in variants]
     # every variant's point is solved and gated before any table is written
-    wps = run.scaled([v["c2_over_c1"] for v in variants], "probe_x variant")
+    wps = run.scaled(targets, "probe_x variant")
     for variant, wp in zip(variants, wps):
         resp = response_grid(wp, params, params.omega_m + xs, variant["model"])
         yield variant["label"], PROBE_COLUMNS, _response_table(xs / gm, resp)
@@ -508,8 +519,8 @@ def _probe_tables(run: Run):
 
 def _ratio_tables(run: Run):
     params, sweep = run.scenario.params, run.scenario.sweep
-    ratios = _ratio_grid(sweep)
-    stacked = _stacked(run.scaled(ratios, "cooperativity_ratio"))
+    ratios, c2 = _c2_targets(run)
+    stacked = _stacked(run.scaled(c2, "cooperativity_ratio"))
     delta = params.omega_m + sweep["x_gamma_m"] * params.gamma_m
     resp = response_grid(stacked, params, delta, run.scenario.model)
     yield None, RATIO_COLUMNS, _response_table(ratios, resp)
@@ -517,15 +528,15 @@ def _ratio_tables(run: Run):
 
 def _root_tables(run: Run):
     params = run.scenario.params
-    ratios = _ratio_grid(run.scenario.sweep)
-    coeff_sets = [
-        RwaCoefficients.from_cooperativities(
-            run.c1, ratio * run.c1, params.kappa1, params.kappa2, params.gamma_m
-        )
-        for ratio in ratios
-    ]
-    trajectories = root_trajectories(coeff_sets)
-    gm = params.gamma_m
+    k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
+    ratios, c2 = _c2_targets(run)
+    with np.errstate(over="ignore"):  # the drive weight s2 of from_cooperativities
+        s2 = c2 * k2 * gm / 2.0
+    if not np.isfinite(s2).all():
+        raise ScenarioError(f"sweep.ratio_max = {run.scenario.sweep['ratio_max']!r} is too "
+                            f"large: the drive weight C2 kappa2 gamma_m / 2 overflows")
+    trajectories = root_trajectories(
+        [RwaCoefficients.from_cooperativities(run.c1, c, k1, k2, gm) for c in c2])
     yield None, ROOT_COLUMNS, np.column_stack(
         [ratios, -trajectories.imag / gm, trajectories.real / gm])
 

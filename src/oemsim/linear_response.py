@@ -28,7 +28,7 @@ internally); thermal occupations are taken as zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .working_point import WorkingPoint
 RESIDUAL_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class SidebandSolution:
+class SidebandSolution(NamedTuple):
     """Complex sideband amplitudes at one probe detuning (arrays over a grid), per unit E_p.
 
     a1_plus/a2_plus sit at omega_ci + delta (the cavity-1 upper sideband is
@@ -59,8 +58,7 @@ class SidebandSolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class ProbeResponse:
+class ProbeResponse(NamedTuple):
     """Observables at one probe detuning (arrays over a grid), flux-normalized to the probe input.
 
     e_l and e_r are the normalized output-field amplitudes 2 kappa_i a_i+ / E_p;

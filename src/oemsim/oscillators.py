@@ -137,6 +137,16 @@ def _max_rate(matrix: np.ndarray) -> float:
     return float(np.max(np.sum(np.abs(matrix), axis=1)))
 
 
+def _taylor(x: np.ndarray, degree: int) -> np.ndarray:
+    """The degree-``degree`` Taylor polynomial of exp at a square matrix x, by Horner:
+    I + x (I + x/2 (... (I + x/degree) ...))."""
+    eye = np.eye(len(x), dtype=x.dtype)
+    e = eye
+    for k in range(degree, 0, -1):
+        e = eye + x @ e / k
+    return e
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp of one square matrix, by scaling and squaring.
 
@@ -145,11 +155,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     as often as it was halved.
     """
     squarings = max(int(np.frexp(np.abs(a).sum(axis=0).max())[1]) + 1, 0)
-    x = a / 2.0 ** squarings
-    eye = np.eye(len(a), dtype=a.dtype)
-    e = eye
-    for k in range(16, 0, -1):  # Horner: I + x/16 (... (I + x/2 (I + x)) ...)
-        e = eye + x @ e / k
+    e = _taylor(a / 2.0 ** squarings, 16)
     for _ in range(squarings):
         e = e @ e
     return e
@@ -231,11 +237,7 @@ def propagate(
         )
     n_steps = max(1, math.ceil(t_final / dt))
     h = t_final / n_steps
-    hg = h * g
-    eye = np.eye(4, dtype=complex)
-    step = eye
-    for k in range(4, 0, -1):  # Horner: I + hG (I + hG/2 (I + hG/3 (I + hG/4)))
-        step = eye + hg @ step / k
+    step = _taylor(h * g, 4)
 
     # samples at the steps k % stride == 0 and at k == n_steps: whole strides, then the rest
     stride = max(1, n_steps // max(1, n_samples - 1))

@@ -5,8 +5,7 @@ Unit conventions
 Every frequency, detuning, and decay rate is stored as an angular frequency
 in rad/s.  Hardware values are usually quoted in plain Hz, so the
 constructors ending in ``from_hz`` (and the CLI config format) accept Hz and
-apply the factor 2*pi themselves.  Powers are in watts, lengths in metres,
-masses in kilograms.
+apply the factor 2*pi themselves.  Powers are in watts.
 
 ``kappa1``/``kappa2`` are cavity *amplitude* decay rates (intracavity fields
 decay as exp(-kappa*t)); ``gamma_m`` is the mechanical *energy* damping rate
@@ -157,20 +156,6 @@ class DriveConfig:
         _require_non_negative(self.p_c2, "p_c2")
 
 
-@dataclass(frozen=True)
-class Geometry:
-    """Cavity lengths and effective mechanical mass for coupling estimates."""
-
-    cavity_length1: float
-    cavity_length2: float
-    effective_mass: float
-
-    def __post_init__(self):
-        _require_positive(self.cavity_length1, "cavity_length1")
-        _require_positive(self.cavity_length2, "cavity_length2")
-        _require_positive(self.effective_mass, "effective_mass")
-
-
 def drive_amplitude(power: float, carrier: float, kappa: float) -> float:
     """Intracavity drive amplitude sqrt(2*kappa*P/(hbar*omega_c)) [sqrt(photons)/s].
 
@@ -182,25 +167,6 @@ def drive_amplitude(power: float, carrier: float, kappa: float) -> float:
     photon_energy = HBAR * carrier  # 0 for a carrier below ~5e-290 rad/s (underflow)
     _require_positive(photon_energy, "photon energy hbar*carrier")
     return math.sqrt(2.0 * kappa * power / photon_energy)
-
-
-def coupling_from_geometry(
-    carrier: float, geometry: Geometry, omega_m: float, cavity: int = 1
-) -> float:
-    """Single-photon coupling g = (omega_c/L) * x_zpf with x_zpf = sqrt(hbar/(2 m omega_m)).
-
-    ``cavity`` selects which cavity length of the geometry to use (1 or 2).
-    """
-    _require_positive(carrier, "carrier")
-    _require_positive(omega_m, "omega_m")
-    if cavity == 1:
-        length = geometry.cavity_length1
-    elif cavity == 2:
-        length = geometry.cavity_length2
-    else:
-        raise InvalidParameterError(f"cavity must be 1 or 2, got {cavity!r}")
-    x_zpf = math.sqrt(HBAR / (2.0 * geometry.effective_mass * omega_m))
-    return (carrier / length) * x_zpf
 
 
 def cooperativity(g: float, photon_number: float, kappa: float, gamma_m: float) -> float:

@@ -34,7 +34,7 @@ working point whose margin is positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +48,7 @@ STABILITY_RTOL = 1e-12  # a margin below this fraction of the drift matrix norm 
 INVERSION_RTOL = 1e-3  # relative miss of a cooperativity target that means another branch
 
 
-@dataclass(frozen=True)
-class WorkingPoint:
+class WorkingPoint(NamedTuple):
     """Zeroth-order steady state about which the probe response is linearized.
 
     a10, a20 are the intracavity amplitudes at the coupling-tone frequencies

@@ -152,6 +152,8 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
                                 "probe sweep needs x_min_gamma_m < x_max_gamma_m"),
     "ratio_min_negative": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": -1}},
                            "ratio sweep needs 0 <= ratio_min"),
+    "roots_model_full": ("roots", {"model": "full", "sweep": {"kind": "roots_vs_ratio"}},
+                         "the roots_vs_ratio table tracks the RWA poles"),
     "roots_ratio_min_negative": ("roots", {"sweep": {"kind": "roots_vs_ratio", "ratio_min": -1}},
                                  "ratio sweep needs 0 <= ratio_min"),
     "ratio_bounds_not_increasing": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": 0.5,
@@ -304,6 +306,25 @@ def test_roots_at_huge_c2_over_c1(tmp_path, capsys, params, case):
         assert np.sort(row) == pytest.approx(limit, rel=1e-11)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, ratio_max", [
+    ("roots_vs_ratio", 1e302), ("roots_vs_ratio", 1e307), ("cooperativity_ratio", 1e307)])
+def test_overflowing_ratio_max_exits_2(tmp_path, capsys, kind, ratio_max):
+    """A C2 = ratio * C1 target, or a roots row's drive weight C2 kappa2 gamma_m / 2, that
+    overflows is an input error naming sweep.ratio_max (these used to print numpy's
+    RuntimeWarning and then name c2, s2 or the target cooperativity)."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sweep": {"kind": kind, "ratio_max": ratio_max, "n_points": 3}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    command = "roots" if kind == "roots_vs_ratio" else "sweep"
+    assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: sweep.ratio_max = {ratio_max!r} is too large: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
 BLUE_DETUNED = {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}, "model": "full"}
 TONE2_BLUE = {"params": {"delta2_hz": -1e7}, "drives": {"c1": 40.0, "c2": 0.0}}
 UNSTABLE = {  # case: (command, scenario, the start of the error line)
@@ -343,19 +364,27 @@ def test_unstable_working_point_exits_3(tmp_path, capsys, case):
     assert list(out.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", ["derive", "sweep"])
-def test_overflowing_eia_splitting_exits_3(tmp_path, capsys, command):
-    """C1 = C2 = 1e200 inverts fine, but Gamma_EIT^2 overflows: one line naming it, no
-    traceback, no warning (pytest turns warnings into errors), no table."""
+EIA_SPLITTING_FLOW = {  # case: (scenario keys, the rest of the error line)
+    "overflow": ({"drives": {"c1": 1e200, "c2": 1e200}}, "overflows at Gamma_EIT = 3.141593e+203"),
+    "underflow": ({"params": {"gamma_m_hz": 1e-200}}, "underflows at Gamma_EIT = 1.288053e-198"),
+}
+
+
+@pytest.mark.parametrize("command, case", [
+    ("derive", "overflow"), ("sweep", "overflow"), ("derive", "underflow"), ("sweep", "underflow"),
+], ids=["derive", "sweep", "derive-underflow", "sweep-underflow"])
+def test_overflowing_eia_splitting_exits_3(tmp_path, capsys, command, case):
+    """C1 = C2 = 1e200 inverts fine, but Gamma_EIT^2 overflows; at gamma_m = 1e-200 Hz it
+    underflows to 0 (this used to end in a ZeroDivisionError traceback): one line naming
+    it, no traceback, no warning (pytest turns warnings into errors), no table."""
+    keys, message = EIA_SPLITTING_FLOW[case]
     path = tmp_path / "s.json"
-    path.write_text(json.dumps({"drives": {"c1": 1e200, "c2": 1e200},
-                                "sweep": {"kind": "cooperativity_ratio", "n_points": 3}}))
+    path.write_text(json.dumps({**keys, "sweep": {"kind": "cooperativity_ratio", "n_points": 3}}))
     out = tmp_path / "out"
     out.mkdir()
     assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 3
     err = capsys.readouterr().err
-    assert err == "solver error: EIA splitting: Gamma_EIT^2 overflows at Gamma_EIT = " \
-                  "3.141593e+203 rad/s\n"
+    assert err == f"solver error: EIA splitting: Gamma_EIT^2 {message} rad/s\n"
     assert list(out.iterdir()) == []
 
 

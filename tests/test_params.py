@@ -41,39 +41,6 @@ def test_drive_amplitude_rejects_bad_rates():
         om.drive_amplitude(-1e-3, TWO_PI * 4e14, TWO_PI * 1e6)
 
 
-def test_coupling_from_geometry_scalings():
-    carrier = TWO_PI * 4e14
-    omega_m = TWO_PI * 1e7
-    geo = om.Geometry(cavity_length1=1e-2, cavity_length2=1e-3, effective_mass=1e-12)
-    g = om.coupling_from_geometry(carrier, geo, omega_m)
-    geo_2l = om.Geometry(cavity_length1=2e-2, cavity_length2=1e-3, effective_mass=1e-12)
-    assert om.coupling_from_geometry(carrier, geo_2l, omega_m) == pytest.approx(g / 2, rel=1e-12)
-    geo_4m = om.Geometry(cavity_length1=1e-2, cavity_length2=1e-3, effective_mass=4e-12)
-    assert om.coupling_from_geometry(carrier, geo_4m, omega_m) == pytest.approx(g / 2, rel=1e-12)
-
-
-def test_coupling_from_geometry_round_trip():
-    # invert the formula for L at m = 1 pg so that g1 = 2*pi*50 Hz, then re-evaluate
-    carrier = TWO_PI * 4e14
-    omega_m = TWO_PI * 1e7
-    g_target = TWO_PI * 50.0
-    mass = 1e-12
-    x_zpf = math.sqrt(HBAR / (2.0 * mass * omega_m))
-    length = carrier * x_zpf / g_target
-    geo = om.Geometry(cavity_length1=length, cavity_length2=length, effective_mass=mass)
-    assert om.coupling_from_geometry(carrier, geo, omega_m) == pytest.approx(g_target, rel=1e-12)
-    assert om.coupling_from_geometry(carrier, geo, omega_m, cavity=2) == pytest.approx(
-        g_target, rel=1e-12
-    )
-
-
-def test_geometry_rejects_nonpositive():
-    with pytest.raises(om.InvalidParameterError):
-        om.Geometry(cavity_length1=0.0, cavity_length2=1e-3, effective_mass=1e-12)
-    with pytest.raises(om.InvalidParameterError):
-        om.Geometry(cavity_length1=1e-2, cavity_length2=1e-3, effective_mass=-1e-12)
-
-
 def test_cooperativity_zero_photons(params):
     assert om.cooperativity(params.g1, 0.0, params.kappa1, params.gamma_m) == 0.0
 

@@ -98,7 +98,7 @@ def oracle(wp, params, delta, model):
 
 
 def assert_row_matches(grid, i, ref):
-    ref = ref if isinstance(ref, dict) else vars(ref)
+    ref = ref if isinstance(ref, dict) else ref._asdict()
     for name, want in ref.items():
         got = np.broadcast_to(getattr(grid, name), np.shape(grid.e_l))[i]
         # reflect = |e_l - 1|^2 cancels near e_l = 1: its scale is that of its terms
@@ -178,7 +178,7 @@ def test_arrow_residual_is_the_dense_definition():
 
 @pytest.mark.parametrize("model", MODELS)
 def test_gate_rejects_nan(params, wp_c40, model):
-    broken = om.WorkingPoint(**{**vars(wp_c40), "a10": complex("nan+nanj"), "n1": math.nan})
+    broken = om.WorkingPoint(**{**wp_c40._asdict(), "a10": complex("nan+nanj"), "n1": math.nan})
     deltas = params.omega_m + np.array([0.3, 1.0, 2.0]) * params.gamma_m
     for delta in (deltas, deltas[0]):
         with pytest.raises(om.SingularResponseError, match="row 0") as info:

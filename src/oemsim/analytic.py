@@ -25,11 +25,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularResponseError
+from .errors import ConvergenceError, InvalidParameterError, SingularResponseError
 from .params import _require_non_negative, _require_positive
 
 EIT_REGIME = "EIT_regime"
@@ -68,21 +68,6 @@ class RwaCoefficients:
             gamma_m=params.gamma_m,
             s1=params.g1**2 * wp.n1 / 2.0,
             s2=params.g2**2 * wp.n2 / 2.0,
-        )
-
-    @classmethod
-    def from_cooperativities(
-        cls, c1: float, c2: float, kappa1: float, kappa2: float, gamma_m: float
-    ) -> "RwaCoefficients":
-        """Map cooperativities to drive weights via s_i = C_i * kappa_i * gamma_m / 2."""
-        _require_non_negative(c1, "c1")
-        _require_non_negative(c2, "c2")
-        return cls(
-            kappa1=kappa1,
-            kappa2=kappa2,
-            gamma_m=gamma_m,
-            s1=c1 * kappa1 * gamma_m / 2.0,
-            s2=c2 * kappa2 * gamma_m / 2.0,
         )
 
 
@@ -126,9 +111,10 @@ def response_rwa(x, c: RwaCoefficients):
     return result
 
 
-def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Poles of every set's cubic, from one stacked companion-matrix eigensolve.
+def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poles of every row's cubic, from one stacked companion-matrix eigensolve.
 
+    The rates kappa1, kappa2, gamma_m are scalars; the weights s1, s2 broadcast to (n,).
     The cubic is solved in y = i*x/gamma_m with every rate normalized by gamma_m:
     q(y) = (y - k1)(y - 1/2)(y - k2) + s1 (y - k2) + s2 (y - k1) has real O(1)-O(1e4)
     coefficients, so purely imaginary x-roots come out with exactly real y.  The
@@ -137,27 +123,33 @@ def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarra
     overflows is taken divided through by y (the eigenvalue alone would put -a1/2 into
     both widths of a huge pair), and the eigenvalue is kept where that fails too.
     Returns the (n, 3) roots in x, rows in ascending |Im|, the (n,) EIT-regime mask and
-    the (n,) normalized constant terms a3 = q(0).  Raises SingularResponseError naming
+    the (n,) normalized constant terms a3 = q(0).  Raises InvalidParameterError for a rate
+    not finite and > 0 or a weight not finite and >= 0, and SingularResponseError naming
     the first row whose coefficients overflow.
     """
-    # per set in Python floats: gamma_m**2 is libm pow, which numpy's g*g can miss by an ulp
-    k1, k2, s1, s2, g = np.array(
-        [(c.kappa1 / c.gamma_m, c.kappa2 / c.gamma_m, c.s1 / c.gamma_m**2,
-          c.s2 / c.gamma_m**2, c.gamma_m) for c in coeff_sets]
-    ).reshape(-1, 5).T
+    for name, rate in (("kappa1", kappa1), ("kappa2", kappa2), ("gamma_m", gamma_m)):
+        _require_positive(rate, name)
+    s1, s2 = np.broadcast_arrays(*np.atleast_1d(s1, s2))
+    for name, s in (("s1", s1), ("s2", s2)):
+        bad = np.flatnonzero(~np.isfinite(s) | (s < 0.0))
+        if bad.size:
+            raise InvalidParameterError(f"row {bad[0]}: {name} must be finite and >= 0, "
+                                        f"got {s[bad[0]]}")
+    # gamma_m stays a scalar: gamma_m**2 is libm pow, which numpy's g*g can miss by an ulp
+    k1, k2, s1, s2 = kappa1 / gamma_m, kappa2 / gamma_m, s1 / gamma_m**2, s2 / gamma_m**2
     with np.errstate(over="ignore"):  # checked below
-        a1 = -(k1 + k2 + 0.5)
+        a1 = np.full_like(s1, -(k1 + k2 + 0.5))
         a2 = k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1 + s2
         a3 = -(k1 * 0.5 * k2 + s1 * k2 + s2 * k1)
     bad = np.flatnonzero(~np.isfinite(np.column_stack([a1, a2, a3])).all(axis=1))
     if bad.size:
         raise SingularResponseError(f"row {bad[0]}: the pole cubic's coefficients overflow")
-    companion = np.zeros((len(g), 3, 3))
+    companion = np.zeros((len(a1), 3, 3))
     companion[:, 0] = -np.column_stack([a1, a2, a3])
     companion[:, 1, 0] = 1.0
     companion[:, 2, 1] = a3 != 0  # an underflowed a3 deflates to the 2x2 np.roots builds
     y = np.linalg.eigvals(companion)
-    a1, a2, a3, g = (v[:, None] for v in (a1, a2, a3, g))
+    a1, a2, a3 = (v[:, None] for v in (a1, a2, a3))
     with np.errstate(all="ignore"):  # a pair |y| ~ 1e125 (C2/C1 ~ 1e250) overflows y**3
         p = ((y + a1) * y + a2) * y + a3
         dp = (3.0 * y + 2.0 * a1) * y + a2
@@ -165,35 +157,36 @@ def _poles(coeff_sets: Sequence[RwaCoefficients]) -> tuple[np.ndarray, np.ndarra
         step = np.where(np.isfinite(step), step,
                         ((y + a1) * y + a2 + a3 / y) / (3.0 * y + 2.0 * a1 + a2 / y))
     y = np.where(np.isfinite(step), y - step, y)
-    x = -1j * y * g
+    x = -1j * y * gamma_m
     x = np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
-    eit = np.all(np.abs(x.real) <= PURE_IMAG_TOL * np.maximum(np.abs(x.imag), g), axis=1)
+    eit = np.all(np.abs(x.real) <= PURE_IMAG_TOL * np.maximum(np.abs(x.imag), gamma_m), axis=1)
     return x, eit, a3[:, 0]
 
 
 def denominator_roots(c: RwaCoefficients) -> PoleSet:
-    """Poles of the closed-form response, ordered by ascending |Im|: one set of ``_poles``."""
-    roots, eit, _ = _poles([c])
+    """Poles of the closed-form response, ordered by ascending |Im|: one row of ``_poles``."""
+    roots, eit, _ = _poles(c.kappa1, c.kappa2, c.gamma_m, c.s1, c.s2)
     return PoleSet(
         roots=tuple(complex(r) for r in roots[0]),
         classification=EIT_REGIME if eit[0] else NMS_REGIME,
     )
 
 
-def root_trajectories(coeff_sets: Sequence[RwaCoefficients]) -> np.ndarray:
-    """Track the three poles along a parameter sweep.
+def root_trajectories(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
+    """Track the three poles along a sweep of the drive weights s1, s2 (broadcast to (n,))
+    at the fixed rates kappa1, kappa2, gamma_m.
 
     Returns an (n, 3) complex array.  Column identity is fixed by
     nearest-neighbor matching in the complex plane to the previous sweep
     point, starting from ascending-|Im| order, so each column is one
     continuous trajectory.
 
-    Raises SingularResponseError, naming the first such row, as ``_poles`` does
-    or when a set's normalized constant term is below the smallest normal float:
-    with every rate > 0 it is then a subnormal or underflowed product, and the
+    Raises as ``_poles`` does, and SingularResponseError naming the first row
+    whose normalized constant term is below the smallest normal float: with
+    every rate > 0 it is then a subnormal or underflowed product, and the
     narrowest pole, which scales with it, has lost digits.
     """
-    out, _, a3 = _poles(coeff_sets)
+    out, _, a3 = _poles(kappa1, kappa2, gamma_m, s1, s2)
     lost = np.flatnonzero(np.abs(a3) < np.finfo(float).tiny)
     if lost.size:
         raise SingularResponseError(

@@ -181,12 +181,16 @@ class Scenario(NamedTuple):
         if out_format not in ("csv", "json"):
             raise ScenarioError(f"output.format must be csv or json, got {out_format!r}")
 
-        sweep = _sweep_from_spec(doc.get("sweep", {}))
+        sweep = _sweep_from_spec(doc.get("sweep", {}), params)
         if doc.get("variants") is not None and sweep.get("kind") != "probe_x":
             raise ScenarioError(f"variants need a probe_x sweep, got kind {sweep.get('kind')!r}")
         if model == "full" and sweep.get("kind") == "roots_vs_ratio":
             raise ScenarioError("the roots_vs_ratio table tracks the RWA poles; "
                                 "model 'full' has no such table")
+        if mode == "bare" and sweep.get("kind") == "roots_vs_ratio":
+            raise ScenarioError("the roots_vs_ratio table assumes two-photon resonance "
+                                "(Delta1 = Delta2 = omega_m), which detuning_mode 'bare' "
+                                "does not hold")
         return cls(
             params=params,
             detuning_mode=mode,
@@ -250,8 +254,9 @@ def _drives_from_spec(spec: dict) -> dict:
     return {key: parse_power(spec.get(key, 0.0), f"drives.{key}") for key in ("p_c1", "p_c2")}
 
 
-def _sweep_from_spec(spec: dict) -> dict:
-    """Every key of the sweep's kind, typed and checked against ``SWEEP_KEYS``."""
+def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
+    """Every key of the sweep's kind, typed and checked against ``SWEEP_KEYS``; every probe
+    detuning omega_m + x gamma_m, and a probe grid's span, finite in rad/s."""
     if not isinstance(spec, dict):
         raise ScenarioError("sweep must be an object")
     if not spec:
@@ -273,6 +278,15 @@ def _sweep_from_spec(spec: dict) -> dict:
         raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
     if "ratio_min" in sweep and not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
         raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
+    gm = params.gamma_m
+    for key in ("x_gamma_m", "x_min_gamma_m", "x_max_gamma_m"):
+        if key in sweep and not math.isfinite(params.omega_m + sweep[key] * gm):
+            raise ScenarioError(f"sweep.{key} = {sweep[key]!r} puts the probe detuning "
+                                "omega_m + x gamma_m past the float range")
+    if kind == "probe_x" and not math.isfinite(sweep["x_max_gamma_m"] * gm
+                                               - sweep["x_min_gamma_m"] * gm):
+        raise ScenarioError("sweep.x_max_gamma_m - sweep.x_min_gamma_m puts the probe grid's "
+                            "span (x_max - x_min) gamma_m past the float range")
     return sweep
 
 
@@ -438,11 +452,11 @@ def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
     coeffs = RwaCoefficients.from_working_point(run.wp, params)
     gamma_eit = eit_width(run.c1, params.gamma_m)
     if coeffs.s2 > 0:
-        width = params.kappa2 + coeffs.s2 / gamma_eit
+        width = eia_splitting(gamma_eit, coeffs.s2, params.kappa2).gamma_eia_approx
     else:
         width = gamma_eit
-    n = int(math.ceil(20.0 * (x_max - x_min) / width)) + 1
-    return max(801, min(n, 20001))
+    # capped before the int: 20 (x_max - x_min) of a window near the float range overflows
+    return max(801, math.ceil(min(20.0 * (x_max - x_min) / width, 20000.0)) + 1)
 
 
 def run_scenario(
@@ -491,16 +505,20 @@ def _stacked(wps) -> WorkingPoint:
     return WorkingPoint(*map(np.array, zip(*wps)))
 
 
+def _c2_of(ratio, c1: float, name: str):
+    """The C2 target(s) ratio * C1; a ScenarioError naming the input ``name`` if one overflows."""
+    with np.errstate(over="ignore"):  # checked below
+        c2 = ratio * c1
+    if not np.isfinite(c2).all():
+        raise ScenarioError(f"{name} is too large: C2 = ratio * C1 overflows at C1 = {c1:g}")
+    return c2
+
+
 def _c2_targets(run: Run) -> tuple[np.ndarray, np.ndarray]:
     """The sweep's C2/C1 grid and its C2 targets ratio * C1; ScenarioError if one overflows."""
     sweep = run.scenario.sweep
     ratios = np.linspace(sweep["ratio_min"], sweep["ratio_max"], sweep["n_points"])
-    with np.errstate(over="ignore"):  # checked below
-        c2 = ratios * run.c1
-    if not np.isfinite(c2).all():
-        raise ScenarioError(f"sweep.ratio_max = {sweep['ratio_max']!r} is too large: "
-                            f"C2 = ratio * C1 overflows at C1 = {run.c1:g}")
-    return ratios, c2
+    return ratios, _c2_of(ratios, run.c1, f"sweep.ratio_max = {sweep['ratio_max']!r}")
 
 
 def _probe_tables(run: Run):
@@ -509,7 +527,10 @@ def _probe_tables(run: Run):
     x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
     xs = np.linspace(x_min, x_max, sweep["n_points"] or _auto_probe_points(run, x_min, x_max))
     variants = run.scenario.variants
-    targets = [None if v["c2_over_c1"] is None else v["c2_over_c1"] * run.c1 for v in variants]
+    targets = [None if v["c2_over_c1"] is None
+               else _c2_of(v["c2_over_c1"], run.c1,
+                           f"variant {v['label']!r}: c2_over_c1 = {v['c2_over_c1']!r}")
+               for v in variants]
     # every variant's point is solved and gated before any table is written
     wps = run.scaled(targets, "probe_x variant")
     for variant, wp in zip(variants, wps):
@@ -530,13 +551,12 @@ def _root_tables(run: Run):
     params = run.scenario.params
     k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
     ratios, c2 = _c2_targets(run)
-    with np.errstate(over="ignore"):  # the drive weight s2 of from_cooperativities
+    with np.errstate(over="ignore"):  # checked below
         s2 = c2 * k2 * gm / 2.0
     if not np.isfinite(s2).all():
         raise ScenarioError(f"sweep.ratio_max = {run.scenario.sweep['ratio_max']!r} is too "
                             f"large: the drive weight C2 kappa2 gamma_m / 2 overflows")
-    trajectories = root_trajectories(
-        [RwaCoefficients.from_cooperativities(run.c1, c, k1, k2, gm) for c in c2])
+    trajectories = root_trajectories(k1, k2, gm, run.c1 * k1 * gm / 2.0, s2)
     yield None, ROOT_COLUMNS, np.column_stack(
         [ratios, -trajectories.imag / gm, trajectories.real / gm])
 
@@ -665,8 +685,13 @@ def load_scenario(ref: str | None) -> Scenario:
     raise ScenarioError(f"scenario {ref!r} is neither a file nor a preset {PRESETS}")
 
 
-def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+def _print_json(doc: dict, out: str | None = None) -> None:
+    """Print ``doc`` as indented JSON, and write the same text to the file ``out`` if given."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n"
+    sys.stdout.write(text)
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -725,11 +750,7 @@ def _dispatch(args) -> int:
             require_stable(wp, scenario.params, "invert")  # the confirming solve
             power = drives.p_c1 if args.cavity == 1 else drives.p_c2
             result = {"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)}
-        _print_json(result)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                json.dump(result, fh, indent=2, sort_keys=True, default=str)
-                fh.write("\n")
+        _print_json(result, args.out)
         return 0
 
     kind = scenario.sweep.get("kind")

@@ -211,6 +211,9 @@ def propagate(
         (n_steps // (n_samples - 1))-th step and the last step, so the row count
         can differ from n_samples: 300 samples of 1000 steps give 335 rows, and
         more samples than steps give n_steps + 1 rows.
+
+    Either method raises SingularResponseError naming the first sample that is
+    not finite (``_trajectory``).
     """
     if not t_final > 0:
         raise InvalidParameterError("t_final must be > 0")
@@ -222,8 +225,9 @@ def propagate(
 
     if method == "exact_propagator":
         times = np.linspace(0.0, t_final, n_samples)
-        ys = _orbit(_expm(g * (t_final / max(1, n_samples - 1))), n_samples)[:, :3]
-        return Trajectory(times=times, states=ys * np.exp(-1j * delta * times)[:, None])
+        with np.errstate(all="ignore"):  # an overflowed squaring shows up in _trajectory
+            ys = _orbit(_expm(g * (t_final / max(1, n_samples - 1))), n_samples)
+        return _trajectory(times, ys, delta, method)
 
     if method != "rk4":
         raise InvalidParameterError(f"unknown integration method {method!r}")
@@ -247,4 +251,20 @@ def propagate(
     ys = _orbit(np.linalg.matrix_power(step, stride), n_strides + 1)
     if rest:
         ys = np.vstack([ys, ys[-1] @ np.linalg.matrix_power(step, rest).T])
-    return Trajectory(times=times, states=ys[:, :3] * np.exp(-1j * delta * times)[:, None])
+    return _trajectory(times, ys, delta, method)
+
+
+def _trajectory(times: np.ndarray, ys: np.ndarray, delta: float, method: str) -> Trajectory:
+    """The orbit rows (y, 1) at ``times`` as lab-frame states z = exp(-i delta t) y.
+
+    Raises SingularResponseError naming the first sample that is not finite, as an
+    overflowed step of a huge detuning leaves it.
+    """
+    with np.errstate(all="ignore"):  # checked below
+        states = ys[:, :3] * np.exp(-1j * delta * times)[:, None]
+    bad = np.flatnonzero(~np.isfinite(states).all(axis=1))
+    if bad.size:
+        raise SingularResponseError(
+            f"sample {bad[0]} (t = {times[bad[0]]:.6e} s) of the {method} trace is not finite "
+            f"at delta = {delta:.6e} rad/s", delta=delta)
+    return Trajectory(times=times, states=states)

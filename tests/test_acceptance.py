@@ -77,13 +77,8 @@ def test_criterion_06_root_structure(params):
     p_c1 = cli.invert_cooperativity(params, 40.0, 0.0)[0].p_c1
     assert p_c1 < om.critical_power(params)
     ratios = np.linspace(0.0, 1.0, 201)
-    sets = [
-        om.RwaCoefficients.from_cooperativities(
-            40.0, 40.0 * r, params.kappa1, params.kappa2, params.gamma_m
-        )
-        for r in ratios
-    ]
-    traj = om.root_trajectories(sets)
+    k1, k2, g = params.kappa1, params.kappa2, params.gamma_m
+    traj = om.root_trajectories(k1, k2, g, 40.0 * k1 * g / 2.0, 40.0 * ratios * k2 * g / 2.0)
     assert np.all(np.abs(traj.real) <= 1e-6 * np.abs(traj.imag))
     steps = np.abs(np.diff(traj, axis=0)) / np.abs(traj[:-1])
     assert steps.max() < 0.01

@@ -1,4 +1,5 @@
 import json
+import re
 from itertools import permutations
 
 import numpy as np
@@ -10,10 +11,21 @@ from oemsim.analytic import EIT_REGIME, NMS_REGIME, PURE_IMAG_TOL
 from oemsim.linear_response import response_grid
 
 
+def sweep_for(params, c1, c2):
+    """root_trajectories' arguments at cooperativities c1, c2 (scalars or arrays):
+    the rates and the drive weights s_i = C_i kappa_i gamma_m / 2."""
+    k1, k2, g = params.kappa1, params.kappa2, params.gamma_m
+    return k1, k2, g, c1 * k1 * g / 2.0, c2 * k2 * g / 2.0
+
+
 def coeffs_for(params, c1, c2):
-    return om.RwaCoefficients.from_cooperativities(
-        c1, c2, params.kappa1, params.kappa2, params.gamma_m
-    )
+    return om.RwaCoefficients(*sweep_for(params, c1, c2))
+
+
+def rows(kappa1, kappa2, gamma_m, s1, s2):
+    """One RwaCoefficients per row of a root_trajectories sweep, for the scalar oracle."""
+    return [om.RwaCoefficients(kappa1, kappa2, gamma_m, a, b)
+            for a, b in zip(*np.broadcast_arrays(s1, s2))]
 
 
 def test_empty_cavity_response(params):
@@ -144,8 +156,7 @@ def test_root_continuity_in_s2(params):
 
 def test_trajectories_are_continuous(params):
     ratios = np.linspace(0.0, 1.0, 101)
-    sets = [coeffs_for(params, 40.0, 40.0 * r) for r in ratios]
-    traj = om.root_trajectories(sets)
+    traj = om.root_trajectories(*sweep_for(params, 40.0, 40.0 * ratios))
     steps = np.abs(np.diff(traj, axis=0)) / np.abs(traj[:-1])
     assert steps.max() < 0.01
     # narrow branch grows from kappa2 toward ~2*kappa2
@@ -192,13 +203,14 @@ def same_bits(a, b):
 
 
 def random_sweep(rng, n):
-    """C1 along a line between two points around the critical drive, at a fixed C2/C1."""
+    """root_trajectories' arguments for C1 along a line between two points around the
+    critical drive, at a fixed C2/C1."""
     g = 10 ** rng.uniform(-1, 6)
     k1, k2 = g * 10 ** rng.uniform(0, 4), g * 10 ** rng.uniform(-3, 1)
     c_crit = (k1 / g - 0.5) ** 2 / (2 * k1 / g)  # s1 = (kappa1 - gamma_m/2)^2 / 4 at s2 = 0
     ratio = rng.uniform(0.0, 2.0) * rng.choice([0, 1])
     c1 = np.linspace(*(c_crit * 10 ** rng.uniform(-1, 1, 2)), n)
-    return [om.RwaCoefficients.from_cooperativities(a, ratio * a, k1, k2, g) for a in c1]
+    return k1, k2, g, c1 * k1 * g / 2.0, ratio * c1 * k2 * g / 2.0
 
 
 def test_batched_poles_match_scalar_oracle_bit_for_bit():
@@ -231,19 +243,20 @@ def test_batched_trajectories_match_scalar_oracle_bit_for_bit():
     rng = np.random.default_rng(43)
     crossing = starts_nms = 0
     for _ in range(60):
-        sets = random_sweep(rng, int(rng.integers(2, 80)))
+        sweep = random_sweep(rng, int(rng.integers(2, 80)))
+        sets = rows(*sweep)
         regimes = [scalar_poles(c)[1] for c in sets]
         crossing += len(set(regimes)) == 2
         starts_nms += regimes[0] == NMS_REGIME
-        assert same_bits(om.root_trajectories(sets), scalar_trajectories(sets))
+        assert same_bits(om.root_trajectories(*sweep), scalar_trajectories(sets))
     assert crossing >= 10 and starts_nms >= 10
 
 
 def test_roots_cli_matches_scalar_oracle_in_nms_regime(tmp_path, monkeypatch):
     seen = []
 
-    def spy(sets):
-        seen.append((sets, om.root_trajectories(sets)))
+    def spy(*sweep):
+        seen.append((rows(*sweep), om.root_trajectories(*sweep)))
         return seen[-1][1]
 
     monkeypatch.setattr(cli, "root_trajectories", spy)
@@ -258,10 +271,25 @@ def test_roots_cli_matches_scalar_oracle_in_nms_regime(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_trajectories_of_empty_and_single_sweeps(params, n):
-    traj = om.root_trajectories([coeffs_for(params, 40.0, 40.0)] * n)
+    traj = om.root_trajectories(*sweep_for(params, np.full(n, 40.0), 40.0))
     assert traj.shape == (n, 3) and traj.dtype == complex
     if n:
         assert same_bits(traj[0], om.denominator_roots(coeffs_for(params, 40.0, 40.0)).roots)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("s1", np.array([1.0, -1.0, 2.0]), "row 1: s1 must be finite and >= 0, got -1.0"),
+    ("s2", np.array([1.0, 2.0, np.inf]), "row 2: s2 must be finite and >= 0, got inf"),
+    ("s2", np.array([np.nan, 1.0, 1.0]), "row 0: s2 must be finite and >= 0, got nan"),
+    ("kappa1", 0.0, "kappa1 must be finite and > 0, got 0.0"),
+    ("gamma_m", np.inf, "gamma_m must be finite and > 0, got inf"),
+])
+def test_trajectories_reject_invalid_rates_and_weights(params, name, value, message):
+    sweep = dict(zip(("kappa1", "kappa2", "gamma_m", "s1", "s2"),
+                     sweep_for(params, 40.0, np.full(3, 40.0))))
+    sweep[name] = value
+    with pytest.raises(om.InvalidParameterError, match=re.escape(message)):
+        om.root_trajectories(**sweep)
 
 
 def test_eia_splitting_trivial_and_degenerate(params):

@@ -154,6 +154,9 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
                            "ratio sweep needs 0 <= ratio_min"),
     "roots_model_full": ("roots", {"model": "full", "sweep": {"kind": "roots_vs_ratio"}},
                          "the roots_vs_ratio table tracks the RWA poles"),
+    "roots_bare": ("roots", {"detuning_mode": "bare", "drives": {"c1": 40},
+                             "sweep": {"kind": "roots_vs_ratio", "n_points": 3}},
+                   "the roots_vs_ratio table assumes two-photon resonance"),
     "roots_ratio_min_negative": ("roots", {"sweep": {"kind": "roots_vs_ratio", "ratio_min": -1}},
                                  "ratio sweep needs 0 <= ratio_min"),
     "ratio_bounds_not_increasing": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": 0.5,
@@ -323,6 +326,68 @@ def test_overflowing_ratio_max_exits_2(tmp_path, capsys, kind, ratio_max):
     assert captured.err.startswith(f"error: sweep.ratio_max = {ratio_max!r} is too large: ")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, doc, start", [
+    ("sweep", {"sweep": {"kind": "probe_x", "n_points": 3, "x_min_gamma_m": -1e308,
+                         "x_max_gamma_m": 1e308}}, "sweep.x_min_gamma_m = -1e+308 puts"),
+    ("sweep", {"sweep": {"kind": "probe_x", "n_points": 3, "x_min_gamma_m": -1.5e304,
+                         "x_max_gamma_m": 1.5e304}},
+     "sweep.x_max_gamma_m - sweep.x_min_gamma_m puts"),
+    ("sweep", {"sweep": {**RATIO_SWEEP, "x_gamma_m": 1e305}}, "sweep.x_gamma_m = 1e+305 puts"),
+    ("integrate", {"sweep": {"kind": "time_domain", "t_final": 1e-3, "x_gamma_m": 1e306}},
+     "sweep.x_gamma_m = 1e+306 puts"),
+    ("sweep", {"sweep": {"kind": "probe_x", "n_points": 3},
+               "variants": [{"label": "a", "c2_over_c1": 1e308}]},
+     "variant 'a': c2_over_c1 = 1e+308 is too large"),
+], ids=["probe_x", "probe_x_span", "cooperativity_ratio", "time_domain", "variant"])
+def test_overflowing_probe_input_exits_2(tmp_path, capsys, command, doc, start):
+    """A probe detuning omega_m + x gamma_m or a probe grid's span past the float range,
+    or a variant whose C2 overflows, is an input error naming its key (these used to print
+    numpy's RuntimeWarnings and a solver error at x = nan or inf, write a table of nan, or
+    name the internal target cooperativity)."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {start}")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_time_trace_exits_3(tmp_path, capsys):
+    """A finite probe detuning whose propagator overflows in its squarings writes no
+    table of nan (it used to exit 0)."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sweep": {"kind": "time_domain", "t_final": 1e-3,
+                                          "x_gamma_m": 1e300}}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main(["integrate", "--scenario", path, "--out", out / "t.csv"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error: sample 1 (t = 1.000000e-06 s) of the "
+                                   "exact_propagator trace is not finite")
+    assert captured.err.count("\n") == 1 and captured.out == ""
+    assert list(out.iterdir()) == []
+
+
+def test_auto_probe_points_cap_a_window_near_the_float_range():
+    """20 (x_max - x_min) / width overflows for this window; the count still caps at 20001
+    (it used to end in an OverflowError traceback)."""
+    run = cli.Run(cli.Scenario.from_dict({}))
+    assert cli._auto_probe_points(run, -1e307, 1e307) == 20001
+    assert cli._auto_probe_points(run, -1.0, 1.0) == 801
+
+
+@pytest.mark.parametrize("command", [["derive"], ["invert", "--target", "40", "--cavity", "2"]])
+def test_json_out_file_is_stdout(tmp_path, capsys, command):
+    out = tmp_path / "r.json"
+    assert run_main([*command, "--out", out]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
 BLUE_DETUNED = {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}, "model": "full"}

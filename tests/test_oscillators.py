@@ -317,3 +317,13 @@ def test_rk4_stride_maps_match_per_step_loop(scaled_model, t_final, n_samples, l
     assert traj.states.shape == states.shape
     scale = np.abs(states).max(axis=0)
     assert np.all(np.abs(traj.states - states) <= 1e-11 * scale)
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_propagator_raises(params, wp_c40):
+    """A detuning of 1e300 gamma_m is finite, but the squarings of its step overflow: the
+    first sample after t = 0 is not finite and is named."""
+    model = om.from_working_point(wp_c40, params)
+    delta = params.omega_m + 1e300 * params.gamma_m
+    with pytest.raises(om.SingularResponseError, match=r"^sample 1 \(t = 1\.000000e-06 s\) "):
+        om.propagate(model, 1.0, delta, 1e-3)

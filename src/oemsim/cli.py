@@ -41,7 +41,7 @@ from .errors import (
     StepSizeError,
 )
 from .linear_response import ProbeResponse, response_grid
-from .oscillators import from_working_point, propagate
+from .oscillators import METHODS, from_working_point, propagate
 from .params import (
     REFERENCE_HZ,
     DriveConfig,
@@ -60,8 +60,8 @@ from .working_point import (
 MODELS = ("full", "rwa", "analytic", "oscillator")
 # Every key of each sweep kind with its default (a null value also takes it): ``...`` marks
 # a required key and None one that may stay unset (probe_x then sizes n_points from the peak
-# width).  n_points and n_samples are integers >= 2, method is checked by ``propagate``, and
-# the rest are finite numbers.
+# width).  n_points and n_samples are integers >= 2, method is one of ``METHODS``, and the
+# rest are finite numbers.
 SWEEP_KEYS = {
     "probe_x": {"x_min_gamma_m": -30.0, "x_max_gamma_m": 30.0, "n_points": None},
     "cooperativity_ratio": {"ratio_min": 0.0, "ratio_max": 1.0, "n_points": 201,
@@ -148,7 +148,7 @@ class Scenario(NamedTuple):
     def from_dict(cls, doc: dict) -> "Scenario":
         if not isinstance(doc, dict):
             raise ScenarioError("scenario document must be a JSON object")
-        known = {
+        allowed = {
             "params",
             "detuning_mode",
             "drives",
@@ -158,7 +158,7 @@ class Scenario(NamedTuple):
             "output",
             "description",
         }
-        unknown = set(doc) - known
+        unknown = set(doc) - allowed
         if unknown:
             raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
 
@@ -278,6 +278,13 @@ def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
         raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
     if "ratio_min" in sweep and not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
         raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
+    if kind == "time_domain":
+        if not sweep["t_final"] > 0:
+            raise ScenarioError(f"sweep.t_final must be > 0, got {sweep['t_final']!r}")
+        if sweep["method"] not in METHODS:
+            raise ScenarioError(f"sweep.method must be one of {METHODS}, got {sweep['method']!r}")
+        if sweep["method"] == "rk4" and (sweep["dt"] is None or sweep["dt"] <= 0):
+            raise ScenarioError(f"sweep.dt must be > 0 for method rk4, got {sweep['dt']!r}")
     gm = params.gamma_m
     for key in ("x_gamma_m", "x_min_gamma_m", "x_max_gamma_m"):
         if key in sweep and not math.isfinite(params.omega_m + sweep[key] * gm):
@@ -320,7 +327,8 @@ def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float, Worki
     """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
 
     wp is the working point at ``drives`` and c1, c2 its cooperativities.
-    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve.
+    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve;
+    a cooperativity the powers give that leaves the float range is a ConvergenceError.
     """
     spec, params, mode = scenario.drives, scenario.params, scenario.detuning_mode
     if "c1" in spec:
@@ -330,6 +338,10 @@ def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float, Worki
         wp = solve_working_point(params, drives, mode)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
+    for name, c in (("C1", c1), ("C2", c2)):
+        if not math.isfinite(c):
+            raise ConvergenceError(f"cooperativity {name} = g^2 n / (kappa gamma_m) at the "
+                                   f"given powers leaves the float range ({c!r})")
     return drives, c1, c2, wp
 
 
@@ -340,8 +352,7 @@ class Run:
     Ratio rows and probe variants set C2 = ratio * C1 at one fixed cavity-1 power,
     the power that gives the run's C1 with tone 2 off.  In bare mode tone 2 moves q0,
     so C1 drifts along a ratio sweep while the first column prints the target ratio:
-    on bare fig5 it falls from 40 to 39.999968 at C2/C1 = 1.  No DriveConfig is solved
-    twice: an inversion that lands on drives the run holds is handed their point.
+    on bare fig5 it falls from 40 to 39.999968 at C2/C1 = 1.
     """
 
     def __init__(self, scenario: Scenario):
@@ -349,19 +360,10 @@ class Run:
         self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario)
 
     @cached_property
-    def wp_off(self) -> WorkingPoint:
-        """The working point at the run's cavity-1 power with tone 2 off."""
-        if self.drives.p_c2 == 0.0:
-            return self.wp
-        s = self.scenario
-        return solve_working_point(s.params, DriveConfig(self.drives.p_c1, 0.0), s.detuning_mode)
-
-    @cached_property
     def alone(self) -> tuple[DriveConfig, WorkingPoint]:
         """Drives and working point for the run's C1 with tone 2 off; ratio rows share the power."""
         s = self.scenario
-        off = (DriveConfig(self.drives.p_c1, 0.0), self.wp_off)
-        return invert_cooperativity(s.params, self.c1, 0.0, s.detuning_mode, known=off)
+        return invert_cooperativity(s.params, self.c1, 0.0, s.detuning_mode)
 
     def scaled(self, targets, what: str) -> list[WorkingPoint]:
         """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``."""
@@ -374,8 +376,7 @@ class Run:
                 wps.append(self.alone[1])
             else:
                 wps.append(invert_cooperativity(
-                    s.params, None, c2, s.detuning_mode,
-                    p_c1=self.alone[0].p_c1, known=(self.drives, self.wp))[1])
+                    s.params, None, c2, s.detuning_mode, p_c1=self.alone[0].p_c1)[1])
         require_stable(_stacked(wps), s.params, what)
         return wps
 
@@ -398,7 +399,8 @@ def derive_summary(run: Run) -> dict:
     model = from_working_point(wp, params)
     hierarchy = model.hierarchy_report()
 
-    wp_off = run.wp_off
+    wp_off = wp if drives.p_c2 == 0.0 else solve_working_point(
+        params, DriveConfig(drives.p_c1, 0.0), run.scenario.detuning_mode)
     require_stable(_stacked([wp, wp_off]), params, "derive [as driven, tone 2 off]")
     on = response_grid(wp, params, params.omega_m, "rwa")
     off = response_grid(wp_off, params, params.omega_m, "rwa")

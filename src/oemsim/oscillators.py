@@ -30,6 +30,7 @@ from .errors import InvalidParameterError, SingularResponseError, StepSizeError
 from .params import SystemParams, _require_positive
 from .working_point import WorkingPoint
 
+METHODS = ("exact_propagator", "rk4")  # the integration methods of ``propagate``
 STABILITY_FACTOR = 0.1  # rk4 guard: dt <= STABILITY_FACTOR / max_rate
 HIERARCHY_FACTOR = 10.0  # ">>" of the rate hierarchy: a ratio of at least 10
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError
+from .errors import ConvergenceError, InvalidParameterError
 
 HBAR = 1.054571817e-34  # J*s
 TWO_PI = 2.0 * math.pi
@@ -187,18 +187,20 @@ def critical_power(params: SystemParams) -> float:
     Below this power the response poles of the single-coupling (C2 = 0)
     configuration are purely imaginary; above it they acquire real parts and
     the window splits into two normal modes.  Scales as 1/g1^2 and vanishes
-    when gamma_m -> 2*kappa1 (zero pole splitting).
+    when gamma_m -> 2*kappa1 (zero pole splitting).  Infinite, the 1/g1^2
+    limit, when 4 g1^2 kappa1 is 0 (g1 = 0, or g1^2 below the float range).
+    ConvergenceError when a square of a rate leaves the float range.
     """
-    if params.g1 == 0.0:
-        raise InvalidParameterError("critical_power requires g1 > 0")
     k1 = params.kappa1
-    return (
-        HBAR
-        * params.omega_c1
-        / (4.0 * params.g1**2 * k1)
-        * (k1**2 + params.omega_m**2)
-        * (params.gamma_m / 2.0 - k1) ** 2
-    )
+    try:
+        rate = 4.0 * params.g1**2 * k1
+        if rate == 0.0:
+            return math.inf
+        return HBAR * params.omega_c1 / rate * (k1**2 + params.omega_m**2) * (
+            params.gamma_m / 2.0 - k1) ** 2
+    except OverflowError:
+        raise ConvergenceError("critical power out of range: a squared rate of g1, kappa1, "
+                               "omega_m or gamma_m / 2 - kappa1 overflows") from None
 
 
 def eit_width(c1: float, gamma_m: float) -> float:

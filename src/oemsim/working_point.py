@@ -113,26 +113,31 @@ def _real_roots(params, terms) -> list[float]:
     The balance times its Lorentzian denominators is a polynomial in q of
     degree 1 + 2 per Lorentzian term.  Its roots with a negligible imaginary
     part are polished by Newton steps on the balance itself and merged when
-    they agree to 1e-9.  No real root at all, or a coefficient that
-    overflows, raises ConvergenceError.
+    they agree to 1e-9; a root the polish sends past the float range is dropped.
+    No real root at all, a coefficient that overflows, or a leading coefficient
+    so small that np.roots's companion matrix overflows raises ConvergenceError.
     """
     num, den = np.array([params.omega_m, 0.0]), np.array([1.0])  # balance = num / den
-    with np.errstate(over="ignore", invalid="ignore"):  # checked as a whole below
+    with np.errstate(all="ignore"):  # the coefficients and roots are checked as wholes
         for s, delta, kappa, c, lorentzian in terms:
             add = s * c * den
             if lorentzian:  # num/den + s c/D = (num D + s c den) / (den D)
                 d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
                 num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
             num[len(num) - len(add):] += add
-    if not np.isfinite(num).all():
-        raise ConvergenceError("force balance coefficients overflow")
-    z = np.roots(num)
-    q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
-    for _ in range(POLISH_STEPS):
-        f, df = _balance(q, params, terms)
-        q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
+        if not np.isfinite(num).all():
+            raise ConvergenceError("force balance coefficients overflow")
+        try:
+            z = np.roots(num)
+        except np.linalg.LinAlgError:  # a coefficient over the leading one overflows
+            raise ConvergenceError("force balance roots out of range: its leading coefficient "
+                                   "omega_m g1^2 g2^2 is too small for np.roots") from None
+        q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
+        for _ in range(POLISH_STEPS):
+            f, df = _balance(q, params, terms)
+            q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
     roots: list[float] = []
-    for r in np.sort(q).tolist():
+    for r in np.sort(q[np.isfinite(q)]).tolist():
         if not roots or r - roots[-1] > 1e-9 * max(abs(r), 1.0):
             roots.append(r)
     if not roots:
@@ -209,7 +214,6 @@ def invert_cooperativity(
     c2: float,
     detuning_mode: str = "effective",
     p_c1: float = 0.0,
-    known: tuple[DriveConfig, WorkingPoint] | None = None,
 ) -> tuple[DriveConfig, WorkingPoint]:
     """Coupling powers [W] whose working point has the target cooperativities, and that point.
 
@@ -222,8 +226,6 @@ def invert_cooperativity(
     the target photon numbers held: linear in q0 when both are, the cubic when cavity 1
     is driven at ``p_c1``.  One forward solve at these powers confirms the branch: every
     target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
-    ``known`` is a (drives, working point) pair the caller holds at the same params and
-    mode; when the powers come out as those drives, that point is checked instead.
     """
     if detuning_mode not in ("effective", "bare"):
         raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
@@ -258,10 +260,7 @@ def invert_cooperativity(
                 raise ConvergenceError("target cooperativity unreachable: "
                                        f"{powers[i]!r} W or its drive amplitude overflows")
     drives = DriveConfig(*powers)
-    if known is not None and known[0] == drives:
-        wp = known[1]
-    else:
-        wp = solve_working_point(params, drives, detuning_mode)
+    wp = solve_working_point(params, drives, detuning_mode)
     for c, (g, kappa, _), n in zip(targets, cavities, (wp.n1, wp.n2)):
         if not c:
             continue
@@ -317,7 +316,10 @@ def require_stable(wp: WorkingPoint, params: SystemParams, what: str) -> None:
     """
     m = drift_matrix(wp, params)
     margin = np.atleast_1d(np.linalg.eigvals(m).real.max(axis=-1))
-    bad = np.flatnonzero(margin > STABILITY_RTOL * np.linalg.norm(m, axis=(-2, -1)))
+    # m and its margin scaled by a power of two, which is exact, so that no square overflows
+    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
+    norm = np.linalg.norm(np.ldexp(m, -e[..., None, None]), axis=(-2, -1))
+    bad = np.flatnonzero(np.ldexp(margin, -e) > STABILITY_RTOL * norm)
     if bad.size:
         i = int(bad[0])
         raise UnstableWorkingPointError(

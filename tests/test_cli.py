@@ -164,6 +164,15 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
                                     "ratio sweep needs 0 <= ratio_min < ratio_max"),
     "t_final_missing": ("integrate", {"sweep": {"kind": "time_domain", "n_samples": 5}},
                         "time_domain sweep needs t_final"),
+    "t_final_zero": ("integrate", {"sweep": {"kind": "time_domain", "t_final": 0}},
+                     "sweep.t_final must be > 0, got 0.0"),
+    "method_unknown": ("integrate", {"sweep": {"kind": "time_domain", "t_final": 1e-6,
+                                               "method": "euler"}},
+                       "sweep.method must be one of ('exact_propagator', 'rk4'), got 'euler'"),
+    "rk4_dt_missing": ("integrate", {"sweep": {**RK4_SWEEP, "dt": None}},
+                       "sweep.dt must be > 0 for method rk4, got None"),
+    "derive_t_final_negative": ("derive", {"sweep": {"kind": "time_domain", "t_final": -1e-6}},
+                                "sweep.t_final must be > 0"),
     "detuning_mode_unknown": ("sweep", {"detuning_mode": "dressed"},
                               "detuning_mode must be 'effective' or 'bare'"),
     "output_path_number": ("sweep", {"output": {"path": 3}}, "output.path must be a string"),
@@ -233,6 +242,60 @@ def test_extreme_finite_params_exit_without_traceback(tmp_path, capsys, case, co
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
     assert list(out.iterdir()) == []
+
+
+# power drives at couplings, mechanical rates and detunings near the ends of the float range:
+# (detuning_mode, params, exit code, the one stderr line or "" for none)
+EXTREME_POWER_DRIVEN = {
+    "g1_huge": ("effective", {"g1_hz": 1e300}, 3, "solver error: cooperativity C1 = "),
+    "g2_huge": ("effective", {"g2_hz": 1e300}, 3, "solver error: cooperativity C2 = "),
+    "omega_m_huge": ("effective", {"omega_m_hz": 1e300}, 3,
+                     "solver error: critical power out of range"),
+    "delta2_huge": ("effective", {"delta2_hz": 1e300}, 3,
+                    "solver error: row 0 (x = 0.000000e+00 rad/s): rwa response residual"),
+    "delta1_huge": ("effective", {"delta1_hz": 1e300}, 0, ""),
+    "g1_zero": ("effective", {"g1_hz": 0.0}, 0, ""),
+    "g1_underflow": ("effective", {"g1_hz": 1e-170}, 0, ""),
+    "bare_g1_zero": ("bare", {"g1_hz": 0.0}, 0, ""),
+    "bare_g1_underflow": ("bare", {"g1_hz": 1e-170}, 0, ""),
+    **{f"bare_{key}_{value:.0e}": ("bare", {key: value}, 3,
+                                   "solver error: force balance roots out of range")
+       for key, value in (("g1_hz", 1e-150), ("g1_hz", 1e-300), ("g2_hz", 1e-150),
+                          ("g2_hz", 1e-300), ("omega_m_hz", 1e-300))},
+    **{f"bare_{key}_{value:.0e}": ("bare", {key: value}, 0, "")
+       for key, value in (("kappa1_hz", 1e-170), ("kappa1_hz", 1e-300), ("kappa2_hz", 1e-170),
+                          ("kappa2_hz", 1e-300), ("omega_m_hz", 1e-170))},
+}
+# cases whose ratio-row inversions miss their target (C1 alone, or C2 = C1 / 2): the power
+# n_i hbar omega_ci (kappa_i^2 + Delta_i^2) / (2 kappa_i) underflows to 0 W at n_i hbar
+INVERSION_OFF_TARGET = {"bare_kappa1_hz_1e-300", "bare_kappa2_hz_1e-300"}
+
+
+@pytest.mark.parametrize("command", ["derive", "sweep"])
+@pytest.mark.parametrize("case", sorted(EXTREME_POWER_DRIVEN))
+def test_extreme_power_driven_params_exit_without_traceback(tmp_path, capsys, case, command):
+    """Every outcome is exit 0 with nothing on stderr, or one line and no table; a
+    RuntimeWarning fails the run."""
+    mode, params, code, message = EXTREME_POWER_DRIVEN[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": params, "detuning_mode": mode,
+                                "drives": {"p_c1": "1mW", "p_c2": "1uW"}, "sweep": RATIO_SWEEP}))
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "sweep" and case in INVERSION_OFF_TARGET:
+        code, message = 3, "solver error: cooperativity inversion off target"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main([command, "--scenario", path, "--out", out / "r.csv"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith(message) and captured.err.count("\n") == 1, captured.err
+        assert list(out.iterdir()) == []
+    else:
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        if params.get("g1_hz", 1.0) < 1e-160:  # 4 g1^2 kappa1 is 0: the 1/g1^2 limit
+            assert summary["critical_power_w"] == "inf"
 
 
 @pytest.mark.parametrize("command", ["derive", "roots"])

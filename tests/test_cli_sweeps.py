@@ -186,12 +186,9 @@ def test_invert_cooperativity_solves_each_power_once(params, monkeypatch):
         for c1, c2, p_c1 in ((35.0, 0.0, 0.0), (0.0, 35.0, 0.0), (35.0, 20.0, 0.0),
                              (None, 20.0, p1)):
             solves.clear()
-            drives, wp = cli.invert_cooperativity(params, c1, c2, mode, p_c1=p_c1)
+            drives = cli.invert_cooperativity(params, c1, c2, mode, p_c1=p_c1)[0]
             assert drives.p_c1 > 0 or drives.p_c2 > 0
             assert [args[1] for args, _ in solves] == [drives]  # the one confirming solve
-            solves.clear()
-            held = cli.invert_cooperativity(params, c1, c2, mode, p_c1=p_c1, known=(drives, wp))
-            assert held == (drives, wp) and not solves  # a point the caller holds: no solve
 
 
 def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
@@ -211,11 +208,8 @@ def test_run_reuses_resolved_drives(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "invert_cooperativity", invert)
     cli.run_scenario(scenario)
-    # an inversion is a closed form plus at most one confirming solve: none when it lands on
-    # drives the run already holds (here the C1-alone power is the resolved one)
+    # an inversion is a closed form plus at most one confirming solve
     assert solves_per_inversion and max(solves_per_inversion) <= 1, solves_per_inversion
-    drives = Counter(args[1] for args, _ in solves)
-    assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
 
     run = cli.Run(scenario)
     for module in (cli, wpmod):  # anything left to solve fails

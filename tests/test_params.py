@@ -74,6 +74,18 @@ def test_critical_power_vanishes_at_rate_degeneracy():
     assert om.critical_power(p) == 0.0
 
 
+def test_critical_power_limits_out_of_float_range():
+    # 4 g1^2 kappa1 of 0 is the 1/g1^2 limit; a square that overflows has no float answer
+    def with_hz(**hz):
+        return om.SystemParams.from_hz(**{**om.params.REFERENCE_HZ, **hz})
+
+    assert om.critical_power(with_hz(g1=0.0)) == math.inf
+    assert om.critical_power(with_hz(g1=1e-170)) == math.inf
+    for hz in ({"omega_m": 1e300}, {"g1": 1e300}):
+        with pytest.raises(om.ConvergenceError, match="critical power out of range"):
+            om.critical_power(with_hz(**hz))
+
+
 def test_eit_width_values(params):
     gm = params.gamma_m
     assert om.eit_width(0.0, gm) == gm / 2.0

@@ -25,7 +25,6 @@ import json
 import math
 import re
 import sys
-from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
@@ -48,6 +47,7 @@ from .params import (
     SystemParams,
     cooperativity,
     critical_power,
+    drive_amplitude,
     eit_width,
 )
 from .working_point import (
@@ -142,7 +142,6 @@ class Scenario(NamedTuple):
     variants: list
     out_path: str | None
     out_format: str
-    description: str
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
@@ -156,7 +155,7 @@ class Scenario(NamedTuple):
             "model",
             "variants",
             "output",
-            "description",
+            "description",  # accepted and ignored
         }
         unknown = set(doc) - allowed
         if unknown:
@@ -194,13 +193,12 @@ class Scenario(NamedTuple):
         return cls(
             params=params,
             detuning_mode=mode,
-            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0})),
+            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0}), params),
             sweep=sweep,
             model=model,
             variants=_variants_from_spec(doc.get("variants"), model),
             out_path=out_path,
             out_format=out_format,
-            description=doc.get("description", ""),
         )
 
 
@@ -239,8 +237,9 @@ def _params_from_spec(spec: dict) -> SystemParams:
         raise ScenarioError(f"invalid params: {exc}") from exc
 
 
-def _drives_from_spec(spec: dict) -> dict:
-    """Cooperativity targets {c1, c2} or powers {p_c1, p_c2} [W], missing ones 0."""
+def _drives_from_spec(spec: dict, params: SystemParams) -> dict:
+    """Cooperativity targets {c1, c2} or powers {p_c1, p_c2} [W], missing ones 0; a power
+    whose drive amplitude sqrt(2 kappa P / (hbar omega_c)) overflows is a ScenarioError."""
     if not isinstance(spec, dict):
         raise ScenarioError("drives must be an object")
     if "c1" in spec or "c2" in spec:
@@ -251,7 +250,13 @@ def _drives_from_spec(spec: dict) -> dict:
     extra = set(spec) - {"p_c1", "p_c2"}
     if extra:
         raise ScenarioError(f"unknown drives keys: {sorted(extra)}")
-    return {key: parse_power(spec.get(key, 0.0), f"drives.{key}") for key in ("p_c1", "p_c2")}
+    powers = {key: parse_power(spec.get(key, 0.0), f"drives.{key}") for key in ("p_c1", "p_c2")}
+    for (key, power), carrier, kappa in zip(powers.items(), (params.omega_c1, params.omega_c2),
+                                            (params.kappa1, params.kappa2)):
+        if power > 0.0 and not math.isfinite(drive_amplitude(power, carrier, kappa)):
+            raise ScenarioError(f"drives.{key} = {power!r} W is too large: its drive amplitude "
+                                "sqrt(2 kappa P / (hbar omega_c)) overflows")
+    return powers
 
 
 def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
@@ -349,34 +354,21 @@ class Run:
     """One CLI invocation: the scenario with its overrides applied and the resolved
     drives, cooperativities and working point.
 
-    Ratio rows and probe variants set C2 = ratio * C1 at one fixed cavity-1 power,
-    the power that gives the run's C1 with tone 2 off.  In bare mode tone 2 moves q0,
-    so C1 drifts along a ratio sweep while the first column prints the target ratio:
-    on bare fig5 it falls from 40 to 39.999968 at C2/C1 = 1.
+    Ratio rows and probe variants set C2 = ratio * C1 with cavity 1 at the run's own power
+    ``drives.p_c1``: the scenario's, or the one its C1 and C2 targets resolve to.  In bare
+    mode tone 2 moves q0, so C1 drifts along a ratio sweep while the first column prints
+    the target ratio: on bare fig5 it falls from 40 to 39.999968 at C2/C1 = 1.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario)
 
-    @cached_property
-    def alone(self) -> tuple[DriveConfig, WorkingPoint]:
-        """Drives and working point for the run's C1 with tone 2 off; ratio rows share the power."""
-        s = self.scenario
-        return invert_cooperativity(s.params, self.c1, 0.0, s.detuning_mode)
-
     def scaled(self, targets, what: str) -> list[WorkingPoint]:
         """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``."""
         s = self.scenario
-        wps = []
-        for c2 in targets:
-            if c2 is None:
-                wps.append(self.wp)
-            elif c2 == 0.0:
-                wps.append(self.alone[1])
-            else:
-                wps.append(invert_cooperativity(
-                    s.params, None, c2, s.detuning_mode, p_c1=self.alone[0].p_c1)[1])
+        wps = [self.wp if c2 is None else invert_cooperativity(
+            s.params, None, c2, s.detuning_mode, p_c1=self.drives.p_c1)[1] for c2 in targets]
         require_stable(_stacked(wps), s.params, what)
         return wps
 

@@ -254,7 +254,13 @@ def invert_cooperativity(
     powers = [p_c1 if c1 is None else 0.0, 0.0]
     for i, ((_, kappa, carrier), n, delta) in enumerate(zip(cavities, photons, deltas)):
         if n:  # not cavity 1 at p_c1 (None) or a zero target
-            powers[i] = n * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa)
+            # n scaled by a power of two, which is exact, so that n hbar cannot underflow
+            m, e = math.frexp(n)
+            try:
+                powers[i] = math.ldexp(
+                    m * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa), e)
+            except OverflowError:
+                powers[i] = math.inf
             if not (powers[i] < math.inf
                     and math.isfinite(drive_amplitude(powers[i], carrier, kappa))):
                 raise ConvergenceError("target cooperativity unreachable: "
@@ -266,9 +272,8 @@ def invert_cooperativity(
             continue
         achieved = cooperativity(g, n, kappa, params.gamma_m)
         if not abs(achieved - c) <= INVERSION_RTOL * c:
-            got = "NaN" if math.isnan(achieved) else repr(achieved)
             raise ConvergenceError(
-                f"cooperativity inversion off target: {got} vs {c} "
+                f"cooperativity inversion off target: {achieved!r} vs {c} "
                 "(the forward solve found another branch)",
                 residual=abs(achieved - c) / c,
             )

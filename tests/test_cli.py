@@ -50,6 +50,16 @@ def test_invert_cooperativity_unreachable():
         cli.invert_cooperativity(p, 10.0, 0.0)
 
 
+def test_inversion_power_is_inf_only_when_the_power_overflows():
+    """n1 hbar omega_c1 (kappa1^2 + Delta1^2) / (2 kappa1) at delta1 = 1e16 Hz: at C1 = 1e290
+    the power, 3.3e303 W, is finite (its drive amplitude overflows); at 1e297 it is not."""
+    p = om.SystemParams.from_hz(**{**cli.REFERENCE_HZ, "delta_bare1": 1e16})
+    with pytest.raises(om.ConvergenceError, match=r"unreachable: 3\.33\d*e\+303 W"):
+        cli.invert_cooperativity(p, 1e290, 0.0)
+    with pytest.raises(om.ConvergenceError, match="unreachable: inf W"):
+        cli.invert_cooperativity(p, 1e297, 0.0)
+
+
 def test_nan_during_inversion_exits_3(params, monkeypatch, capsys):
     real_cooperativity = cli.cooperativity
     n_target = 40.0 * params.kappa1 * params.gamma_m / params.g1**2
@@ -61,7 +71,7 @@ def test_nan_during_inversion_exits_3(params, monkeypatch, capsys):
         return real_cooperativity(g, n, kappa, gamma_m)
 
     monkeypatch.setattr(om.working_point, "cooperativity", nan_inside_bracket)
-    with pytest.raises(om.ConvergenceError, match="NaN"):
+    with pytest.raises(om.ConvergenceError, match="off target: nan vs 40.0"):
         cli.invert_cooperativity(params, 40.0, 0.0)
     assert cli.main(["invert", "--target", "40", "--cavity", "1"]) == 3
     assert "solver error" in capsys.readouterr().err
@@ -187,6 +197,14 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
     "variant_label_repeated": ("sweep", {"variants": [{"label": "a"}, {"label": "a",
                                                                        "model": "full"}]},
                                "variant labels must be unique: 'a' repeats"),
+    # the drive amplitude sqrt(2 kappa P / (hbar omega_c)) overflows above about 4e282 W
+    # (cavity 1) and 1e282 W (cavity 2) at the reference rates
+    **{f"{command}_{mode}_{key}_amplitude_overflows": (
+        command, {"detuning_mode": mode, "drives": drives},
+        f"drives.{key} = 1e+300 W is too large: its drive amplitude")
+       for command in ("derive", "sweep") for mode in ("effective", "bare")
+       for key, drives in (("p_c1", {"p_c1": 1e300}),
+                           ("p_c2", {"p_c1": "1mW", "p_c2": 1e300}))},
 }
 
 
@@ -266,9 +284,6 @@ EXTREME_POWER_DRIVEN = {
        for key, value in (("kappa1_hz", 1e-170), ("kappa1_hz", 1e-300), ("kappa2_hz", 1e-170),
                           ("kappa2_hz", 1e-300), ("omega_m_hz", 1e-170))},
 }
-# cases whose ratio-row inversions miss their target (C1 alone, or C2 = C1 / 2): the power
-# n_i hbar omega_ci (kappa_i^2 + Delta_i^2) / (2 kappa_i) underflows to 0 W at n_i hbar
-INVERSION_OFF_TARGET = {"bare_kappa1_hz_1e-300", "bare_kappa2_hz_1e-300"}
 
 
 @pytest.mark.parametrize("command", ["derive", "sweep"])
@@ -282,8 +297,6 @@ def test_extreme_power_driven_params_exit_without_traceback(tmp_path, capsys, ca
                                 "drives": {"p_c1": "1mW", "p_c2": "1uW"}, "sweep": RATIO_SWEEP}))
     out = tmp_path / "out"
     out.mkdir()
-    if command == "sweep" and case in INVERSION_OFF_TARGET:
-        code, message = 3, "solver error: cooperativity inversion off target"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run_main([command, "--scenario", path, "--out", out / "r.csv"]) == code
@@ -296,6 +309,30 @@ def test_extreme_power_driven_params_exit_without_traceback(tmp_path, capsys, ca
         summary = json.loads(captured.out)
         if params.get("g1_hz", 1.0) < 1e-160:  # 4 g1^2 kappa1 is 0: the 1/g1^2 limit
             assert summary["critical_power_w"] == "inf"
+
+
+# cooperativity targets at a cavity rate so small that n_i hbar underflows on the way to the
+# power n_i hbar omega_ci (kappa_i^2 + Delta_i^2) / (2 kappa_i)
+TINY_KAPPA_TARGETS = {
+    "bare_kappa1_hz_1e-300": {"params": {"kappa1_hz": 1e-300}, "detuning_mode": "bare",
+                              "drives": {"c1": 30}},
+    "kappa2_hz_1e-300": {"params": {"kappa2_hz": 1e-300}, "drives": {"c1": 30, "c2": 15}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(TINY_KAPPA_TARGETS))
+def test_tiny_cavity_rate_targets_invert_to_their_powers(tmp_path, capsys, case):
+    doc = TINY_KAPPA_TARGETS[case]
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_main(["derive", "--scenario", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    assert (summary["c1"], summary["c2"]) == (30.0, doc["drives"].get("c2", 0.0))
+    assert summary["p_c1_w"] > 0.0
 
 
 @pytest.mark.parametrize("command", ["derive", "roots"])

@@ -3,7 +3,6 @@
 import json
 import math
 import sys
-from collections import Counter
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -235,8 +234,8 @@ def test_bare_mode_hits_both_targets(tmp_path, monkeypatch, capsys):
     derived = cli.derive_summary(run)
     solves.clear()
     swept = cli.run_scenario(scenario)
-    drives = Counter(args[1] for args, _ in solves)
-    assert drives.most_common(1)[0][1] == 1, drives.most_common(1)
+    # rows drive cavity 1 at the run's own power, so the C2/C1 = 1 row is the run's own point
+    assert solves[-1][0][1] == run.drives, (solves[-1][0][1], run.drives)
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"detuning_mode": "bare", "drives": {"c1": 40.0, "c2": 40.0}}))
     capsys.readouterr()
@@ -245,6 +244,18 @@ def test_bare_mode_hits_both_targets(tmp_path, monkeypatch, capsys):
     for summary in (derived, swept, printed):
         assert abs(summary["c1"] - 40.0) <= 1e-12 and abs(summary["c2"] - 40.0) <= 1e-12
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 1 + 3
+
+
+def test_bare_ratio_rows_drive_cavity_1_at_the_given_power(tmp_path, monkeypatch):
+    """Power drives in bare mode with tone 2 on: every row, and the tone-2-off point, is
+    solved at the scenario's p_c1 itself."""
+    doc = {"detuning_mode": "bare", "drives": {"p_c1": "1.3mW", "p_c2": "3.3uW"},
+           "sweep": {**RATIO, "n_points": 3}, "output": {"path": str(tmp_path / "r.csv")}}
+    scenario = cli.Scenario.from_dict(doc)
+    solves = counted(monkeypatch, "solve_working_point")
+    cli.run_scenario(scenario)
+    assert len(solves) == 1 + 1 + 3  # as driven, tone 2 off, and one per row
+    assert {args[1].p_c1 for args, _ in solves} == {cli.parse_power("1.3mW")}
 
 
 def test_auto_probe_grid_follows_the_absorption_peak_width(tmp_path):

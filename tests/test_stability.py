@@ -54,10 +54,10 @@ def oracle_margin(a, scale):
 
 
 def tone2_blue_rows(ratios):
-    """The TONE2_BLUE run and its working points at C2 = ratio * C1, cavity 1 at the C1-alone
+    """The TONE2_BLUE run and its working points at C2 = ratio * C1, cavity 1 at the run's own
     power, ungated."""
     run = cli.Run(cli.Scenario.from_dict(TONE2_BLUE))
-    p1 = run.alone[0].p_c1
+    p1 = run.drives.p_c1
     params = run.scenario.params
     return run, [cli.invert_cooperativity(params, None, r * run.c1, p_c1=p1)[1] for r in ratios]
 

@@ -111,7 +111,7 @@ def response_rwa(x, c: RwaCoefficients):
     return result
 
 
-def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray]:
     """Poles of every row's cubic, from one stacked companion-matrix eigensolve.
 
     The rates kappa1, kappa2, gamma_m are scalars; the weights s1, s2 broadcast to (n,).
@@ -122,10 +122,10 @@ def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray, np.
     step, so each row equals the scalar np.roots solve bit for bit.  A step that
     overflows is taken divided through by y (the eigenvalue alone would put -a1/2 into
     both widths of a huge pair), and the eigenvalue is kept where that fails too.
-    Returns the (n, 3) roots in x, rows in ascending |Im|, the (n,) EIT-regime mask and
-    the (n,) normalized constant terms a3 = q(0).  Raises InvalidParameterError for a rate
-    not finite and > 0 or a weight not finite and >= 0, and SingularResponseError naming
-    the first row whose coefficients overflow.
+    Returns the (n, 3) roots in x, rows in ascending |Im|, and the (n,) normalized
+    constant terms a3 = q(0).  Raises InvalidParameterError for a rate not finite and > 0
+    or a weight not finite and >= 0, and SingularResponseError naming the first row whose
+    coefficients overflow.
     """
     for name, rate in (("kappa1", kappa1), ("kappa2", kappa2), ("gamma_m", gamma_m)):
         _require_positive(rate, name)
@@ -159,16 +159,16 @@ def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray, np.
     y = np.where(np.isfinite(step), y - step, y)
     x = -1j * y * gamma_m
     x = np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
-    eit = np.all(np.abs(x.real) <= PURE_IMAG_TOL * np.maximum(np.abs(x.imag), gamma_m), axis=1)
-    return x, eit, a3[:, 0]
+    return x, a3[:, 0]
 
 
 def denominator_roots(c: RwaCoefficients) -> PoleSet:
     """Poles of the closed-form response, ordered by ascending |Im|: one row of ``_poles``."""
-    roots, eit, _ = _poles(c.kappa1, c.kappa2, c.gamma_m, c.s1, c.s2)
+    roots = _poles(c.kappa1, c.kappa2, c.gamma_m, c.s1, c.s2)[0][0]
+    eit = np.all(np.abs(roots.real) <= PURE_IMAG_TOL * np.maximum(np.abs(roots.imag), c.gamma_m))
     return PoleSet(
-        roots=tuple(complex(r) for r in roots[0]),
-        classification=EIT_REGIME if eit[0] else NMS_REGIME,
+        roots=tuple(complex(r) for r in roots),
+        classification=EIT_REGIME if eit else NMS_REGIME,
     )
 
 
@@ -186,7 +186,7 @@ def root_trajectories(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
     every rate > 0 it is then a subnormal or underflowed product, and the
     narrowest pole, which scales with it, has lost digits.
     """
-    out, _, a3 = _poles(kappa1, kappa2, gamma_m, s1, s2)
+    out, a3 = _poles(kappa1, kappa2, gamma_m, s1, s2)
     lost = np.flatnonzero(np.abs(a3) < np.finfo(float).tiny)
     if lost.size:
         raise SingularResponseError(

@@ -21,8 +21,10 @@ therefore self-consistent in q0.  Multiplied by D_1 D_2 it is the quintic
 
 whose real roots are every steady state; at high drive there are several
 (bistability).  A cooperativity target fixes a photon number instead of a
-power.  With both n_i held the balance gives q0 = (g1 n1 - g2 n2) / omega_m
-outright; with n_2 held and tone 1 at a given power it is a cubic.
+power, and a held photon number is a constant force: its cavity pushes with
+g1 n1 or -g2 n2 whatever q0 is.  With both n_i fixed the balance is linear,
+q0 = (g1 n1 - g2 n2) / omega_m; with n_2 fixed and tone 1 at a given power it
+is cavity 1's Lorentzian against the constant force -g2 n2, a cubic.
 ``invert_cooperativity`` then reads the powers off n_i = E_ci^2 / D_i.
 
 A steady state is only worth linearizing about if small deviations from it
@@ -75,55 +77,51 @@ def _photon_numbers(e1, e2, k1, k2, d1, d2):
     return n1, n2
 
 
-def _terms(params, e1, e2, held=(None, None)):
-    """Photon-number terms of the force balance omega_m q + s_1 n_1(q) + s_2 n_2(q).
+def _terms(params, e1, e2):
+    """Lorentzian terms of the force balance omega_m q + F + s_1 n_1(q) + s_2 n_2(q).
 
-    One (s_i, delta_i, kappa_i, c_i, lorentzian) per cavity, with s_1 = -g1,
-    s_2 = g2 and Delta_i(q) = delta_i + s_i q: n_i(q) = c_i / (kappa_i^2 +
-    Delta_i(q)^2) with c_i = E_ci^2, or the constant c_i = held[i - 1] when
-    that is not None.  Terms that vanish (s_i = 0 or c_i = 0) are left out.
+    One (s_i, delta_i, kappa_i, c_i) per cavity, with s_1 = -g1, s_2 = g2,
+    Delta_i(q) = delta_i + s_i q and n_i(q) = c_i / (kappa_i^2 + Delta_i(q)^2),
+    c_i = E_ci^2.  Terms that vanish (s_i = 0 or c_i = 0) are left out.  A photon
+    number fixed by a target pushes with the constant s_i n_i instead, summed into F.
     """
     terms = []
-    for s, delta, kappa, e, n in ((-params.g1, params.delta_bare1, params.kappa1, e1, held[0]),
-                                  (params.g2, params.delta_bare2, params.kappa2, e2, held[1])):
-        c = e * e if n is None else n
+    for s, delta, kappa, e in ((-params.g1, params.delta_bare1, params.kappa1, e1),
+                               (params.g2, params.delta_bare2, params.kappa2, e2)):
+        c = e * e
         if s != 0.0 and c != 0.0:
-            terms.append((s, delta, kappa, c, n is None))
+            terms.append((s, delta, kappa, c))
     return terms
 
 
-def _balance(q, params, terms):
-    """The force balance omega_m q + sum_i s_i n_i(q) and its derivative in q."""
-    f, df = params.omega_m * q, params.omega_m
-    for s, delta, kappa, c, lorentzian in terms:
-        if lorentzian:
-            d = delta + s * q
-            den = kappa * kappa + d * d
-            n = c / den
-            f = f + s * n
-            df = df - 2.0 * s * s * d * n / den
-        else:
-            f = f + s * c
+def _balance(q, params, terms, force=0.0):
+    """The force balance omega_m q + force + sum_i s_i n_i(q) and its derivative in q."""
+    f, df = params.omega_m * q + force, params.omega_m
+    for s, delta, kappa, c in terms:
+        d = delta + s * q
+        den = kappa * kappa + d * d
+        n = c / den
+        f = f + s * n
+        df = df - 2.0 * s * s * d * n / den
     return f, df
 
 
-def _real_roots(params, terms) -> list[float]:
-    """Every distinct real root of the force balance, ascending.
+def _real_roots(params, terms, force=0.0) -> list[float]:
+    """Every distinct real root of the force balance with the constant ``force``, ascending.
 
-    The balance times its Lorentzian denominators is a polynomial in q of
-    degree 1 + 2 per Lorentzian term.  Its roots with a negligible imaginary
-    part are polished by Newton steps on the balance itself and merged when
-    they agree to 1e-9; a root the polish sends past the float range is dropped.
+    The balance times its Lorentzian denominators is a polynomial in q of degree
+    1 + 2 per term.  Its roots with a negligible imaginary part are polished by
+    Newton steps on the balance itself and merged when they agree to 1e-9; a
+    root the polish sends past the float range is dropped.
     No real root at all, a coefficient that overflows, or a leading coefficient
     so small that np.roots's companion matrix overflows raises ConvergenceError.
     """
-    num, den = np.array([params.omega_m, 0.0]), np.array([1.0])  # balance = num / den
+    num, den = np.array([params.omega_m, force]), np.array([1.0])  # balance = num / den
     with np.errstate(all="ignore"):  # the coefficients and roots are checked as wholes
-        for s, delta, kappa, c, lorentzian in terms:
+        for s, delta, kappa, c in terms:  # num/den + s c/D = (num D + s c den) / (den D)
             add = s * c * den
-            if lorentzian:  # num/den + s c/D = (num D + s c den) / (den D)
-                d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
-                num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
+            d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
+            num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
             num[len(num) - len(add):] += add
         if not np.isfinite(num).all():
             raise ConvergenceError("force balance coefficients overflow")
@@ -134,7 +132,7 @@ def _real_roots(params, terms) -> list[float]:
                                    "omega_m g1^2 g2^2 is too small for np.roots") from None
         q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
         for _ in range(POLISH_STEPS):
-            f, df = _balance(q, params, terms)
+            f, df = _balance(q, params, terms, force)
             q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
     roots: list[float] = []
     for r in np.sort(q[np.isfinite(q)]).tolist():
@@ -222,9 +220,10 @@ def invert_cooperativity(
     > 0; a zero target holds no photons), and n_i = E_i^2 / (kappa_i^2 + Delta_i^2) with
     E_i^2 = 2 kappa_i P_i / (hbar omega_ci) gives P_i = n_i hbar omega_ci (kappa_i^2 +
     Delta_i^2) / (2 kappa_i).  In effective mode Delta_i is the stored detuning.  In bare
-    mode it is Delta_i(q0), with q0 the smallest-|q0| real root of the force balance with
-    the target photon numbers held: linear in q0 when both are, the cubic when cavity 1
-    is driven at ``p_c1``.  One forward solve at these powers confirms the branch: every
+    mode it is Delta_i(q0), with q0 the smallest-|q0| real root of the force balance in
+    which a held photon number is a constant force s_i n_i (s_1 = -g1, s_2 = g2): linear
+    in q0 when both are fixed, cavity 1's Lorentzian plus that force, a cubic, when cavity
+    1 is driven at ``p_c1``.  One forward solve at these powers confirms the branch: every
     target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
     """
     if detuning_mode not in ("effective", "bare"):
@@ -247,9 +246,10 @@ def invert_cooperativity(
         targets.append(c)
         photons.append(n)
     deltas = (params.delta_bare1, params.delta_bare2)
-    if detuning_mode == "bare":  # a held photon number replaces its cavity's own drive
-        e1 = drive_amplitude(p_c1, params.omega_c1, params.kappa1)
-        q0 = min(_real_roots(params, _terms(params, e1, 0.0, photons)), key=abs)
+    if detuning_mode == "bare":  # a target's photon number pushes with the constant s_i n_i
+        force = sum(s * n for s, n in zip((-params.g1, params.g2), photons) if n is not None)
+        e1 = drive_amplitude(p_c1, params.omega_c1, params.kappa1) if c1 is None else 0.0
+        q0 = min(_real_roots(params, _terms(params, e1, 0.0), force), key=abs)
         deltas = (params.delta_bare1 - params.g1 * q0, params.delta_bare2 + params.g2 * q0)
     powers = [p_c1 if c1 is None else 0.0, 0.0]
     for i, ((_, kappa, carrier), n, delta) in enumerate(zip(cavities, photons, deltas)):

@@ -373,3 +373,29 @@ def test_large_c_approx_converges():
         ph = om.peak_height(c1, c2)
         errors.append(abs(ph.large_c_approx - ph.exact))
     assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("c2", [0.4, 4.0, 40.0, 400.0])
+def test_rwa_response_is_rebuilt_from_its_poles(params, c2):
+    """E_L(x) = 2i kappa1 N(x) / p(x) with N(x) = (x + i gamma_m/2)(x + i kappa2) - s2 and p
+    the monic pole cubic, so E_L is the sum of its pole terms R_k / (x - x_k), the residues sum
+    to 2i kappa1, and T(x) = 4 kappa1 kappa2 s1 s2 / |p(x)|^2.  No C2 here is at an
+    exceptional point, where two residues diverge."""
+    _, wp = cli.invert_cooperativity(params, 40.0, c2)
+    k1, k2, g = params.kappa1, params.kappa2, params.gamma_m
+    s1, s2 = params.g1**2 * wp.n1 / 2.0, params.g2**2 * wp.n2 / 2.0
+    poles = om.root_trajectories(k1, k2, g, s1, s2)[0]
+    x = np.linspace(-30.0, 30.0, 2001) * g
+    resp = response_grid(wp, params, params.omega_m + x, "rwa")
+
+    def numerator(z):
+        return 2j * k1 * ((z + 0.5j * g) * (z + 1j * k2) - s2)
+
+    p = np.prod(x[:, None] - poles, axis=1)
+    residues = np.array([numerator(z) / np.prod(z - np.delete(poles, k))
+                         for k, z in enumerate(poles)])
+    for rebuilt in (numerator(x) / p, (residues / (x[:, None] - poles)).sum(axis=1)):
+        assert np.all(np.abs(rebuilt - resp.e_l) <= 1e-11 * np.abs(resp.e_l))
+    assert abs(residues.sum() - 2j * k1) <= 1e-14 * 2.0 * k1
+    transmit = 4.0 * k1 * k2 * s1 * s2 / np.abs(p) ** 2
+    np.testing.assert_allclose(transmit, resp.transmit_flux, rtol=1e-11, atol=0)

@@ -153,3 +153,20 @@ def test_margin_within_eigensolver_rounding_passes_the_gate():
     norm = np.linalg.norm(wpmod.drift_matrix(wp, params))
     assert abs(om.stability_margin(wp, params)) < 1e-15 * norm
     wpmod.require_stable(wp, params, "derive")
+
+
+@pytest.mark.parametrize("mode", ["effective", "bare"])
+def test_full_response_is_the_drift_matrix_resolvent(params, mode):
+    """The probe drives Re a1 and Im a1 with (1/2, -i/2) at e^{-i delta t}, so the full
+    model's upper sidebands are (-i delta - M)^-1 of that drive, M the stability gate's
+    drift matrix: a1+ = Y0 + i Y1 and a2+ = Y2 + i Y3."""
+    _, wp = cli.invert_cooperativity(params, 40.0, 40.0, mode)
+    delta = params.omega_m + np.linspace(-30.0, 30.0, 2001) * params.gamma_m
+    m = wpmod.drift_matrix(wp, params)
+    drive = np.array([0.5, -0.5j, 0.0, 0.0, 0.0, 0.0])
+    y = np.linalg.solve(-1j * delta[:, None, None] * np.eye(6) - m,
+                        np.broadcast_to(drive[:, None], (len(delta), 6, 1)))[..., 0]
+    resp = om.response_grid(wp, params, delta, "full")
+    for kappa, amp, out in ((params.kappa1, y[:, 0] + 1j * y[:, 1], resp.e_l),
+                            (params.kappa2, y[:, 2] + 1j * y[:, 3], resp.e_r)):
+        assert np.all(np.abs(2.0 * kappa * amp - out) <= 1e-10 * np.abs(out))

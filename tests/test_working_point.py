@@ -107,3 +107,13 @@ def test_tied_roots_raise(params, monkeypatch):
 def test_unknown_mode_rejected(params):
     with pytest.raises(om.InvalidParameterError):
         om.solve_working_point(params, om.DriveConfig(0.0, 0.0), detuning_mode="pinned")
+
+
+def test_bare_ratio_rows_meet_their_c2_target_to_rounding(params):
+    """A ratio row holds n_2 as a constant force against cavity 1 driven at the run's power;
+    the forward solve at the inverted powers lands on C2 far inside INVERSION_RTOL."""
+    p_c1 = wpmod.invert_cooperativity(params, 40.0, 0.0, "bare")[0].p_c1
+    for c2 in np.arange(5.0, 61.0, 5.0):
+        _, wp = wpmod.invert_cooperativity(params, None, c2, "bare", p_c1=p_c1)
+        achieved = om.cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
+        assert abs(achieved - c2) <= 1e-12 * c2

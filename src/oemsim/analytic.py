@@ -23,14 +23,13 @@ s2 > 0, the narrow absorption peak inside it), acquiring real parts above it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError, SingularResponseError
-from .params import _require_non_negative, _require_positive
+from .params import Checked, _require_non_negative, _require_positive
 
 EIT_REGIME = "EIT_regime"
 NMS_REGIME = "NMS_regime"
@@ -40,20 +39,23 @@ NMS_REGIME = "NMS_regime"
 PURE_IMAG_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class RwaCoefficients:
-    """Rates and drive weights entering the closed-form response.
-
-    s1 = g1^2 |a10|^2 / 2 and s2 = g2^2 |a20|^2 / 2, in rad^2/s^2.
-    """
-
+class _RwaCoefficients(NamedTuple):
     kappa1: float
     kappa2: float
     gamma_m: float
     s1: float
     s2: float
 
-    def __post_init__(self):
+
+class RwaCoefficients(Checked, _RwaCoefficients):
+    """Rates and drive weights entering the closed-form response.
+
+    s1 = g1^2 |a10|^2 / 2 and s2 = g2^2 |a20|^2 / 2, in rad^2/s^2.
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         _require_positive(self.kappa1, "kappa1")
         _require_positive(self.kappa2, "kappa2")
         _require_positive(self.gamma_m, "gamma_m")

@@ -20,12 +20,11 @@ included), 3 solver failure (non-convergence or singular system), 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import math
+import os
 import re
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -674,7 +673,7 @@ def load_scenario(ref: str | None) -> Scenario:
             raise ScenarioError(f"scenario file {ref} is not valid JSON: {exc}") from exc
         return Scenario.from_dict(doc)
     if ref in PRESETS:
-        text = resources.files("oemsim").joinpath(f"scenarios/{ref}.json").read_text("utf-8")
+        text = Path(__file__).with_name("scenarios").joinpath(f"{ref}.json").read_text("utf-8")
         return Scenario.from_dict(json.loads(text))
     raise ScenarioError(f"scenario {ref!r} is neither a file nor a preset {PRESETS}")
 
@@ -782,19 +781,35 @@ def main(argv=None) -> int:
         return 4
 
 
+def _observed() -> bool:
+    """Whether a profiler or tracer (cProfile, coverage, a debugger) watches this process."""
+    monitoring = getattr(sys, "monitoring", None)  # Python 3.12+: cProfile registers here
+    return bool(sys.getprofile() or sys.gettrace()
+                or (monitoring and any(map(monitoring.get_tool, range(6)))))  # ids 0-5
+
+
 def entry() -> None:
     """Process entry of the ``oemsim`` command and of ``python -m oemsim.cli``.
 
-    Runs ``main``, then ``gc.freeze()``, then exits with main's code.  Freezing moves
-    every object numpy and oemsim made at import into the permanent generation, which
-    the interpreter's shutdown collections skip (about 20 ms of a 200 ms process).
-    Streams are still flushed, atexit handlers still run and the exit code is main's;
-    cyclic garbage still alive at exit is left to the OS.  ``main`` itself changes no
+    Runs ``main``, flushes stdout and stderr, then leaves through ``os._exit`` with
+    main's code.  That skips the interpreter's teardown (module clean-up and the
+    shutdown collections); atexit handlers do not run.  A stdout that cannot be
+    flushed (a pipe whose reader has gone) gives exit 4 with one ``i/o error`` line,
+    as a failed write inside ``main`` does.  Under a profiler or
+    tracer the process exits through ``sys.exit`` instead, so that their exit handlers
+    (cProfile's statistics, coverage's data file) still run.  ``main`` itself changes no
     process-wide state, so tests and tracers can call it in-process again and again.
     """
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        code = 4
+    sys.stderr.flush()
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -22,12 +22,12 @@ purely as a cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularResponseError, StepSizeError
-from .params import SystemParams, _require_positive
+from .params import Checked, SystemParams, _require_positive
 from .working_point import WorkingPoint
 
 METHODS = ("exact_propagator", "rk4")  # the integration methods of ``propagate``
@@ -35,14 +35,7 @@ STABILITY_FACTOR = 0.1  # rk4 guard: dt <= STABILITY_FACTOR / max_rate
 HIERARCHY_FACTOR = 10.0  # ">>" of the rate hierarchy: a ratio of at least 10
 
 
-@dataclass(frozen=True)
-class OscillatorModel:
-    """Rates and couplings of the effective (u, v, w) oscillator triple.
-
-    gamma_m_half is the amplitude damping rate of w (half the mechanical
-    energy damping rate).
-    """
-
+class _OscillatorModel(NamedTuple):
     delta1: float
     delta2: float
     omega_m: float
@@ -52,7 +45,17 @@ class OscillatorModel:
     g_eff1: float
     g_eff2: float
 
-    def __post_init__(self):
+
+class OscillatorModel(Checked, _OscillatorModel):
+    """Rates and couplings of the effective (u, v, w) oscillator triple.
+
+    gamma_m_half is the amplitude damping rate of w (half the mechanical
+    energy damping rate).
+    """
+
+    __slots__ = ()
+
+    def _check(self):
         _require_positive(self.kappa1, "kappa1")
         _require_positive(self.kappa2, "kappa2")
         _require_positive(self.gamma_m_half, "gamma_m_half")
@@ -87,14 +90,17 @@ class OscillatorModel:
         )
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Time samples of the (u, v, w) amplitudes; times strictly increasing."""
-
+class _Trajectory(NamedTuple):
     times: np.ndarray
     states: np.ndarray  # shape (len(times), 3), complex
 
-    def __post_init__(self):
+
+class Trajectory(Checked, _Trajectory):
+    """Time samples of the (u, v, w) amplitudes; times strictly increasing."""
+
+    __slots__ = ()
+
+    def _check(self):
         if np.any(np.diff(self.times) <= 0):
             raise InvalidParameterError("trajectory time grid must be strictly increasing")
 

@@ -21,7 +21,7 @@ carriers themselves are kept only for photon-energy conversions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConvergenceError, InvalidParameterError
 
@@ -39,8 +39,39 @@ def _require_non_negative(value: float, name: str) -> None:
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class Checked:
+    """Base of a checked record: a subclass of a NamedTuple that runs ``_check`` on
+    every new instance, those made by ``_make`` and ``_replace`` included.
+
+    A subclass sets ``__slots__ = ()`` so that its instances stay immutable.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _SystemParams(NamedTuple):
+    omega_c1: float
+    omega_c2: float
+    delta_bare1: float
+    delta_bare2: float
+    omega_m: float
+    gamma_m: float
+    kappa1: float
+    kappa2: float
+    g1: float
+    g2: float
+
+
+class SystemParams(Checked, _SystemParams):
     """Fixed hardware rates and detunings of the two-cavity device.
 
     Attributes
@@ -62,18 +93,9 @@ class SystemParams:
         mechanical element couples with opposite signs to the two cavities.
     """
 
-    omega_c1: float
-    omega_c2: float
-    delta_bare1: float
-    delta_bare2: float
-    omega_m: float
-    gamma_m: float
-    kappa1: float
-    kappa2: float
-    g1: float
-    g2: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _require_positive(self.omega_c1, "omega_c1")
         _require_positive(self.omega_c2, "omega_c2")
         _require_positive(self.omega_m, "omega_m")
@@ -140,18 +162,21 @@ def default_params() -> SystemParams:
     return SystemParams.from_hz(**REFERENCE_HZ)
 
 
-@dataclass(frozen=True)
-class DriveConfig:
+class _DriveConfig(NamedTuple):
+    p_c1: float
+    p_c2: float
+
+
+class DriveConfig(Checked, _DriveConfig):
     """Input powers of the two coupling tones [W].
 
     The probe needs no power: the linear response is normalized per unit
     probe amplitude.
     """
 
-    p_c1: float
-    p_c2: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def _check(self):
         _require_non_negative(self.p_c1, "p_c1")
         _require_non_negative(self.p_c2, "p_c2")
 

@@ -1,5 +1,6 @@
 """The process entry: ``python -m oemsim.cli`` and the ``oemsim`` script run ``cli.entry``,
-which exits through ``gc.freeze()``; ``cli.main`` itself leaves the process as it was."""
+which flushes the streams and exits through ``os._exit`` (``sys.exit`` under a profiler);
+``cli.main`` itself leaves the process as it was."""
 
 import gc
 import json
@@ -15,31 +16,39 @@ import oemsim
 from oemsim import cli
 
 SRC = Path(oemsim.__file__).resolve().parents[1]
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
-    p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
+# Buffered stdout, as on a terminal-less run without PYTHONUNBUFFERED, so that a missing
+# flush before the exit shows as missing output.
+ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+       "PYTHONPATH": os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)}
 
-RUNS = {  # case: (command line before --out, output file name)
-    "derive": (["derive", "--scenario", "fig5"], "summary.json"),
-    "sweep": (["sweep", "--scenario", "fig4", "--points", "7"], "fig4.csv"),
-    "malformed": (["sweep", "--scenario", "bad.json"], "t.csv"),
+SCENARIOS = {  # written into every run directory
+    "bad.json": {"sweep": {"kind": "probe_x", "n_points": 1}},
+    "blue.json": {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}},  # unstable
+}
+RUNS = {  # case: (command line before --out, output file name, exit code)
+    "derive": (["derive", "--scenario", "fig5"], "summary.json", 0),
+    "sweep": (["sweep", "--scenario", "fig4", "--points", "7"], "fig4.csv", 0),
+    "malformed": (["sweep", "--scenario", "bad.json"], "t.csv", 2),
+    "unstable": (["derive", "--scenario", "blue.json"], "summary.json", 3),
 }
 
 
 def outputs(directory: Path, stdout: str) -> tuple[str, dict]:
-    """stdout with the run directory taken out, and every file written but the scenario."""
-    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir()) if p.name != "bad.json"}
+    """stdout with the run directory taken out, and every file written but the scenarios."""
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+             if p.name not in SCENARIOS}
     return stdout.replace(str(directory), "<dir>"), files
 
 
 @pytest.mark.parametrize("case", sorted(RUNS))
 def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch, case):
-    args, name = RUNS[case]
+    args, name, expected = RUNS[case]
     results = []
     for side in ("child", "in_process"):
         run_dir = tmp_path / side
         run_dir.mkdir()
-        (run_dir / "bad.json").write_text(json.dumps({"sweep": {"kind": "probe_x",
-                                                                 "n_points": 1}}))
+        for file_name, doc in SCENARIOS.items():
+            (run_dir / file_name).write_text(json.dumps(doc))
         argv = [*args, "--out", str(run_dir / name)]
         if side == "child":
             proc = subprocess.run([sys.executable, "-m", "oemsim.cli", *argv], cwd=run_dir,
@@ -51,23 +60,50 @@ def test_module_entry_matches_in_process_main(tmp_path, capsys, monkeypatch, cas
             stdout, stderr = capsys.readouterr()
         results.append((code, stderr, *outputs(run_dir, stdout)))
     assert results[0] == results[1]
-    assert results[0][0] == (2 if case == "malformed" else 0)
+    assert results[0][0] == expected
 
 
-def test_module_entry_freezes_gc_before_exit(tmp_path):
-    """``python -m oemsim.cli`` (run here through runpy, with sys.exit patched to report)
-    freezes the heap after main returns and exits with main's code."""
+def test_module_entry_flushes_then_skips_teardown(tmp_path):
+    """``python -m oemsim.cli`` (run here through runpy) writes its buffered stdout and
+    exits with main's code through ``os._exit``: an atexit handler does not run."""
     code = (
-        "import gc, runpy, sys\n"
-        "assert gc.get_freeze_count() == 0\n"
-        "sys.exit = lambda code: print('exit', code, gc.get_freeze_count() > 0)\n"
+        "import atexit, os, runpy, sys\n"
+        "atexit.register(os.write, 2, b'atexit ran')\n"
         "sys.argv = ['oemsim', 'invert', '--target', '40', '--cavity', '1']\n"
         "runpy.run_module('oemsim.cli', run_name='__main__')\n"
+        "os.write(2, b'entry returned')\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=ENV,
-                          capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines()[-1] == "exit 0 True"
-    assert json.loads(proc.stdout.rsplit("exit", 1)[0])["cavity"] == 1
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["cavity"] == 1
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_exits_4(tmp_path, unbuffered):
+    """A stdout pipe whose reader has gone fails the final flush (buffered) or the write
+    inside main (unbuffered); both exit 4 with one line and no traceback."""
+    env = {**ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else ENV
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "oemsim.cli", "derive"], cwd=tmp_path,
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (4, "i/o error: [Errno 32] Broken pipe\n")
+
+
+def test_profiled_module_entry_prints_its_statistics(tmp_path):
+    """Under cProfile the entry exits through ``sys.exit``, so the profiler still prints."""
+    proc = subprocess.run([sys.executable, "-m", "cProfile", "-m", "oemsim.cli", "invert",
+                           "--target", "40", "--cavity", "1"], cwd=tmp_path, env=ENV,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    summary, stats = proc.stdout.split("}\n", 1)
+    assert json.loads(summary + "}")["cavity"] == 1
+    assert "function calls" in stats and "Ordered by" in stats
 
 
 def test_in_process_main_leaves_gc_unfrozen(capsys):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import oemsim as om
@@ -113,3 +114,34 @@ def test_system_params_validation():
             omega_c1=4e14, omega_c2=1e10, omega_m=1e7, gamma_m=1e3,
             kappa1=0.0, kappa2=1e2, g1=50.0, g2=5.0,
         )
+
+
+CHECKED = {  # record: (a valid instance, one field and a value its check refuses, message)
+    "SystemParams": (om.default_params(), "kappa1", 0.0, "kappa1 must be finite and > 0"),
+    "DriveConfig": (om.DriveConfig(1e-3, 0.0), "p_c2", -1.0, "p_c2 must be finite and >= 0"),
+    "RwaCoefficients": (om.RwaCoefficients(1.0, 1.0, 1.0, 0.0, 0.0), "s1", math.nan,
+                        "s1 must be finite and >= 0"),
+    "OscillatorModel": (om.OscillatorModel(5.0, 5.0, 5.0, 2.0, 3.0, 1.0, 0.5, 0.0),
+                        "gamma_m_half", 0.0, "gamma_m_half must be finite and > 0"),
+    "Trajectory": (om.Trajectory(np.array([0.0, 1.0]), np.zeros((2, 3), complex)), "times",
+                   np.array([1.0, 1.0]), "trajectory time grid must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECKED))
+def test_checked_record_checks_every_construction(name):
+    """Keyword, positional, ``_replace`` and ``_make`` construction all run the checks;
+    instances compare by value and take no attribute assignment."""
+    record, field, bad, message = CHECKED[name]
+    cls = type(record)
+    assert cls.__name__ == name
+    values = {**record._asdict(), field: bad}
+    for build in (lambda: cls(**values), lambda: cls(*values.values()),
+                  lambda: record._replace(**{field: bad}), lambda: cls._make(values.values())):
+        with pytest.raises(om.InvalidParameterError, match=message):
+            build()
+    if name != "Trajectory":  # arrays have no truth value to compare by
+        assert cls(**record._asdict()) == record
+    for attr in (field, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, bad)

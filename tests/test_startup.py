@@ -1,4 +1,5 @@
-"""Start-up cost guard: the CLI must not import scipy.
+"""Start-up cost guard: the CLI must not import scipy, ``dataclasses`` or
+``importlib.resources``.
 
 numpy is the only runtime dependency; scipy serves the tests as an oracle.
 """
@@ -8,20 +9,33 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import oemsim
 
 SRC = str(Path(oemsim.__file__).resolve().parents[1])
 
 
-def run_python(code):
-    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                   check=True, timeout=60)
+def run_python(code, *flags, path=()):
+    path = os.pathsep.join(p for p in (SRC, *path, os.environ.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, *flags, "-c", code],
+                   env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
 
 
 def test_cli_import_loads_no_scipy():
     run_python("import oemsim.cli, sys; "
                "assert not any(m.startswith('scipy') for m in sys.modules)")
+
+
+def test_cli_import_loads_no_dataclasses():
+    run_python("import oemsim.cli, sys; assert 'dataclasses' not in sys.modules")
+
+
+def test_cli_import_without_site_loads_no_importlib_resources():
+    """``-S`` keeps out the site ``.pth`` hooks that may load ``importlib.resources``
+    themselves; numpy's directory goes on PYTHONPATH instead."""
+    run_python("import oemsim.cli, sys; assert 'importlib.resources' not in sys.modules",
+               "-S", path=(str(Path(np.__file__).resolve().parents[1]),))
 
 
 def test_exact_propagator_takes_one_expm_and_loads_no_scipy():

@@ -350,8 +350,8 @@ def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float, Worki
 
 
 class Run:
-    """One CLI invocation: the scenario with its overrides applied and the resolved
-    drives, cooperativities and working point.
+    """One CLI invocation: the scenario (its flags applied) and the resolved drives,
+    cooperativities and working point.
 
     Ratio rows and probe variants set C2 = ratio * C1 with cavity 1 at the run's own power
     ``drives.p_c1``: the scenario's, or the one its C1 and C2 targets resolve to.  In bare
@@ -452,33 +452,19 @@ def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
     return max(801, math.ceil(min(20.0 * (x_max - x_min) / width, 20000.0)) + 1)
 
 
-def run_scenario(
-    scenario: Scenario,
-    out_override: str | None = None,
-    format_override: str | None = None,
-    model_override: str | None = None,
-    points_override: int | None = None,
-) -> dict:
+def run_scenario(scenario: Scenario) -> dict:
     """Execute a scenario: write its table file(s) and return the summary dict.
 
-    The summary, plus a "files" entry listing every table written, is also
-    what the subcommands print.  ``model_override`` replaces the model of
-    every variant too.  The sweep kind's producer (``_PRODUCERS``) makes the
-    tables one at a time; this is the one place that names and writes them.
+    The summary, plus a "files" entry listing every table written, is also what the
+    subcommands print; their flags are already applied to ``scenario``.  The sweep kind's
+    producer (``_PRODUCERS``) makes the tables one at a time; this is the one place that
+    names and writes them, at ``out_path`` (default ``sweep_output.<format>``).
     """
-    sweep, variants = scenario.sweep, scenario.variants
-    if points_override is not None:
-        sweep = {**sweep, "n_points": _count(points_override, "--points")}
-    if model_override:
-        variants = [{**v, "model": model_override} for v in variants]
-    scenario = scenario._replace(sweep=sweep, variants=variants,
-                                 model=model_override or scenario.model,
-                                 out_format=format_override or scenario.out_format)
-    out_path = Path(out_override or scenario.out_path or "sweep_output." + scenario.out_format)
+    out_path = Path(scenario.out_path or "sweep_output." + scenario.out_format)
     run = Run(scenario)
     summary = derive_summary(run)
     summary["files"] = []
-    tables = _PRODUCERS[sweep["kind"]](run) if sweep else ()
+    tables = _PRODUCERS[scenario.sweep["kind"]](run) if scenario.sweep else ()
     for label, columns, rows in tables:
         path = _variant_path(out_path, label)
         _write_table(path, columns, rows, scenario.out_format)
@@ -752,21 +738,25 @@ def _dispatch(args) -> int:
         raise ScenarioError(
             f"subcommand {args.command!r} needs a sweep of kind {allowed}, got {kind!r}"
         )
-    summary = run_scenario(
-        scenario,
-        out_override=args.out,
-        format_override=getattr(args, "format", None),
-        model_override=getattr(args, "model", None),
-        points_override=getattr(args, "points", None),
-    )
-    _print_json(summary)
+    # the flags are Scenario fields; --model sets every variant's model too
+    points, model = getattr(args, "points", None), getattr(args, "model", None)
+    if points is not None:
+        scenario = scenario._replace(sweep={**scenario.sweep,
+                                            "n_points": _count(points, "--points")})
+    if model:
+        scenario = scenario._replace(model=model,
+                                     variants=[{**v, "model": model} for v in scenario.variants])
+    scenario = scenario._replace(out_path=args.out or scenario.out_path,
+                                 out_format=getattr(args, "format", None) or scenario.out_format)
+    _print_json(run_scenario(scenario))
     return 0
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
+    except SystemExit as exc:  # argparse's: 0 after --help, 2 on a usage error
+        return exc.code
     except (ScenarioError, InvalidParameterError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -791,14 +781,14 @@ def _observed() -> bool:
 def entry() -> None:
     """Process entry of the ``oemsim`` command and of ``python -m oemsim.cli``.
 
-    Runs ``main``, flushes stdout and stderr, then leaves through ``os._exit`` with
-    main's code.  That skips the interpreter's teardown (module clean-up and the
-    shutdown collections); atexit handlers do not run.  A stdout that cannot be
-    flushed (a pipe whose reader has gone) gives exit 4 with one ``i/o error`` line,
-    as a failed write inside ``main`` does.  Under a profiler or
-    tracer the process exits through ``sys.exit`` instead, so that their exit handlers
-    (cProfile's statistics, coverage's data file) still run.  ``main`` itself changes no
-    process-wide state, so tests and tracers can call it in-process again and again.
+    Runs ``main`` (argparse's exits included), flushes stdout and stderr, then leaves
+    through ``os._exit`` with main's code.  That skips the interpreter's teardown (module
+    clean-up and the shutdown collections); atexit handlers do not run.  A stdout that
+    cannot be flushed (a pipe whose reader has gone) gives exit 4 with one ``i/o error``
+    line, as a failed write inside ``main`` does.  Under a profiler or tracer the process
+    exits through ``sys.exit`` instead, so that their exit handlers (cProfile's statistics,
+    coverage's data file) still run.  ``main`` itself changes no process-wide state, so
+    tests and tracers can call it in-process again and again.
     """
     code = main()
     try:

@@ -37,6 +37,7 @@ from .params import SystemParams
 from .working_point import WorkingPoint
 
 RESIDUAL_TOL = 1e-10
+_TINY = np.finfo(float).tiny
 
 
 class SidebandSolution(NamedTuple):
@@ -128,11 +129,19 @@ def _arrow_solve(diag, col, row, corner):
 def _arrow_residual(diag, col, row, corner, xs, q):
     """Per grid point, max over rows of |A z - b| / (|A| |z| + |b|) of the arrow system."""
     b = [1.0] + [0.0] * (len(xs) - 1)
-    rows = [(d * x + c * q - bj, abs(d) * abs(x) + abs(c) * abs(q) + bj)
-            for d, c, x, bj in zip(diag, col, xs, b)]
-    rows.append((sum(r * x for r, x in zip(row, xs)) + corner * q,
-                 sum(abs(r) * abs(x) for r, x in zip(row, xs)) + abs(corner) * abs(q)))
-    return np.max([abs(err) / np.where(scale > 0, scale, 1.0) for err, scale in rows], axis=0)
+    rows = [_row_residual((d, c), (x, q), bj) for d, c, x, bj in zip(diag, col, xs, b)]
+    rows.append(_row_residual((*row, corner), (*xs, q), 0.0))
+    return np.max(rows, axis=0)
+
+
+def _row_residual(coeffs, unknowns, b):
+    """|a.z - b| / (|a| |z| + |b|) of one row; 0 where the error is within tiny * sum |a|,
+    the most an unknown below the normal float range leaves (at a far detuning,
+    a2+ = -c2 q / d2 underflows to 0 and the cavity-2 row's relative error is 1)."""
+    mags = [abs(a) for a in coeffs]
+    err = abs(sum(a * z for a, z in zip(coeffs, unknowns)) - b)
+    scale = sum(m * abs(z) for m, z in zip(mags, unknowns)) + b
+    return np.where(err <= _TINY * sum(mags), 0.0, err / np.where(scale > 0, scale, 1.0))
 
 
 def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> SidebandSolution:

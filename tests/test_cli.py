@@ -263,14 +263,16 @@ def test_extreme_finite_params_exit_without_traceback(tmp_path, capsys, case, co
 
 
 # power drives at couplings, mechanical rates and detunings near the ends of the float range:
-# (detuning_mode, params, exit code, the one stderr line or "" for none)
+# (detuning_mode, params, exit code or {command: exit code}, the one stderr line or "" for none)
 EXTREME_POWER_DRIVEN = {
     "g1_huge": ("effective", {"g1_hz": 1e300}, 3, "solver error: cooperativity C1 = "),
     "g2_huge": ("effective", {"g2_hz": 1e300}, 3, "solver error: cooperativity C2 = "),
     "omega_m_huge": ("effective", {"omega_m_hz": 1e300}, 3,
                      "solver error: critical power out of range"),
-    "delta2_huge": ("effective", {"delta2_hz": 1e300}, 3,
-                    "solver error: row 0 (x = 0.000000e+00 rad/s): rwa response residual"),
+    # cavity 2 decouples (a2+ underflows to 0 within the gate's allowance), but a ratio
+    # row's C2 target there needs a coupling power past the float range
+    "delta2_huge": ("effective", {"delta2_hz": 1e300}, {"derive": 0, "sweep": 3},
+                    "solver error: target cooperativity unreachable: inf W"),
     "delta1_huge": ("effective", {"delta1_hz": 1e300}, 0, ""),
     "g1_zero": ("effective", {"g1_hz": 0.0}, 0, ""),
     "g1_underflow": ("effective", {"g1_hz": 1e-170}, 0, ""),
@@ -292,6 +294,7 @@ def test_extreme_power_driven_params_exit_without_traceback(tmp_path, capsys, ca
     """Every outcome is exit 0 with nothing on stderr, or one line and no table; a
     RuntimeWarning fails the run."""
     mode, params, code, message = EXTREME_POWER_DRIVEN[case]
+    code = code[command] if isinstance(code, dict) else code
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"params": params, "detuning_mode": mode,
                                 "drives": {"p_c1": "1mW", "p_c2": "1uW"}, "sweep": RATIO_SWEEP}))
@@ -473,6 +476,55 @@ def test_overflowing_time_trace_exits_3(tmp_path, capsys):
                                    "exact_propagator trace is not finite")
     assert captured.err.count("\n") == 1 and captured.out == ""
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc", [
+    {"sweep": {**RATIO_SWEEP, "x_gamma_m": 1e120}},
+    {"params": {"delta2_hz": 1e300}, "drives": {"p_c1": "1mW", "p_c2": "1uW"},
+     "sweep": {"kind": "probe_x", "n_points": 3}},
+], ids=["probe_far_detuned", "cavity2_far_detuned"])
+def test_far_detuned_point_passes_the_residual_gate(tmp_path, capsys, doc):
+    """a2+ = -c2 q / d2 underflows to 0 there; the gate allows the error that leaves (these
+    used to exit 3 calling the system singular), and nothing reaches cavity 2."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc))
+    assert run_main(["sweep", "--scenario", path, "--out", tmp_path / "t.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
+    assert rows.shape == (3, 8) and np.isfinite(rows).all()
+    assert (rows[:, 5] == 0.0).all()  # transmit_flux
+
+
+SWEEP_DOC = {"drives": {"c1": 40.0, "c2": 20.0},
+             "sweep": {"kind": "probe_x", "x_min_gamma_m": -2.0, "x_max_gamma_m": 2.0,
+                       "n_points": 9},
+             "variants": [{"label": "a"}, {"label": "b", "model": "full", "c2_over_c1": 1.0}]}
+FLAGS_AS_FIELDS = {  # a sweep flag, and the keys of SWEEP_DOC that say the same
+    "out": (["--out", "t.csv"], {"output": {"path": "t.csv"}}),
+    "format": (["--format", "json"], {"output": {"format": "json"}}),
+    "model": (["--model", "analytic"], {"model": "analytic", "variants": [
+        {**v, "model": "analytic"} for v in SWEEP_DOC["variants"]]}),
+    "points": (["--points", "5"], {"sweep": {**SWEEP_DOC["sweep"], "n_points": 5}}),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAGS_AS_FIELDS))
+def test_sweep_flag_is_its_scenario_field(tmp_path, capsys, monkeypatch, flag):
+    """A flag writes the same files, stdout and stderr as its value in the scenario."""
+    args, fields = FLAGS_AS_FIELDS[flag]
+    results = {}
+    for side, doc, extra in (("flag", SWEEP_DOC, args), ("field", {**SWEEP_DOC, **fields}, []),
+                             ("neither", SWEEP_DOC, [])):
+        run_dir = tmp_path / side
+        run_dir.mkdir()
+        (tmp_path / f"{side}.json").write_text(json.dumps(doc))
+        monkeypatch.chdir(run_dir)  # relative output paths, so stdout can be compared
+        code = run_main(["sweep", "--scenario", tmp_path / f"{side}.json", *extra])
+        files = {p.name: p.read_bytes() for p in sorted(run_dir.iterdir())}
+        results[side] = (code, capsys.readouterr(), files)
+    assert results["flag"] == results["field"] != results["neither"]
+    assert results["flag"][0] == 0 and len(results["flag"][2]) == 2
 
 
 def test_auto_probe_points_cap_a_window_near_the_float_range():
@@ -722,12 +774,13 @@ def test_overflowing_cooperativity_target_is_unreachable(tmp_path, capsys, mode,
     assert list(out.iterdir()) == []
 
 
+def sized(scenario, out, n_points):
+    """``scenario`` writing to ``out`` on a grid of ``n_points``."""
+    return scenario._replace(out_path=str(out), sweep={**scenario.sweep, "n_points": n_points})
+
+
 def test_fig2_preset_variants(tmp_path):
-    summary = cli.run_scenario(
-        cli.load_scenario("fig2"),
-        out_override=str(tmp_path / "fig2.csv"),
-        points_override=41,
-    )
+    summary = cli.run_scenario(sized(cli.load_scenario("fig2"), tmp_path / "fig2.csv", 41))
     assert len(summary["files"]) == 6
     spectra = {}
     for f in summary["files"]:
@@ -758,11 +811,7 @@ def test_model_override_applies_to_every_variant(tmp_path, capsys):
 
 
 def test_fig3_preset_trends(tmp_path):
-    summary = cli.run_scenario(
-        cli.load_scenario("fig3"),
-        out_override=str(tmp_path / "fig3.csv"),
-        points_override=41,
-    )
+    summary = cli.run_scenario(sized(cli.load_scenario("fig3"), tmp_path / "fig3.csv", 41))
     rows = np.loadtxt(summary["files"][0], delimiter=",", skiprows=1)
     assert rows.shape == (41, 7)
     narrow = rows[:, 1]
@@ -773,11 +822,7 @@ def test_fig3_preset_trends(tmp_path):
 
 
 def test_fig5_preset_routing_crossover(tmp_path):
-    summary = cli.run_scenario(
-        cli.load_scenario("fig5"),
-        out_override=str(tmp_path / "fig5.csv"),
-        points_override=21,
-    )
+    summary = cli.run_scenario(sized(cli.load_scenario("fig5"), tmp_path / "fig5.csv", 21))
     rows = np.loadtxt(summary["files"][0], delimiter=",", skiprows=1)
     reflect, transmit, mech = rows[:, 3], rows[:, 5], rows[:, 6]
     assert reflect[0] > 0.9 and transmit[0] == 0.0
@@ -786,11 +831,7 @@ def test_fig5_preset_routing_crossover(tmp_path):
 
 
 def test_fig4_peak_height_column(tmp_path):
-    summary = cli.run_scenario(
-        cli.load_scenario("fig4"),
-        out_override=str(tmp_path / "fig4.csv"),
-        points_override=11,
-    )
+    summary = cli.run_scenario(sized(cli.load_scenario("fig4"), tmp_path / "fig4.csv", 11))
     rows = np.loadtxt(summary["files"][0], delimiter=",", skiprows=1)
     ratios, re_el = rows[:, 0], rows[:, 1]
     for r, value in zip(ratios, re_el):
@@ -870,7 +911,7 @@ def test_main_integrate_exact(tmp_path, capsys):
 
 def test_summary_sidecar_determinism(tmp_path):
     scenario = cli.load_scenario("fig5")
-    a = cli.run_scenario(scenario, out_override=str(tmp_path / "a.csv"), points_override=5)
-    b = cli.run_scenario(scenario, out_override=str(tmp_path / "b.csv"), points_override=5)
+    a = cli.run_scenario(sized(scenario, tmp_path / "a.csv", 5))
+    b = cli.run_scenario(sized(scenario, tmp_path / "b.csv", 5))
     a.pop("files"), b.pop("files")
     assert a == b

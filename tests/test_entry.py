@@ -79,20 +79,36 @@ def test_module_entry_flushes_then_skips_teardown(tmp_path):
     assert json.loads(proc.stdout)["cavity"] == 1
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_closed_stdout_pipe_exits_4(tmp_path, unbuffered):
+CLOSED_PIPE = {  # case: (command line, unbuffered stdout)
+    "buffered": (["derive"], False),
+    "unbuffered": (["derive"], True),
+    "help_buffered": (["--help"], False),  # argparse's exit returns through main
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_PIPE))
+def test_closed_stdout_pipe_exits_4(tmp_path, case):
     """A stdout pipe whose reader has gone fails the final flush (buffered) or the write
     inside main (unbuffered); both exit 4 with one line and no traceback."""
+    args, unbuffered = CLOSED_PIPE[case]
     env = {**ENV, "PYTHONUNBUFFERED": "1"} if unbuffered else ENV
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "oemsim.cli", "derive"], cwd=tmp_path,
+        proc = subprocess.run([sys.executable, "-m", "oemsim.cli", *args], cwd=tmp_path,
                               env=env, stdout=write_end, stderr=subprocess.PIPE, text=True,
                               timeout=120)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (4, "i/o error: [Errno 32] Broken pipe\n")
+
+
+def test_argparse_exits_return_through_main(capsys):
+    """--help and a usage error return their codes instead of raising SystemExit."""
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: oemsim")
+    assert cli.main(["sweep"]) == 2
+    assert "error: the following arguments are required: --scenario" in capsys.readouterr().err
 
 
 def test_profiled_module_entry_prints_its_statistics(tmp_path):

@@ -176,6 +176,22 @@ def test_arrow_residual_is_the_dense_definition():
         assert got == pytest.approx(np.max(err / scale, axis=1), rel=1e-6)
 
 
+def test_arrow_residual_allows_an_underflowed_unknown():
+    """a1 + 0 q = 1, 2**1000 a2 + 2**-100 q = 0, a1 - q = 0: the exact a2 = -2**-1100 is
+    below the float range and rounds to 0, so the cavity-2 row's error |c2 q| is all of
+    its scale, but lies within tiny * sum |A_row|; the residual is 0."""
+    one = np.ones(1, dtype=complex)
+    diag, col, row = [one, 2.0**1000 * one], [0 * one, 2.0**-100 * one], [one, 0 * one]
+    corner = -one
+    xs, q, residual = linear_response._arrow_solve(diag, col, row, corner)
+    assert (xs[0], xs[1], q) == (1.0, 0.0, 1.0)
+    assert abs(diag[1] * xs[1] + col[1] * q) / (abs(col[1]) * abs(q)) == 1.0  # the bare ratio
+    assert residual.tolist() == [0.0]
+    # an error above that allowance still counts: the mechanical row's |1 - 2| / (1 + 2)
+    got = linear_response._arrow_residual(diag, col, row, corner, xs, 2 * q)
+    assert got.tolist() == [pytest.approx(1 / 3)]
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_gate_rejects_nan(params, wp_c40, model):
     broken = om.WorkingPoint(**{**wp_c40._asdict(), "a10": complex("nan+nanj"), "n1": math.nan})

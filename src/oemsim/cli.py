@@ -57,19 +57,6 @@ from .working_point import (
 )
 
 MODELS = ("full", "rwa", "analytic", "oscillator")
-# Every key of each sweep kind with its default (a null value also takes it): ``...`` marks
-# a required key and None one that may stay unset (probe_x then sizes n_points from the peak
-# width).  n_points and n_samples are integers >= 2, method is one of ``METHODS``, and the
-# rest are finite numbers.
-SWEEP_KEYS = {
-    "probe_x": {"x_min_gamma_m": -30.0, "x_max_gamma_m": 30.0, "n_points": None},
-    "cooperativity_ratio": {"ratio_min": 0.0, "ratio_max": 1.0, "n_points": 201,
-                            "x_gamma_m": 0.0},
-    "roots_vs_ratio": {"ratio_min": 0.0, "ratio_max": 1.0, "n_points": 201},
-    "time_domain": {"t_final": ..., "method": "exact_propagator", "dt": None,
-                    "n_samples": 1001, "x_gamma_m": 0.0},
-}
-SWEEP_KINDS = tuple(SWEEP_KEYS)
 PRESETS = ("fig2", "fig3", "fig4", "fig5")
 
 PROBE_COLUMNS = [
@@ -128,7 +115,7 @@ def _round12(value: float) -> float:
 class Scenario(NamedTuple):
     """Validated scenario document driving one CLI run.
 
-    ``sweep`` is empty or holds every key of its kind (``SWEEP_KEYS``), already
+    ``sweep`` is empty or holds every key of its kind (``SWEEPS``), already
     typed; ``variants`` holds one dict per table a probe sweep writes, with every
     variant key set (a scenario without variants has the one unlabeled variant).
     """
@@ -259,19 +246,20 @@ def _drives_from_spec(spec: dict, params: SystemParams) -> dict:
 
 
 def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
-    """Every key of the sweep's kind, typed and checked against ``SWEEP_KEYS``; every probe
+    """Every key of the sweep's kind, typed and checked against ``SWEEPS``; every probe
     detuning omega_m + x gamma_m, and a probe grid's span, finite in rad/s."""
     if not isinstance(spec, dict):
         raise ScenarioError("sweep must be an object")
     if not spec:
         return {}
-    kind = spec.get("kind")
-    if kind not in SWEEP_KINDS:
-        raise ScenarioError(f"sweep.kind must be one of {SWEEP_KINDS}, got {kind!r}")
-    unknown = set(spec) - {"kind", *SWEEP_KEYS[kind]}
+    kind, kinds = spec.get("kind"), tuple(SWEEPS)
+    if kind not in kinds:
+        raise ScenarioError(f"sweep.kind must be one of {kinds}, got {kind!r}")
+    defaults = SWEEPS[kind][2]
+    unknown = set(spec) - {"kind", *defaults}
     if unknown:
         raise ScenarioError(f"unknown sweep keys for kind {kind}: {sorted(unknown)}")
-    sweep = {**SWEEP_KEYS[kind], **{k: v for k, v in spec.items() if v is not None}}
+    sweep = {**defaults, **{k: v for k, v in spec.items() if v is not None}}
     for key, value in sweep.items():
         if value is ...:
             raise ScenarioError(f"{kind} sweep needs {key}")
@@ -457,14 +445,14 @@ def run_scenario(scenario: Scenario) -> dict:
 
     The summary, plus a "files" entry listing every table written, is also what the
     subcommands print; their flags are already applied to ``scenario``.  The sweep kind's
-    producer (``_PRODUCERS``) makes the tables one at a time; this is the one place that
+    producer (``SWEEPS``) makes the tables one at a time; this is the one place that
     names and writes them, at ``out_path`` (default ``sweep_output.<format>``).
     """
     out_path = Path(scenario.out_path or "sweep_output." + scenario.out_format)
     run = Run(scenario)
     summary = derive_summary(run)
     summary["files"] = []
-    tables = _PRODUCERS[scenario.sweep["kind"]](run) if scenario.sweep else ()
+    tables = SWEEPS[scenario.sweep["kind"]][1](run) if scenario.sweep else ()
     for label, columns, rows in tables:
         path = _variant_path(out_path, label)
         _write_table(path, columns, rows, scenario.out_format)
@@ -556,12 +544,21 @@ def _time_tables(run: Run):
         [traj.times, np.ascontiguousarray(traj.states).view(np.float64)])
 
 
-# sweep kind -> generator of its tables, one (variant label, columns, rows) at a time
-_PRODUCERS = {
-    "probe_x": _probe_tables,
-    "cooperativity_ratio": _ratio_tables,
-    "roots_vs_ratio": _root_tables,
-    "time_domain": _time_tables,
+# sweep kind -> (its subcommand, the generator of its tables one (variant label, columns,
+# rows) at a time, every key of the kind with its default).  A null value also takes the
+# default: ``...`` marks a required key and None one that may stay unset (probe_x then sizes
+# n_points from the peak width).  n_points and n_samples are integers >= 2, method is one of
+# ``METHODS``, and the rest are finite numbers.
+SWEEPS = {
+    "probe_x": ("sweep", _probe_tables,
+                {"x_min_gamma_m": -30.0, "x_max_gamma_m": 30.0, "n_points": None}),
+    "cooperativity_ratio": ("sweep", _ratio_tables, {"ratio_min": 0.0, "ratio_max": 1.0,
+                                                     "n_points": 201, "x_gamma_m": 0.0}),
+    "roots_vs_ratio": ("roots", _root_tables,
+                       {"ratio_min": 0.0, "ratio_max": 1.0, "n_points": 201}),
+    "time_domain": ("integrate", _time_tables, {"t_final": ..., "method": "exact_propagator",
+                                                "dt": None, "n_samples": 1001,
+                                                "x_gamma_m": 0.0}),
 }
 
 
@@ -673,8 +670,18 @@ def _print_json(doc: dict, out: str | None = None) -> None:
             fh.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and usage writes raise their OSError, as every other
+    write of ``main`` does; argparse's own swallows it, which lets unbuffered ``--help``
+    into a closed pipe exit 0.  Its subparsers inherit the class."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oemsim",
         description="Double-cavity electro-optomechanical linear-response toolkit",
     )
@@ -710,30 +717,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_KIND_BY_COMMAND = {
-    "sweep": ("probe_x", "cooperativity_ratio"),
-    "roots": ("roots_vs_ratio",),
-    "integrate": ("time_domain",),
-}
-
-
 def _dispatch(args) -> int:
     scenario = load_scenario(args.scenario)
 
-    if args.command in ("derive", "invert"):
-        if args.command == "derive":
-            result = derive_summary(Run(scenario))
-        else:
-            targets = (args.target, 0.0) if args.cavity == 1 else (0.0, args.target)
-            drives, wp = invert_cooperativity(scenario.params, *targets, scenario.detuning_mode)
-            require_stable(wp, scenario.params, "invert")  # the confirming solve
-            power = drives.p_c1 if args.cavity == 1 else drives.p_c2
-            result = {"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)}
-        _print_json(result, args.out)
+    if args.command == "derive":
+        _print_json(derive_summary(Run(scenario)), args.out)
+        return 0
+    if args.command == "invert":  # --target and --cavity are the scenario's drives
+        run = Run(scenario._replace(drives={"c1": 0.0, "c2": 0.0, f"c{args.cavity}": args.target}))
+        require_stable(run.wp, scenario.params, "invert")
+        power = run.drives.p_c1 if args.cavity == 1 else run.drives.p_c2
+        _print_json({"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)},
+                    args.out)
         return 0
 
     kind = scenario.sweep.get("kind")
-    allowed = _KIND_BY_COMMAND[args.command]
+    allowed = tuple(k for k, (command, *_) in SWEEPS.items() if command == args.command)
     if kind not in allowed:
         raise ScenarioError(
             f"subcommand {args.command!r} needs a sweep of kind {allowed}, got {kind!r}"

@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import warnings
@@ -640,6 +641,51 @@ def test_invert_non_finite_target_exits_2(capsys, target):
     assert "error: target cooperativity must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["effective", "bare"])
+@pytest.mark.parametrize("cavity", [1, 2])
+def test_invert_prints_the_inverted_power(tmp_path, capsys, cavity, mode):
+    """--target and --cavity are the scenario's drives; the power is the inversion's."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"detuning_mode": mode}))
+    assert run_main(["invert", "--target", 40, "--cavity", cavity, "--scenario", path]) == 0
+    targets = (40.0, 0.0) if cavity == 1 else (0.0, 40.0)
+    drives = cli.invert_cooperativity(cli.load_scenario(str(path)).params, *targets, mode)[0]
+    power = drives.p_c1 if cavity == 1 else drives.p_c2
+    assert json.loads(capsys.readouterr().out) == {
+        "target_c": 40.0, "cavity": cavity, "power_w": cli._round12(power)}
+
+
+def test_every_sweep_kind_names_a_subcommand_and_a_producer():
+    parser = cli._build_parser()
+    for kind, (command, producer, _) in cli.SWEEPS.items():
+        assert parser.parse_args([command, "--scenario", "fig2"]).command == command
+        assert inspect.isgeneratorfunction(producer), kind
+
+
+KIND_SWEEPS = {  # a valid sweep of each kind
+    "probe_x": {"kind": "probe_x", "n_points": 3},
+    "cooperativity_ratio": RATIO_SWEEP,
+    "roots_vs_ratio": {"kind": "roots_vs_ratio", "n_points": 3},
+    "time_domain": {"kind": "time_domain", "t_final": 1e-6},
+}
+KINDS_OF = {"sweep": "('probe_x', 'cooperativity_ratio')", "roots": "('roots_vs_ratio',)",
+            "integrate": "('time_domain',)"}
+REFUSED = [(command, kind) for command, kinds in KINDS_OF.items()
+           for kind in KIND_SWEEPS if kind not in kinds]
+
+
+@pytest.mark.parametrize("command, kind", REFUSED)
+def test_subcommand_refuses_another_subcommands_kind(tmp_path, capsys, command, kind):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"sweep": KIND_SWEEPS[kind]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: subcommand {command!r} needs a sweep of kind {KINDS_OF[command]}, got {kind!r}\n")
+    assert list(out.iterdir()) == []
+
+
 POINTS_RUNS = {
     "sweep_probe": ("sweep", {"kind": "probe_x", "n_points": 5}),
     "sweep_ratio": ("sweep", {"kind": "cooperativity_ratio", "n_points": 5}),
@@ -662,7 +708,7 @@ def test_points_override_below_2_exits_2(tmp_path, capsys, run, points):
 def test_presets_load():
     for name in cli.PRESETS:
         scenario = cli.load_scenario(name)
-        assert scenario.sweep["kind"] in cli.SWEEP_KINDS
+        assert scenario.sweep["kind"] in cli.SWEEPS
 
 
 def test_probe_sweep_file_contract(tmp_path, params):

@@ -83,6 +83,7 @@ CLOSED_PIPE = {  # case: (command line, unbuffered stdout)
     "buffered": (["derive"], False),
     "unbuffered": (["derive"], True),
     "help_buffered": (["--help"], False),  # argparse's exit returns through main
+    "help_unbuffered": (["--help"], True),  # argparse's failed write is not swallowed
 }
 
 

@@ -14,48 +14,25 @@ closed-form response with its cubic pole structure, and an equivalent
 three-coupled-oscillator model with exact time-domain propagation.
 """
 
-from .analytic import (
-    EIT_REGIME,
-    NMS_REGIME,
-    EiaSplitting,
-    PeakHeight,
-    PoleSet,
-    RwaCoefficients,
-    denominator_roots,
-    eia_splitting,
-    peak_height,
-    response_rwa,
-    root_trajectories,
-)
-from .errors import (
-    ConvergenceError,
-    InvalidParameterError,
-    ScenarioError,
-    SingularResponseError,
-    StepSizeError,
-    UnstableWorkingPointError,
-)
-from .linear_response import ProbeResponse, response_grid
-from .oscillators import (
-    OscillatorModel,
-    Trajectory,
-    from_working_point,
-    harmonic_steady_state,
-    propagate,
-)
-from .params import (
-    HBAR,
-    DriveConfig,
-    SystemParams,
-    cooperativity,
-    critical_power,
-    default_params,
-    drive_amplitude,
-    eit_width,
-)
-from .working_point import WorkingPoint, solve_working_point, stability_margin
-
 __version__ = "0.1.0"
+
+# module -> the public names it provides.  Each is imported on first access (PEP 562), so
+# that a process loads only the layers it uses: the CLI's ``invert`` never loads the
+# response, pole or oscillator layers.
+_PROVIDERS = {
+    "analytic": ("EIT_REGIME", "NMS_REGIME", "EiaSplitting", "PeakHeight", "PoleSet",
+                 "RwaCoefficients", "denominator_roots", "eia_splitting", "peak_height",
+                 "response_rwa", "root_trajectories"),
+    "errors": ("ConvergenceError", "InvalidParameterError", "ScenarioError",
+               "SingularResponseError", "StepSizeError", "UnstableWorkingPointError"),
+    "linear_response": ("ProbeResponse", "response_grid"),
+    "oscillators": ("OscillatorModel", "Trajectory", "from_working_point",
+                    "harmonic_steady_state", "propagate"),
+    "params": ("HBAR", "DriveConfig", "SystemParams", "cooperativity", "critical_power",
+               "default_params", "drive_amplitude", "eit_width"),
+    "working_point": ("WorkingPoint", "solve_working_point", "stability_margin"),
+}
+_MODULE_OF = {name: module for module, names in _PROVIDERS.items() for name in names}
 
 __all__ = [
     "HBAR",
@@ -94,3 +71,17 @@ __all__ = [
     "solve_working_point",
     "stability_margin",
 ]
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

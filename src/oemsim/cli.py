@@ -15,11 +15,14 @@ environment- or time-dependent content, so repeated runs are byte-identical.
 
 Exit codes: 0 success, 2 config/parse error (a grid too large to allocate
 included), 3 solver failure (non-convergence or singular system), 4 I/O failure.
+
+Only the layers a subcommand runs are imported: ``invert`` needs the working point
+alone, ``derive`` and the sweeps add the closed forms (``analytic``) and the response
+kernel (``linear_response``), and only ``integrate`` loads ``oscillators``.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -30,7 +33,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import RwaCoefficients, eia_splitting, peak_height, root_trajectories
 from .errors import (
     ConvergenceError,
     InvalidParameterError,
@@ -38,8 +40,6 @@ from .errors import (
     SingularResponseError,
     StepSizeError,
 )
-from .linear_response import ProbeResponse, response_grid
-from .oscillators import METHODS, from_working_point, propagate
 from .params import (
     REFERENCE_HZ,
     DriveConfig,
@@ -48,6 +48,7 @@ from .params import (
     critical_power,
     drive_amplitude,
     eit_width,
+    rate_hierarchy,
 )
 from .working_point import (
     WorkingPoint,
@@ -271,6 +272,8 @@ def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
     if "ratio_min" in sweep and not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
         raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
     if kind == "time_domain":
+        from .oscillators import METHODS
+
         if not sweep["t_final"] > 0:
             raise ScenarioError(f"sweep.t_final must be > 0, got {sweep['t_final']!r}")
         if sweep["method"] not in METHODS:
@@ -360,8 +363,9 @@ class Run:
         return wps
 
 
-def _response_table(first, resp: ProbeResponse) -> np.ndarray:
-    """Table rows: ``first`` (x/gamma_m or C2/C1), then PROBE_COLUMNS[1:] of a response grid."""
+def _response_table(first, resp) -> np.ndarray:
+    """Table rows: ``first`` (x/gamma_m or C2/C1), then PROBE_COLUMNS[1:] of a response
+    grid's ``ProbeResponse``."""
     return np.column_stack(np.broadcast_arrays(
         first, resp.e_l.real, resp.e_l.imag, resp.reflect_flux, np.abs(resp.e_r) ** 2,
         resp.transmit_flux, resp.mech_intensity, resp.flux_budget,
@@ -370,13 +374,14 @@ def _response_table(first, resp: ProbeResponse) -> np.ndarray:
 
 def derive_summary(run: Run) -> dict:
     """Working point plus every derived quantity, as a flat JSON-able dict."""
+    from .analytic import RwaCoefficients, eia_splitting, peak_height
+    from .linear_response import response_grid
+
     params, drives, c1, c2, wp = run.scenario.params, run.drives, run.c1, run.c2, run.wp
     coeffs = RwaCoefficients.from_working_point(wp, params)
     gamma_eit = eit_width(c1, params.gamma_m)
     split = eia_splitting(gamma_eit, coeffs.s2, params.kappa2)
     peak = peak_height(c1, c2)
-    model = from_working_point(wp, params)
-    hierarchy = model.hierarchy_report()
 
     wp_off = wp if drives.p_c2 == 0.0 else solve_working_point(
         params, DriveConfig(drives.p_c1, 0.0), run.scenario.detuning_mode)
@@ -412,7 +417,8 @@ def derive_summary(run: Run) -> dict:
         "mech_intensity_line_center": on.mech_intensity,
         "switch_ratio_transmit_over_reflect": switch_t_over_r,
         "switch_ratio_reflect_off_over_on": switch_off_over_on,
-        "rate_hierarchy_satisfied": hierarchy["satisfied"],
+        "rate_hierarchy_satisfied": rate_hierarchy(
+            params.kappa1, params.gamma_m, params.kappa2)["satisfied"],
     }
     def clean(v):
         if isinstance(v, float):
@@ -429,6 +435,8 @@ def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
     the second drive is on, else the transparency half-width; floor 801,
     cap 20001.
     """
+    from .analytic import RwaCoefficients, eia_splitting
+
     params = run.scenario.params
     coeffs = RwaCoefficients.from_working_point(run.wp, params)
     gamma_eit = eit_width(run.c1, params.gamma_m)
@@ -489,6 +497,8 @@ def _c2_targets(run: Run) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _probe_tables(run: Run):
+    from .linear_response import response_grid
+
     params, sweep = run.scenario.params, run.scenario.sweep
     gm = params.gamma_m
     x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
@@ -506,6 +516,8 @@ def _probe_tables(run: Run):
 
 
 def _ratio_tables(run: Run):
+    from .linear_response import response_grid
+
     params, sweep = run.scenario.params, run.scenario.sweep
     ratios, c2 = _c2_targets(run)
     stacked = _stacked(run.scaled(c2, "cooperativity_ratio"))
@@ -515,6 +527,8 @@ def _ratio_tables(run: Run):
 
 
 def _root_tables(run: Run):
+    from .analytic import root_trajectories
+
     params = run.scenario.params
     k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
     ratios, c2 = _c2_targets(run)
@@ -529,6 +543,8 @@ def _root_tables(run: Run):
 
 
 def _time_tables(run: Run):
+    from .oscillators import from_working_point, propagate
+
     params, sweep = run.scenario.params, run.scenario.sweep
     traj = propagate(
         from_working_point(run.wp, params),
@@ -670,92 +686,166 @@ def _print_json(doc: dict, out: str | None = None) -> None:
             fh.write(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help and usage writes raise their OSError, as every other
-    write of ``main`` does; argparse's own swallows it, which lets unbuffered ``--help``
-    into a closed pipe exit 0.  Its subparsers inherit the class."""
-
-    def _print_message(self, message, file=None):
-        if message:
-            (file or sys.stderr).write(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="oemsim",
-        description="Double-cavity electro-optomechanical linear-response toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--scenario", required=True,
-                       help=f"scenario JSON file or preset name {PRESETS}")
-        p.add_argument("--out", help="output file (overrides scenario output.path)")
-        p.add_argument("--format", choices=("csv", "json"), help="table format override")
-
-    p = sub.add_parser("derive", help="print the derived-quantity summary")
-    p.add_argument("--scenario", help="scenario JSON file or preset name")
-    p.add_argument("--out", help="also write the summary JSON here")
-
-    p = sub.add_parser("sweep", help="probe-detuning or cooperativity-ratio sweep")
-    add_common(p)
-    p.add_argument("--model", choices=MODELS, help="response model override")
-    p.add_argument("--points", type=int, help="grid size override")
-
-    p = sub.add_parser("roots", help="track the response poles vs cooperativity ratio")
-    add_common(p)
-    p.add_argument("--points", type=int, help="grid size override")
-
-    p = sub.add_parser("integrate", help="time-domain propagation of the oscillator triple")
-    add_common(p)
-
-    p = sub.add_parser("invert", help="coupling power for a target cooperativity")
-    p.add_argument("--target", type=float, required=True, help="target cooperativity")
-    p.add_argument("--cavity", type=int, choices=(1, 2), required=True)
-    p.add_argument("--scenario", help="scenario supplying system parameters")
-    p.add_argument("--out", help="write the result JSON here")
-    return parser
+# subcommand -> (what it does, its flags).  A flag maps to (its type, or the tuple of the
+# values it may take; whether it is required; its help) and sets the option named as the
+# flag without its "--".
+_TABLE_FLAGS = {
+    "--scenario": (str, True, f"scenario JSON file or preset name {PRESETS}"),
+    "--out": (str, False, "output file (overrides scenario output.path)"),
+    "--format": (("csv", "json"), False, "table format override"),
+}
+_POINTS_FLAG = {"--points": (int, False, "grid size override")}
+COMMANDS = {
+    "derive": ("print the derived-quantity summary", {
+        "--scenario": (str, False, "scenario JSON file or preset name"),
+        "--out": (str, False, "also write the summary JSON here")}),
+    "sweep": ("probe-detuning or cooperativity-ratio sweep", {
+        **_TABLE_FLAGS, "--model": (MODELS, False, "response model override"), **_POINTS_FLAG}),
+    "roots": ("track the response poles vs cooperativity ratio", {**_TABLE_FLAGS, **_POINTS_FLAG}),
+    "integrate": ("time-domain propagation of the oscillator triple", _TABLE_FLAGS),
+    "invert": ("coupling power for a target cooperativity", {
+        "--target": (float, True, "target cooperativity"),
+        "--cavity": ((1, 2), True, "the cavity whose coupling tone meets the target"),
+        "--scenario": (str, False, "scenario supplying system parameters"),
+        "--out": (str, False, "write the result JSON here")}),
+}
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a value that may begin with "-"
 
 
-def _dispatch(args) -> int:
-    scenario = load_scenario(args.scenario)
+class UsageError(Exception):
+    """A command line ``parse_args`` refuses; its args are the subcommand (None before one
+    is named) and the message."""
 
-    if args.command == "derive":
-        _print_json(derive_summary(Run(scenario)), args.out)
+
+def _metavar(flag: str, kind) -> str:
+    return "{" + ",".join(map(str, kind)) + "}" if isinstance(kind, tuple) else flag[2:].upper()
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return "usage: oemsim [-h] {" + ",".join(COMMANDS) + "} ...\n"
+    lines = [f"usage: oemsim {command} [-h]"]
+    for flag, (kind, required, _) in COMMANDS[command][1].items():
+        word = f"{flag} {_metavar(flag, kind)}" if required else f"[{flag} {_metavar(flag, kind)}]"
+        if len(lines[-1]) + len(word) >= 79:
+            lines.append(" " * len(f"usage: oemsim {command}"))
+        lines[-1] += " " + word
+    return "\n".join(lines) + "\n"
+
+
+def _help(command: str | None) -> str:
+    """The --help text: the usage, what the program or subcommand does, then one line per
+    subcommand or flag."""
+    if command is None:
+        about, heading = "Double-cavity electro-optomechanical linear-response toolkit", "commands"
+        rows = [(name, text) for name, (text, _) in COMMANDS.items()]
+    else:
+        (about, flags), heading = COMMANDS[command], "options"
+        rows = [("-h, --help", "show this help message and exit")] + [
+            (f"{flag} {_metavar(flag, kind)}", text) for flag, (kind, _, text) in flags.items()]
+    body = "".join(f"  {a:21} {b}\n" if len(a) < 22 else f"  {a}\n  {'':21} {b}\n"
+                   for a, b in rows)
+    return f"{_usage(command)}\n{about}\n\n{heading}:\n{body}"
+
+
+def parse_args(argv: list[str]) -> tuple[str | None, dict | None]:
+    """The subcommand and its options {flag without "--": value}; options None when
+    --help asks for the subcommand's help text (subcommand None: the program's).
+    UsageError for a command line that ``COMMANDS`` does not allow.
+
+    As with argparse, a flag takes its value as ``--flag value`` or ``--flag=value`` and may
+    be shortened to a unique prefix, a separate value that begins with "-" must be a
+    negative number, and the last of a repeated flag wins.
+    """
+    command, flags, opts = None, {}, {}
+    args = iter(argv)
+    for arg in args:
+        if command is None and not arg.startswith("-"):
+            if arg not in COMMANDS:
+                raise UsageError(None, f"argument command: invalid choice: {arg!r} "
+                                       f"(choose from {', '.join(map(repr, COMMANDS))})")
+            command, flags = arg, COMMANDS[arg][1]
+            continue
+        name, eq, value = ("--help", "", "") if arg == "-h" else arg.partition("=")
+        candidates = (*flags, "--help") if name.startswith("--") and name != "--" else ()
+        matches = [name] if name in flags else [f for f in candidates if f.startswith(name)]
+        if len(matches) != 1:
+            raise UsageError(command, f"ambiguous option: {name} could match {', '.join(matches)}"
+                             if len(matches) > 1 else f"unrecognized arguments: {arg}")
+        flag = matches[0]
+        if flag == "--help":
+            if eq:
+                raise UsageError(command,
+                                 f"argument -h/--help: ignored explicit argument {value!r}")
+            return command, None
+        if not eq:
+            value = next(args, None)
+            if value is None or value.startswith("-") and not _NEGATIVE_NUMBER.fullmatch(value):
+                raise UsageError(command, f"argument {flag}: expected one argument")
+        kind = flags[flag][0]
+        convert = type(kind[0]) if isinstance(kind, tuple) else kind
+        try:
+            opts[flag[2:]] = convert(value)
+        except ValueError:
+            raise UsageError(command, f"argument {flag}: invalid {convert.__name__} value: "
+                                      f"{value!r}") from None
+        if isinstance(kind, tuple) and opts[flag[2:]] not in kind:
+            raise UsageError(command, f"argument {flag}: invalid choice: {opts[flag[2:]]!r} "
+                                      f"(choose from {', '.join(map(repr, kind))})")
+    missing = ["command"] if command is None else [
+        flag for flag, (_, required, _) in flags.items() if required and flag[2:] not in opts]
+    if missing:
+        raise UsageError(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, opts
+
+
+def _dispatch(command: str, opts: dict) -> int:
+    scenario = load_scenario(opts.get("scenario"))
+
+    if command == "derive":
+        _print_json(derive_summary(Run(scenario)), opts.get("out"))
         return 0
-    if args.command == "invert":  # --target and --cavity are the scenario's drives
-        run = Run(scenario._replace(drives={"c1": 0.0, "c2": 0.0, f"c{args.cavity}": args.target}))
+    if command == "invert":  # --target and --cavity are the scenario's drives
+        target, cavity = opts["target"], opts["cavity"]
+        run = Run(scenario._replace(drives={"c1": 0.0, "c2": 0.0, f"c{cavity}": target}))
         require_stable(run.wp, scenario.params, "invert")
-        power = run.drives.p_c1 if args.cavity == 1 else run.drives.p_c2
-        _print_json({"target_c": args.target, "cavity": args.cavity, "power_w": _round12(power)},
-                    args.out)
+        power = run.drives.p_c1 if cavity == 1 else run.drives.p_c2
+        _print_json({"target_c": target, "cavity": cavity, "power_w": _round12(power)},
+                    opts.get("out"))
         return 0
 
     kind = scenario.sweep.get("kind")
-    allowed = tuple(k for k, (command, *_) in SWEEPS.items() if command == args.command)
+    allowed = tuple(k for k, (name, *_) in SWEEPS.items() if name == command)
     if kind not in allowed:
         raise ScenarioError(
-            f"subcommand {args.command!r} needs a sweep of kind {allowed}, got {kind!r}"
+            f"subcommand {command!r} needs a sweep of kind {allowed}, got {kind!r}"
         )
     # the flags are Scenario fields; --model sets every variant's model too
-    points, model = getattr(args, "points", None), getattr(args, "model", None)
+    points, model = opts.get("points"), opts.get("model")
     if points is not None:
         scenario = scenario._replace(sweep={**scenario.sweep,
                                             "n_points": _count(points, "--points")})
     if model:
         scenario = scenario._replace(model=model,
                                      variants=[{**v, "model": model} for v in scenario.variants])
-    scenario = scenario._replace(out_path=args.out or scenario.out_path,
-                                 out_format=getattr(args, "format", None) or scenario.out_format)
+    scenario = scenario._replace(out_path=opts.get("out") or scenario.out_path,
+                                 out_format=opts.get("format") or scenario.out_format)
     _print_json(run_scenario(scenario))
     return 0
 
 
 def main(argv=None) -> int:
     try:
-        return _dispatch(_build_parser().parse_args(argv))
-    except SystemExit as exc:  # argparse's: 0 after --help, 2 on a usage error
-        return exc.code
+        command, opts = parse_args(sys.argv[1:] if argv is None else list(argv))
+        if opts is None:
+            sys.stdout.write(_help(command))
+            return 0
+        return _dispatch(command, opts)
+    except UsageError as exc:  # the usage, then the message, as argparse prints them
+        command, message = exc.args
+        prog = "oemsim" if command is None else f"oemsim {command}"
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+        return 2
     except (ScenarioError, InvalidParameterError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -780,7 +870,7 @@ def _observed() -> bool:
 def entry() -> None:
     """Process entry of the ``oemsim`` command and of ``python -m oemsim.cli``.
 
-    Runs ``main`` (argparse's exits included), flushes stdout and stderr, then leaves
+    Runs ``main`` (``--help`` and usage errors too), flushes stdout and stderr, then leaves
     through ``os._exit`` with main's code.  That skips the interpreter's teardown (module
     clean-up and the shutdown collections); atexit handlers do not run.  A stdout that
     cannot be flushed (a pipe whose reader has gone) gives exit 4 with one ``i/o error``

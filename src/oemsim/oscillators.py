@@ -27,12 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, SingularResponseError, StepSizeError
-from .params import Checked, SystemParams, _require_positive
+from .params import Checked, SystemParams, _require_positive, rate_hierarchy
 from .working_point import WorkingPoint
 
 METHODS = ("exact_propagator", "rk4")  # the integration methods of ``propagate``
 STABILITY_FACTOR = 0.1  # rk4 guard: dt <= STABILITY_FACTOR / max_rate
-HIERARCHY_FACTOR = 10.0  # ">>" of the rate hierarchy: a ratio of at least 10
 
 
 class _OscillatorModel(NamedTuple):
@@ -65,19 +64,8 @@ class OscillatorModel(Checked, _OscillatorModel):
         return 2.0 * self.gamma_m_half
 
     def hierarchy_report(self) -> dict:
-        """Whether kappa1 >> gamma_m >> kappa2 holds, with the two ratios.
-
-        Ratios sitting exactly at HIERARCHY_FACTOR count as satisfied (a small
-        relative slack absorbs the rounding of e.g. a ratio of exactly 10).
-        """
-        r1 = self.kappa1 / self.gamma_m
-        r2 = self.gamma_m / self.kappa2
-        cut = HIERARCHY_FACTOR * (1.0 - 1e-9)
-        return {
-            "kappa1_over_gamma_m": r1,
-            "gamma_m_over_kappa2": r2,
-            "satisfied": r1 >= cut and r2 >= cut,
-        }
+        """``params.rate_hierarchy`` of this triple's rates."""
+        return rate_hierarchy(self.kappa1, self.gamma_m, self.kappa2)
 
     def system_matrix(self) -> np.ndarray:
         return np.array(

@@ -27,6 +27,7 @@ from .errors import ConvergenceError, InvalidParameterError
 
 HBAR = 1.054571817e-34  # J*s
 TWO_PI = 2.0 * math.pi
+HIERARCHY_FACTOR = 10.0  # ">>" of the rate hierarchy: a ratio of at least 10
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -154,6 +155,23 @@ class SystemParams(Checked, _SystemParams):
 # kappa1 >> gamma_m >> kappa2.
 REFERENCE_HZ = {"omega_c1": 4e14, "omega_c2": 1e10, "omega_m": 1e7, "gamma_m": 1e3,
                 "kappa1": 1e6, "kappa2": 1e2, "g1": 50.0, "g2": 5.0}
+
+
+def rate_hierarchy(kappa1: float, gamma_m: float, kappa2: float) -> dict:
+    """Whether kappa1 >> gamma_m >> kappa2 holds, with the two ratios.
+
+    The narrow absorption peak needs a mechanical linewidth between the two cavity
+    linewidths.  Ratios sitting exactly at HIERARCHY_FACTOR count as satisfied (a small
+    relative slack absorbs the rounding of e.g. a ratio of exactly 10).
+    """
+    r1 = kappa1 / gamma_m
+    r2 = gamma_m / kappa2
+    cut = HIERARCHY_FACTOR * (1.0 - 1e-9)
+    return {
+        "kappa1_over_gamma_m": r1,
+        "gamma_m_over_kappa2": r2,
+        "satisfied": r1 >= cut and r2 >= cut,
+    }
 
 
 def default_params() -> SystemParams:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oemsim as om
-from oemsim import cli
+from oemsim import analytic, cli
 from oemsim.analytic import EIT_REGIME, NMS_REGIME, PURE_IMAG_TOL
 from oemsim.linear_response import response_grid
 
@@ -254,12 +254,13 @@ def test_batched_trajectories_match_scalar_oracle_bit_for_bit():
 
 def test_roots_cli_matches_scalar_oracle_in_nms_regime(tmp_path, monkeypatch):
     seen = []
+    real = analytic.root_trajectories
 
     def spy(*sweep):
-        seen.append((rows(*sweep), om.root_trajectories(*sweep)))
+        seen.append((rows(*sweep), real(*sweep)))
         return seen[-1][1]
 
-    monkeypatch.setattr(cli, "root_trajectories", spy)
+    monkeypatch.setattr(analytic, "root_trajectories", spy)  # cli imports it per call
     path = tmp_path / "nms.json"
     path.write_text(json.dumps({"drives": {"c1": 800.0, "c2": 0.0},
                                 "sweep": {"kind": "roots_vs_ratio", "n_points": 41}}))

@@ -656,9 +656,8 @@ def test_invert_prints_the_inverted_power(tmp_path, capsys, cavity, mode):
 
 
 def test_every_sweep_kind_names_a_subcommand_and_a_producer():
-    parser = cli._build_parser()
     for kind, (command, producer, _) in cli.SWEEPS.items():
-        assert parser.parse_args([command, "--scenario", "fig2"]).command == command
+        assert cli.parse_args([command, "--scenario", "fig2"]) == (command, {"scenario": "fig2"})
         assert inspect.isgeneratorfunction(producer), kind
 
 
@@ -961,3 +960,24 @@ def test_summary_sidecar_determinism(tmp_path):
     b = cli.run_scenario(sized(scenario, tmp_path / "b.csv", 5))
     a.pop("files"), b.pop("files")
     assert a == b
+
+
+@pytest.mark.parametrize("p_c2", [8.25e-9, 8.3e-9, 8.3265e-9])
+def test_bare_derive_just_below_the_fold_exits_0(tmp_path, capsys, p_c2):
+    """The band below the lower fold at C1 = 40 has one steady state; derive finds it."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"detuning_mode": "bare",
+                                "drives": {"p_c1": 1.3445e-3, "p_c2": p_c2}}))
+    assert run_main(["derive", "--scenario", path]) == 0
+    assert json.loads(capsys.readouterr().out)["q0"] == pytest.approx(79.99936, abs=1e-5)
+
+
+def test_bare_ratio_sweep_across_the_fold_band_exits_0(tmp_path, capsys):
+    """The confirming solves of C2/C1 in [0.0024, 0.0026] at C1 = 40 land in the band."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"detuning_mode": "bare", "drives": {"c1": 40.0, "c2": 0.0},
+                                "sweep": {"kind": "cooperativity_ratio", "ratio_min": 0.0024,
+                                          "ratio_max": 0.0026, "n_points": 201}}))
+    out = tmp_path / "t.csv"
+    assert run_main(["sweep", "--scenario", path, "--out", out]) == 0
+    assert len(out.read_text().splitlines()) == 202

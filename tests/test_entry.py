@@ -82,8 +82,8 @@ def test_module_entry_flushes_then_skips_teardown(tmp_path):
 CLOSED_PIPE = {  # case: (command line, unbuffered stdout)
     "buffered": (["derive"], False),
     "unbuffered": (["derive"], True),
-    "help_buffered": (["--help"], False),  # argparse's exit returns through main
-    "help_unbuffered": (["--help"], True),  # argparse's failed write is not swallowed
+    "help_buffered": (["--help"], False),  # --help returns 0 through main
+    "help_unbuffered": (["--help"], True),  # the failed help write raises its OSError
 }
 
 
@@ -136,3 +136,100 @@ def test_console_script_is_the_entry():
     scripts = re.search(r"^\[project\.scripts\]\n((?:.+\n)*)", pyproject, re.M).group(1)
     assert scripts == 'oemsim = "oemsim.cli:entry"\n'
     assert callable(cli.entry)
+
+
+def usage_error(capsys, argv) -> tuple[str, str]:
+    """The first and last stderr lines of a refused command line, after checking that main
+    returns 2 and prints nothing to stdout."""
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    usage, *_, error = err.splitlines()
+    assert usage.startswith("usage: oemsim")
+    return usage, error
+
+
+USAGE_ERRORS = {  # case: (command line, the error line)
+    "unknown_flag": (["sweep", "--scenario", "fig4", "--bogus", "1"],
+                     "oemsim sweep: error: unrecognized arguments: --bogus"),
+    "stray_word": (["derive", "fig4"], "oemsim derive: error: unrecognized arguments: fig4"),
+    "no_command": ([], "oemsim: error: the following arguments are required: command"),
+    "unknown_command": (["plot"], "oemsim: error: argument command: invalid choice: 'plot' "
+                        "(choose from 'derive', 'sweep', 'roots', 'integrate', 'invert')"),
+    "cavity_3": (["invert", "--target", "40", "--cavity", "3"],
+                 "oemsim invert: error: argument --cavity: invalid choice: 3 (choose from 1, 2)"),
+    "model_bogus": (["sweep", "--scenario", "fig2", "--model", "bogus"],
+                    "oemsim sweep: error: argument --model: invalid choice: 'bogus' "
+                    "(choose from 'full', 'rwa', 'analytic', 'oscillator')"),
+    "points_x": (["roots", "--scenario", "fig3", "--points", "x"],
+                 "oemsim roots: error: argument --points: invalid int value: 'x'"),
+    "target_x": (["invert", "--target", "x", "--cavity", "1"],
+                 "oemsim invert: error: argument --target: invalid float value: 'x'"),
+    "value_missing": (["sweep", "--scenario", "fig4", "--out"],
+                      "oemsim sweep: error: argument --out: expected one argument"),
+    "value_is_a_flag": (["sweep", "--scenario", "--out", "t.csv"],
+                        "oemsim sweep: error: argument --scenario: expected one argument"),
+    "required_missing": (["invert"], "oemsim invert: error: the following arguments are "
+                         "required: --target, --cavity"),
+    "help_with_value": (["derive", "--help=yes"],
+                        "oemsim derive: error: argument -h/--help: ignored explicit argument "
+                        "'yes'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_errors_print_usage_then_the_error_and_return_2(capsys, case):
+    argv, expected = USAGE_ERRORS[case]
+    usage, error = usage_error(capsys, argv)
+    assert error == expected
+    assert usage.startswith(f"usage: oemsim {argv[0]} [-h]" if argv and argv[0] in cli.COMMANDS
+                            else "usage: oemsim [-h] {derive,sweep,roots,integrate,invert}")
+
+
+def test_an_ambiguous_prefix_is_a_usage_error(capsys, monkeypatch):
+    """No two flags of today's table share a prefix, so the test adds one that does."""
+    text, flags = cli.COMMANDS["derive"]
+    monkeypatch.setitem(cli.COMMANDS, "derive",
+                        (text, {**flags, "--scale": (float, False, "a second --s flag")}))
+    assert usage_error(capsys, ["derive", "--s", "fig2"])[1] == (
+        "oemsim derive: error: ambiguous option: --s could match --scenario, --scale")
+    assert cli.parse_args(["derive", "--sce", "fig2", "--sca=2"]) == (
+        "derive", {"scenario": "fig2", "scale": 2.0})
+
+
+def test_equals_form_and_unique_prefixes_write_the_same_bytes(tmp_path, capsys):
+    """--out=PATH and a unique prefix (--scen, --poi) set the same options as the full
+    spelling, so the three runs print and write the same bytes."""
+    runs = {"full": ["--scenario", "fig4", "--points", "9", "--out"],
+            "equals": ["--scenario=fig4", "--points=9", "--out={}"],
+            "prefix": ["--scen", "fig4", "--poi", "9", "--o"]}
+    written = {}
+    for name, flags in runs.items():
+        out = tmp_path / f"{name}.csv"
+        argv = ["sweep", *[f.format(out) for f in flags]] + ([] if name == "equals" else [out])
+        assert cli.main([str(a) for a in argv]) == 0
+        written[name] = (capsys.readouterr().out.replace(str(out), "<out>"), out.read_bytes())
+    assert written["full"] == written["equals"] == written["prefix"]
+    assert cli.parse_args(["sweep", "--scen", "fig4", "--po=9", "--f", "json"]) == (
+        "sweep", {"scenario": "fig4", "points": 9, "format": "json"})
+
+
+def test_a_negative_number_is_a_value_not_a_flag(capsys):
+    """As with argparse, ``--target -1`` passes -1 on to the run, which refuses it."""
+    assert cli.parse_args(["invert", "--target", "-1", "--cavity", "1"]) == (
+        "invert", {"target": -1.0, "cavity": 1})
+    assert cli.main(["invert", "--target", "-1", "--cavity", "1"]) == 2
+    assert capsys.readouterr().err == "error: target cooperativity must be finite and >= 0\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]]
+                         + [[name, flag] for name in cli.COMMANDS for flag in ("-h", "--help")])
+def test_help_prints_usage_and_every_flag_to_stdout(capsys, argv):
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = argv[0] if argv[0] in cli.COMMANDS else None
+    assert cli.parse_args(argv) == (command, None)
+    assert out.startswith(f"usage: oemsim {command} [-h]" if command else "usage: oemsim [-h]")
+    for name in cli.COMMANDS[command][1] if command else cli.COMMANDS:
+        assert f"\n  {name}" in out

@@ -105,3 +105,12 @@ def test_random_parameters_match_scalar_scan():
 
 def test_undriven_scan_is_origin(params):
     assert real_roots(0.0, 0.0, params) == scalar_scan_roots(0.0, 0.0, params) == [0.0]
+
+
+@pytest.mark.parametrize("p_c2", [8.25e-9, 8.3e-9, 8.3265e-9])
+def test_fold_band_keeps_only_the_true_root(params, p_c2):
+    """Just below the lower fold of bare C1 = 40, np.roots gives a complex pair near
+    q = -2e6 whose imaginary part passes as negligible, and the polish sends it to
+    79.99977, where the balance misses by 2e3.  The residual gate drops it."""
+    e1, e2 = amplitudes(params, 1.3445e-3, p_c2)
+    assert_same_roots(real_roots(e1, e2, params), scalar_scan_roots(e1, e2, params))

@@ -34,43 +34,7 @@ _PROVIDERS = {
 }
 _MODULE_OF = {name: module for module, names in _PROVIDERS.items() for name in names}
 
-__all__ = [
-    "HBAR",
-    "EIT_REGIME",
-    "NMS_REGIME",
-    "ConvergenceError",
-    "DriveConfig",
-    "EiaSplitting",
-    "InvalidParameterError",
-    "OscillatorModel",
-    "PeakHeight",
-    "PoleSet",
-    "ProbeResponse",
-    "RwaCoefficients",
-    "ScenarioError",
-    "SingularResponseError",
-    "StepSizeError",
-    "SystemParams",
-    "Trajectory",
-    "UnstableWorkingPointError",
-    "WorkingPoint",
-    "cooperativity",
-    "critical_power",
-    "default_params",
-    "denominator_roots",
-    "drive_amplitude",
-    "eia_splitting",
-    "eit_width",
-    "from_working_point",
-    "harmonic_steady_state",
-    "peak_height",
-    "propagate",
-    "response_grid",
-    "response_rwa",
-    "root_trajectories",
-    "solve_working_point",
-    "stability_margin",
-]
+__all__ = list(_MODULE_OF)
 
 
 def __getattr__(name: str):

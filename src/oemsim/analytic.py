@@ -23,6 +23,7 @@ s2 > 0, the narrow absorption peak inside it), acquiring real parts above it
 
 from __future__ import annotations
 
+import math
 from itertools import permutations
 from typing import NamedTuple
 
@@ -113,7 +114,7 @@ def response_rwa(x, c: RwaCoefficients):
     return result
 
 
-def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray]:
+def _poles(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
     """Poles of every row's cubic, from one stacked companion-matrix eigensolve.
 
     The rates kappa1, kappa2, gamma_m are scalars; the weights s1, s2 broadcast to (n,).
@@ -121,13 +122,9 @@ def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray]:
     q(y) = (y - k1)(y - 1/2)(y - k2) + s1 (y - k2) + s2 (y - k1) has real O(1)-O(1e4)
     coefficients, so purely imaginary x-roots come out with exactly real y.  The
     companion matrices are those np.roots builds and each eigenvalue gets one Newton
-    step, so each row equals the scalar np.roots solve bit for bit.  A step that
-    overflows is taken divided through by y (the eigenvalue alone would put -a1/2 into
-    both widths of a huge pair), and the eigenvalue is kept where that fails too.
-    Returns the (n, 3) roots in x, rows in ascending |Im|, and the (n,) normalized
-    constant terms a3 = q(0).  Raises InvalidParameterError for a rate not finite and > 0
-    or a weight not finite and >= 0, and SingularResponseError naming the first row whose
-    coefficients overflow.
+    step, so each row equals the scalar np.roots solve bit for bit.  Returns the (n, 3)
+    roots in x, rows in ascending |Im|.  Raises InvalidParameterError for a rate not
+    finite and > 0 or a weight not finite and >= 0.
     """
     for name, rate in (("kappa1", kappa1), ("kappa2", kappa2), ("gamma_m", gamma_m)):
         _require_positive(rate, name)
@@ -139,34 +136,25 @@ def _poles(kappa1, kappa2, gamma_m, s1, s2) -> tuple[np.ndarray, np.ndarray]:
                                         f"got {s[bad[0]]}")
     # gamma_m stays a scalar: gamma_m**2 is libm pow, which numpy's g*g can miss by an ulp
     k1, k2, s1, s2 = kappa1 / gamma_m, kappa2 / gamma_m, s1 / gamma_m**2, s2 / gamma_m**2
-    with np.errstate(over="ignore"):  # checked below
-        a1 = np.full_like(s1, -(k1 + k2 + 0.5))
-        a2 = k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1 + s2
-        a3 = -(k1 * 0.5 * k2 + s1 * k2 + s2 * k1)
-    bad = np.flatnonzero(~np.isfinite(np.column_stack([a1, a2, a3])).all(axis=1))
-    if bad.size:
-        raise SingularResponseError(f"row {bad[0]}: the pole cubic's coefficients overflow")
+    a1 = np.full_like(s1, -(k1 + k2 + 0.5))
+    a2 = k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1 + s2
+    a3 = -(k1 * 0.5 * k2 + s1 * k2 + s2 * k1)
     companion = np.zeros((len(a1), 3, 3))
     companion[:, 0] = -np.column_stack([a1, a2, a3])
     companion[:, 1, 0] = 1.0
     companion[:, 2, 1] = a3 != 0  # an underflowed a3 deflates to the 2x2 np.roots builds
     y = np.linalg.eigvals(companion)
     a1, a2, a3 = (v[:, None] for v in (a1, a2, a3))
-    with np.errstate(all="ignore"):  # a pair |y| ~ 1e125 (C2/C1 ~ 1e250) overflows y**3
-        p = ((y + a1) * y + a2) * y + a3
-        dp = (3.0 * y + 2.0 * a1) * y + a2
-        step = np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
-        step = np.where(np.isfinite(step), step,
-                        ((y + a1) * y + a2 + a3 / y) / (3.0 * y + 2.0 * a1 + a2 / y))
-    y = np.where(np.isfinite(step), y - step, y)
+    p = ((y + a1) * y + a2) * y + a3
+    dp = (3.0 * y + 2.0 * a1) * y + a2
+    y = y - np.divide(p, dp, out=np.zeros_like(p), where=dp != 0)
     x = -1j * y * gamma_m
-    x = np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
-    return x, a3[:, 0]
+    return np.take_along_axis(x, np.lexsort((x.real, np.abs(x.imag)), axis=-1), axis=-1)
 
 
 def denominator_roots(c: RwaCoefficients) -> PoleSet:
     """Poles of the closed-form response, ordered by ascending |Im|: one row of ``_poles``."""
-    roots = _poles(c.kappa1, c.kappa2, c.gamma_m, c.s1, c.s2)[0][0]
+    roots = _poles(c.kappa1, c.kappa2, c.gamma_m, c.s1, c.s2)[0]
     eit = np.all(np.abs(roots.real) <= PURE_IMAG_TOL * np.maximum(np.abs(roots.imag), c.gamma_m))
     return PoleSet(
         roots=tuple(complex(r) for r in roots),
@@ -183,23 +171,14 @@ def root_trajectories(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
     point, starting from ascending-|Im| order, so each column is one
     continuous trajectory.
 
-    Raises as ``_poles`` does, and SingularResponseError naming the first row
-    whose normalized constant term is below the smallest normal float: with
-    every rate > 0 it is then a subnormal or underflowed product, and the
-    narrowest pole, which scales with it, has lost digits.
+    Raises as ``_poles`` does.
     """
-    out, a3 = _poles(kappa1, kappa2, gamma_m, s1, s2)
-    lost = np.flatnonzero(np.abs(a3) < np.finfo(float).tiny)
-    if lost.size:
-        raise SingularResponseError(
-            f"row {lost[0]}: the pole cubic's constant term {a3[lost[0]]:.3e} (in gamma_m "
-            "units) is below the smallest normal float, so its narrow pole has lost digits")
+    out = _poles(kappa1, kappa2, gamma_m, s1, s2)
     perms = np.array(list(permutations(range(3))))  # itertools order: ties keep the first
-    with np.errstate(over="ignore"):  # poles ~1e154 rad/s: an overflowed distance loses
-        for i in range(1, len(out)):
-            candidates = out[i][perms]
-            d = np.abs(candidates - out[i - 1]) ** 2
-            out[i] = candidates[np.argmin(d[:, 0] + d[:, 1] + d[:, 2])]
+    for i in range(1, len(out)):
+        candidates = out[i][perms]
+        d = np.abs(candidates - out[i - 1]) ** 2
+        out[i] = candidates[np.argmin(d[:, 0] + d[:, 1] + d[:, 2])]
     return out
 
 
@@ -223,8 +202,8 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
 
     All Gamma quantities are half-widths (pole decay rates).  s2 is the
     cavity-2 drive weight g2^2 |a20|^2 / 2, so the discriminant reads
-    Gamma_EIT^2 - 2 g2^2 |a20|^2.  A Gamma_EIT whose square overflows or
-    underflows to 0 raises ConvergenceError.
+    Gamma_EIT^2 - 2 g2^2 |a20|^2.  A Gamma_EIT whose square leaves the float range
+    raises ConvergenceError; inside the envelope (``params.ENVELOPE``) none does.
     """
     _require_positive(gamma_eit, "gamma_eit")
     _require_non_negative(s2, "s2")
@@ -232,11 +211,10 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     try:
         gamma_sq = gamma_eit**2
     except OverflowError:
-        raise ConvergenceError(
-            f"EIA splitting: Gamma_EIT^2 overflows at Gamma_EIT = {gamma_eit:.6e} rad/s") from None
-    if gamma_sq == 0.0:
-        raise ConvergenceError(
-            f"EIA splitting: Gamma_EIT^2 underflows at Gamma_EIT = {gamma_eit:.6e} rad/s")
+        gamma_sq = math.inf
+    if not 0.0 < gamma_sq < math.inf:
+        raise ConvergenceError(f"EIA splitting: Gamma_EIT^2 leaves the float range at "
+                               f"Gamma_EIT = {gamma_eit:.6e} rad/s")
     disc = complex(gamma_sq - 4.0 * s2)
     root = np.sqrt(disc)
     gamma_plus = 0.5 * (gamma_eit + root)

@@ -13,8 +13,13 @@ with an SI prefix ("1.3mW", "3.3uW").  Outputs are deterministic: fixed
 column order, numbers serialized with 12 significant digits, no
 environment- or time-dependent content, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 config/parse error (a grid too large to allocate
-included), 3 solver failure (non-convergence or singular system), 4 I/O failure.
+Every input is checked against the supported-input envelope (``params.ENVELOPE``)
+when the scenario is loaded: a value outside its bound is refused with one line naming
+the key, the value and the range.
+
+Exit codes: 0 success, 2 config/parse error (an input outside the envelope and a grid
+too large to allocate included), 3 solver failure (non-convergence or singular system),
+4 I/O failure.
 
 Only the layers a subcommand runs are imported: ``invert`` needs the working point
 alone, ``derive`` and the sweeps add the closed forms (``analytic``) and the response
@@ -41,17 +46,19 @@ from .errors import (
     StepSizeError,
 )
 from .params import (
+    PARAM_KINDS,
     REFERENCE_HZ,
     DriveConfig,
     SystemParams,
     cooperativity,
     critical_power,
-    drive_amplitude,
     eit_width,
     rate_hierarchy,
+    within,
 )
 from .working_point import (
     WorkingPoint,
+    _invert_cooperativity,
     invert_cooperativity,
     require_stable,
     solve_working_point,
@@ -167,7 +174,7 @@ class Scenario(NamedTuple):
         if out_format not in ("csv", "json"):
             raise ScenarioError(f"output.format must be csv or json, got {out_format!r}")
 
-        sweep = _sweep_from_spec(doc.get("sweep", {}), params)
+        sweep = _sweep_from_spec(doc.get("sweep", {}))
         if doc.get("variants") is not None and sweep.get("kind") != "probe_x":
             raise ScenarioError(f"variants need a probe_x sweep, got kind {sweep.get('kind')!r}")
         if model == "full" and sweep.get("kind") == "roots_vs_ratio":
@@ -180,7 +187,7 @@ class Scenario(NamedTuple):
         return cls(
             params=params,
             detuning_mode=mode,
-            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0}), params),
+            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0})),
             sweep=sweep,
             model=model,
             variants=_variants_from_spec(doc.get("variants"), model),
@@ -202,6 +209,22 @@ def _number(value, name: str) -> float:
     return number
 
 
+def _within(value: float, name: str, kind: str) -> float:
+    """``value`` if it lies inside the envelope row ``kind``, else a ScenarioError naming
+    ``name``."""
+    try:
+        return within(value, name, kind)
+    except InvalidParameterError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
+def _coupled(target: float, cavity: int, params: SystemParams, name: str) -> None:
+    """A ScenarioError naming ``name`` if ``target`` is above 0 on an uncoupled cavity."""
+    if target > 0.0 and (params.g1, params.g2)[cavity - 1] == 0.0:
+        raise ScenarioError(f"{name} = {target:g} needs a coupled cavity {cavity}, "
+                            f"but params.g{cavity}_hz is 0")
+
+
 def _count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 2:
         raise ScenarioError(f"{name} must be an integer >= 2, got {value!r}")
@@ -217,38 +240,32 @@ def _params_from_spec(spec: dict) -> SystemParams:
     unknown = set(spec) - set(names)
     if unknown:
         raise ScenarioError(f"unknown params keys: {sorted(unknown)}")
-    hz = {names[key]: _number(value, f"params.{key}") for key, value in spec.items()}
-    try:
-        return SystemParams.from_hz(**{**REFERENCE_HZ, **hz})
-    except InvalidParameterError as exc:
-        raise ScenarioError(f"invalid params: {exc}") from exc
+    hz = {names[key]: _within(_number(value, f"params.{key}"), f"params.{key}",
+                              PARAM_KINDS[names[key]]) for key, value in spec.items()}
+    return SystemParams.from_hz(**{**REFERENCE_HZ, **hz})
 
 
-def _drives_from_spec(spec: dict, params: SystemParams) -> dict:
-    """Cooperativity targets {c1, c2} or powers {p_c1, p_c2} [W], missing ones 0; a power
-    whose drive amplitude sqrt(2 kappa P / (hbar omega_c)) overflows is a ScenarioError."""
+def _drives_from_spec(spec: dict) -> dict:
+    """Cooperativity targets {c1, c2} or powers {p_c1, p_c2} [W], missing ones 0, each
+    inside the envelope."""
     if not isinstance(spec, dict):
         raise ScenarioError("drives must be an object")
     if "c1" in spec or "c2" in spec:
         extra = set(spec) - {"c1", "c2"}
         if extra:
             raise ScenarioError(f"drives mixes cooperativity targets with {sorted(extra)}")
-        return {key: _number(spec.get(key, 0.0), f"drives.{key}") for key in ("c1", "c2")}
+        return {key: _within(_number(spec.get(key, 0.0), f"drives.{key}"), f"drives.{key}", "c")
+                for key in ("c1", "c2")}
     extra = set(spec) - {"p_c1", "p_c2"}
     if extra:
         raise ScenarioError(f"unknown drives keys: {sorted(extra)}")
-    powers = {key: parse_power(spec.get(key, 0.0), f"drives.{key}") for key in ("p_c1", "p_c2")}
-    for (key, power), carrier, kappa in zip(powers.items(), (params.omega_c1, params.omega_c2),
-                                            (params.kappa1, params.kappa2)):
-        if power > 0.0 and not math.isfinite(drive_amplitude(power, carrier, kappa)):
-            raise ScenarioError(f"drives.{key} = {power!r} W is too large: its drive amplitude "
-                                "sqrt(2 kappa P / (hbar omega_c)) overflows")
-    return powers
+    return {key: _within(parse_power(spec.get(key, 0.0), f"drives.{key}"), f"drives.{key}",
+                         "power") for key in ("p_c1", "p_c2")}
 
 
-def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
-    """Every key of the sweep's kind, typed and checked against ``SWEEPS``; every probe
-    detuning omega_m + x gamma_m, and a probe grid's span, finite in rad/s."""
+def _sweep_from_spec(spec: dict) -> dict:
+    """Every key of the sweep's kind, typed and checked against ``SWEEPS``; the ratio
+    window and every probe offset inside the envelope."""
     if not isinstance(spec, dict):
         raise ScenarioError("sweep must be an object")
     if not spec:
@@ -269,8 +286,13 @@ def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
             sweep[key] = check(value, f"sweep.{key}")
     if kind == "probe_x" and not sweep["x_min_gamma_m"] < sweep["x_max_gamma_m"]:
         raise ScenarioError("probe sweep needs x_min_gamma_m < x_max_gamma_m")
-    if "ratio_min" in sweep and not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
-        raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
+    if "ratio_min" in sweep:
+        if not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
+            raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
+        _within(sweep["ratio_max"], "sweep.ratio_max", "c2_over_c1")
+    for key in ("x_gamma_m", "x_min_gamma_m", "x_max_gamma_m"):
+        if key in sweep:
+            _within(sweep[key], f"sweep.{key}", "x")
     if kind == "time_domain":
         from .oscillators import METHODS
 
@@ -280,15 +302,6 @@ def _sweep_from_spec(spec: dict, params: SystemParams) -> dict:
             raise ScenarioError(f"sweep.method must be one of {METHODS}, got {sweep['method']!r}")
         if sweep["method"] == "rk4" and (sweep["dt"] is None or sweep["dt"] <= 0):
             raise ScenarioError(f"sweep.dt must be > 0 for method rk4, got {sweep['dt']!r}")
-    gm = params.gamma_m
-    for key in ("x_gamma_m", "x_min_gamma_m", "x_max_gamma_m"):
-        if key in sweep and not math.isfinite(params.omega_m + sweep[key] * gm):
-            raise ScenarioError(f"sweep.{key} = {sweep[key]!r} puts the probe detuning "
-                                "omega_m + x gamma_m past the float range")
-    if kind == "probe_x" and not math.isfinite(sweep["x_max_gamma_m"] * gm
-                                               - sweep["x_min_gamma_m"] * gm):
-        raise ScenarioError("sweep.x_max_gamma_m - sweep.x_min_gamma_m puts the probe grid's "
-                            "span (x_max - x_min) gamma_m past the float range")
     return sweep
 
 
@@ -312,6 +325,7 @@ def _variants_from_spec(spec, model: str) -> list[dict]:
             ratio = variant["c2_over_c1"] = _number(variant["c2_over_c1"], "variant c2_over_c1")
             if ratio < 0:
                 raise ScenarioError(f"variant c2_over_c1 must be >= 0, got {ratio!r}")
+            _within(ratio, f"variant {v['label']!r}: c2_over_c1", "c2_over_c1")
         if any(v["label"] == variant["label"] for v in variants):
             raise ScenarioError(f"variant labels must be unique: {variant['label']!r} repeats")
         variants.append(variant)
@@ -322,21 +336,19 @@ def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float, Worki
     """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
 
     wp is the working point at ``drives`` and c1, c2 its cooperativities.
-    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve;
-    a cooperativity the powers give that leaves the float range is a ConvergenceError.
+    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve; a target
+    above 0 on an uncoupled cavity is a ScenarioError.
     """
     spec, params, mode = scenario.drives, scenario.params, scenario.detuning_mode
     if "c1" in spec:
+        for cavity, key in ((1, "c1"), (2, "c2")):
+            _coupled(spec[key], cavity, params, f"drives.{key}")
         drives, wp = invert_cooperativity(params, spec["c1"], spec["c2"], mode)
     else:
         drives = DriveConfig(p_c1=spec["p_c1"], p_c2=spec["p_c2"])
         wp = solve_working_point(params, drives, mode)
     c1 = cooperativity(params.g1, wp.n1, params.kappa1, params.gamma_m)
     c2 = cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
-    for name, c in (("C1", c1), ("C2", c2)):
-        if not math.isfinite(c):
-            raise ConvergenceError(f"cooperativity {name} = g^2 n / (kappa gamma_m) at the "
-                                   f"given powers leaves the float range ({c!r})")
     return drives, c1, c2, wp
 
 
@@ -355,9 +367,12 @@ class Run:
         self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario)
 
     def scaled(self, targets, what: str) -> list[WorkingPoint]:
-        """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``."""
+        """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``;
+        a ScenarioError if a target above 0 falls on an uncoupled cavity 2."""
         s = self.scenario
-        wps = [self.wp if c2 is None else invert_cooperativity(
+        _coupled(max((c2 for c2 in targets if c2 is not None), default=0.0), 2, s.params,
+                 f"the {what} target C2")
+        wps = [self.wp if c2 is None else _invert_cooperativity(
             s.params, None, c2, s.detuning_mode, p_c1=self.drives.p_c1)[1] for c2 in targets]
         require_stable(_stacked(wps), s.params, what)
         return wps
@@ -384,7 +399,7 @@ def derive_summary(run: Run) -> dict:
     peak = peak_height(c1, c2)
 
     wp_off = wp if drives.p_c2 == 0.0 else solve_working_point(
-        params, DriveConfig(drives.p_c1, 0.0), run.scenario.detuning_mode)
+        params, DriveConfig._inverted(drives.p_c1, 0.0), run.scenario.detuning_mode)
     require_stable(_stacked([wp, wp_off]), params, "derive [as driven, tone 2 off]")
     on = response_grid(wp, params, params.omega_m, "rwa")
     off = response_grid(wp_off, params, params.omega_m, "rwa")
@@ -480,20 +495,11 @@ def _stacked(wps) -> WorkingPoint:
     return WorkingPoint(*map(np.array, zip(*wps)))
 
 
-def _c2_of(ratio, c1: float, name: str):
-    """The C2 target(s) ratio * C1; a ScenarioError naming the input ``name`` if one overflows."""
-    with np.errstate(over="ignore"):  # checked below
-        c2 = ratio * c1
-    if not np.isfinite(c2).all():
-        raise ScenarioError(f"{name} is too large: C2 = ratio * C1 overflows at C1 = {c1:g}")
-    return c2
-
-
 def _c2_targets(run: Run) -> tuple[np.ndarray, np.ndarray]:
-    """The sweep's C2/C1 grid and its C2 targets ratio * C1; ScenarioError if one overflows."""
+    """The sweep's C2/C1 grid and its C2 targets ratio * C1."""
     sweep = run.scenario.sweep
     ratios = np.linspace(sweep["ratio_min"], sweep["ratio_max"], sweep["n_points"])
-    return ratios, _c2_of(ratios, run.c1, f"sweep.ratio_max = {sweep['ratio_max']!r}")
+    return ratios, ratios * run.c1
 
 
 def _probe_tables(run: Run):
@@ -504,10 +510,7 @@ def _probe_tables(run: Run):
     x_min, x_max = sweep["x_min_gamma_m"] * gm, sweep["x_max_gamma_m"] * gm
     xs = np.linspace(x_min, x_max, sweep["n_points"] or _auto_probe_points(run, x_min, x_max))
     variants = run.scenario.variants
-    targets = [None if v["c2_over_c1"] is None
-               else _c2_of(v["c2_over_c1"], run.c1,
-                           f"variant {v['label']!r}: c2_over_c1 = {v['c2_over_c1']!r}")
-               for v in variants]
+    targets = [None if v["c2_over_c1"] is None else v["c2_over_c1"] * run.c1 for v in variants]
     # every variant's point is solved and gated before any table is written
     wps = run.scaled(targets, "probe_x variant")
     for variant, wp in zip(variants, wps):
@@ -532,12 +535,7 @@ def _root_tables(run: Run):
     params = run.scenario.params
     k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m
     ratios, c2 = _c2_targets(run)
-    with np.errstate(over="ignore"):  # checked below
-        s2 = c2 * k2 * gm / 2.0
-    if not np.isfinite(s2).all():
-        raise ScenarioError(f"sweep.ratio_max = {run.scenario.sweep['ratio_max']!r} is too "
-                            f"large: the drive weight C2 kappa2 gamma_m / 2 overflows")
-    trajectories = root_trajectories(k1, k2, gm, run.c1 * k1 * gm / 2.0, s2)
+    trajectories = root_trajectories(k1, k2, gm, run.c1 * k1 * gm / 2.0, c2 * k2 * gm / 2.0)
     yield None, ROOT_COLUMNS, np.column_stack(
         [ratios, -trajectories.imag / gm, trajectories.real / gm])
 

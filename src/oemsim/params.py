@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, InvalidParameterError
+from .errors import InvalidParameterError
 
 HBAR = 1.054571817e-34  # J*s
 TWO_PI = 2.0 * math.pi
@@ -38,6 +38,50 @@ def _require_positive(value: float, name: str) -> None:
 def _require_non_negative(value: float, name: str) -> None:
     if not math.isfinite(value) or value < 0.0:
         raise InvalidParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+# The supported-input envelope: input kind -> (low, high, unit).  The paper's regime (red-
+# detuned tones, kappa1 >> gamma_m >> kappa2, cooperativities of order 1-100) lies well
+# inside it, and inside it no working point, pole or response leaves the float range (a
+# long time trace still can, and is refused by its own check).  A rate in rad/s is checked
+# against 2 pi times its bounds in Hz.  A coupling rate g may also be 0; "x" is a probe
+# offset from omega_m in units of gamma_m.
+ENVELOPE = {
+    "carrier": (1e6, 1e16, "Hz"),
+    "omega_m": (1.0, 1e11, "Hz"),
+    "gamma_m": (1e-3, 1e10, "Hz"),
+    "kappa": (1e-3, 1e12, "Hz"),
+    "g": (1e-6, 1e9, "Hz"),
+    "delta": (-1e13, 1e13, "Hz"),
+    "power": (0.0, 1e3, "W"),
+    "c": (0.0, 1e9, ""),
+    "c2_over_c1": (0.0, 1e6, ""),
+    "x": (-1e9, 1e9, "gamma_m"),
+}
+# SystemParams field -> its ENVELOPE kind
+PARAM_KINDS = {"omega_c1": "carrier", "omega_c2": "carrier", "delta_bare1": "delta",
+               "delta_bare2": "delta", "omega_m": "omega_m", "gamma_m": "gamma_m",
+               "kappa1": "kappa", "kappa2": "kappa", "g1": "g", "g2": "g"}
+
+
+def within(value: float, name: str, kind: str, scale: float = 1.0) -> float:
+    """``value``, checked against the envelope row ``kind`` after a scale of ``scale``.
+
+    InvalidParameterError naming ``name``: a rate or a coupling rate that is not finite and
+    > 0 (>= 0) fails as ``_require_positive`` (``_require_non_negative``) does; any other
+    value outside its row fails with its value and the supported range.
+    """
+    low, high, unit = ENVELOPE[kind]
+    if kind == "g" or low == 0.0:
+        _require_non_negative(value, name)
+    elif low > 0.0:
+        _require_positive(value, name)
+    if not (low * scale <= value <= high * scale or kind == "g" and value == 0.0):
+        unit = f" {unit}" if unit else ""
+        zero = ", or 0" if kind == "g" else ""
+        raise InvalidParameterError(f"{name} = {value / scale:.12g}{unit} is outside the "
+                                    f"supported range {low:g} to {high:g}{unit}{zero}")
+    return value
 
 
 class Checked:
@@ -97,17 +141,8 @@ class SystemParams(Checked, _SystemParams):
     __slots__ = ()
 
     def _check(self):
-        _require_positive(self.omega_c1, "omega_c1")
-        _require_positive(self.omega_c2, "omega_c2")
-        _require_positive(self.omega_m, "omega_m")
-        _require_positive(self.gamma_m, "gamma_m")
-        _require_positive(self.kappa1, "kappa1")
-        _require_positive(self.kappa2, "kappa2")
-        _require_non_negative(self.g1, "g1")
-        _require_non_negative(self.g2, "g2")
-        for name in ("delta_bare1", "delta_bare2"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(f"{name} must be finite")
+        for name, kind in PARAM_KINDS.items():
+            within(getattr(self, name), name, kind, TWO_PI)
 
     @classmethod
     def from_hz(
@@ -186,7 +221,7 @@ class _DriveConfig(NamedTuple):
 
 
 class DriveConfig(Checked, _DriveConfig):
-    """Input powers of the two coupling tones [W].
+    """Input powers of the two coupling tones [W], each inside the envelope's power row.
 
     The probe needs no power: the linear response is normalized per unit
     probe amplitude.
@@ -195,8 +230,17 @@ class DriveConfig(Checked, _DriveConfig):
     __slots__ = ()
 
     def _check(self):
-        _require_non_negative(self.p_c1, "p_c1")
-        _require_non_negative(self.p_c2, "p_c2")
+        within(self.p_c1, "p_c1", "power")
+        within(self.p_c2, "p_c2", "power")
+
+    @classmethod
+    def _inverted(cls, p_c1: float, p_c2: float) -> "DriveConfig":
+        """Powers that an inversion derived: finite and >= 0, but not bounded by the power
+        row, which bounds the powers a caller gives.  Inside the envelope a target may need
+        far more than 1e3 W, and the power it needs stays finite."""
+        _require_non_negative(p_c1, "p_c1")
+        _require_non_negative(p_c2, "p_c2")
+        return _DriveConfig.__new__(cls, p_c1, p_c2)
 
 
 def drive_amplitude(power: float, carrier: float, kappa: float) -> float:
@@ -207,9 +251,8 @@ def drive_amplitude(power: float, carrier: float, kappa: float) -> float:
     """
     _require_non_negative(power, "power")
     _require_positive(kappa, "kappa")
-    photon_energy = HBAR * carrier  # 0 for a carrier below ~5e-290 rad/s (underflow)
-    _require_positive(photon_energy, "photon energy hbar*carrier")
-    return math.sqrt(2.0 * kappa * power / photon_energy)
+    within(carrier, "carrier", "carrier", TWO_PI)
+    return math.sqrt(2.0 * kappa * power / (HBAR * carrier))
 
 
 def cooperativity(g: float, photon_number: float, kappa: float, gamma_m: float) -> float:
@@ -231,19 +274,13 @@ def critical_power(params: SystemParams) -> float:
     configuration are purely imaginary; above it they acquire real parts and
     the window splits into two normal modes.  Scales as 1/g1^2 and vanishes
     when gamma_m -> 2*kappa1 (zero pole splitting).  Infinite, the 1/g1^2
-    limit, when 4 g1^2 kappa1 is 0 (g1 = 0, or g1^2 below the float range).
-    ConvergenceError when a square of a rate leaves the float range.
+    limit, at g1 = 0.
     """
     k1 = params.kappa1
-    try:
-        rate = 4.0 * params.g1**2 * k1
-        if rate == 0.0:
-            return math.inf
-        return HBAR * params.omega_c1 / rate * (k1**2 + params.omega_m**2) * (
-            params.gamma_m / 2.0 - k1) ** 2
-    except OverflowError:
-        raise ConvergenceError("critical power out of range: a squared rate of g1, kappa1, "
-                               "omega_m or gamma_m / 2 - kappa1 overflows") from None
+    if params.g1 == 0.0:
+        return math.inf
+    return HBAR * params.omega_c1 / (4.0 * params.g1**2 * k1) * (k1**2 + params.omega_m**2) * (
+        params.gamma_m / 2.0 - k1) ** 2
 
 
 def eit_width(c1: float, gamma_m: float) -> float:

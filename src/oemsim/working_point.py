@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParameterError, UnstableWorkingPointError
-from .params import HBAR, DriveConfig, SystemParams, cooperativity, drive_amplitude
+from .params import HBAR, DriveConfig, SystemParams, cooperativity, drive_amplitude, within
 
 REL_TOL = 1e-10
 IMAG_TOL = 1e-6  # a polynomial root z with |Im z| <= IMAG_TOL |z| counts as real
@@ -116,18 +116,16 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
     omega_m max(|q|, 1) + |force| + sum_i |s_i| n_i(q), is dropped: near a fold a
     complex pair with a small imaginary part passes as real, and the polish sends it
     far from any root.
-    No real root at all, a coefficient that overflows, or a leading coefficient
-    so small that np.roots's companion matrix overflows raises ConvergenceError.
+    No real root at all, or a leading coefficient so small that np.roots's
+    companion matrix overflows, raises ConvergenceError.
     """
     num, den = np.array([params.omega_m, force]), np.array([1.0])  # balance = num / den
-    with np.errstate(all="ignore"):  # the coefficients and roots are checked as wholes
+    with np.errstate(all="ignore"):  # the roots are checked as wholes
         for s, delta, kappa, c in terms:  # num/den + s c/D = (num D + s c den) / (den D)
             add = s * c * den
             d_poly = np.array([s * s, 2.0 * s * delta, kappa * kappa + delta * delta])
             num, den = np.convolve(num, d_poly), np.convolve(den, d_poly)
             num[len(num) - len(add):] += add
-        if not np.isfinite(num).all():
-            raise ConvergenceError("force balance coefficients overflow")
         try:
             z = np.roots(num)
         except np.linalg.LinAlgError:  # a coefficient over the leading one overflows
@@ -217,9 +215,21 @@ def invert_cooperativity(
 ) -> tuple[DriveConfig, WorkingPoint]:
     """Coupling powers [W] whose working point has the target cooperativities, and that point.
 
+    As ``_invert_cooperativity``, with each target checked against the envelope's
+    cooperativity row (``params.ENVELOPE``): InvalidParameterError outside it.
+    """
+    for i, c in enumerate((c1, c2), 1):
+        if c is not None and 0.0 <= float(c) < math.inf:  # else refused with its own message
+            within(float(c), f"target cooperativity C{i}", "c")
+    return _invert_cooperativity(params, c1, c2, detuning_mode, p_c1)
+
+
+def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
+    """Coupling powers [W] whose working point has the target cooperativities, and that point.
+
     ``c1=None`` drives cavity 1 at ``p_c1`` and targets C2 alone.  A target fixes a
-    photon number, n_i = C_i kappa_i gamma_m / g_i^2 (ConvergenceError unless finite and
-    > 0; a zero target holds no photons), and n_i = E_i^2 / (kappa_i^2 + Delta_i^2) with
+    photon number, n_i = C_i kappa_i gamma_m / g_i^2 (a zero target holds no photons), and
+    n_i = E_i^2 / (kappa_i^2 + Delta_i^2) with
     E_i^2 = 2 kappa_i P_i / (hbar omega_ci) gives P_i = n_i hbar omega_ci (kappa_i^2 +
     Delta_i^2) / (2 kappa_i).  In effective mode Delta_i is the stored detuning.  In bare
     mode it is Delta_i(q0), with q0 the smallest-|q0| real root of the force balance in
@@ -227,24 +237,27 @@ def invert_cooperativity(
     in q0 when both are fixed, cavity 1's Lorentzian plus that force, a cubic, when cavity
     1 is driven at ``p_c1``.  One forward solve at these powers confirms the branch: every
     target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
+    ConvergenceError too for a target above 0 on an uncoupled cavity (g_i = 0).  The
+    targets are not bounded by the envelope: ratio rows and probe variants ask for
+    C2 = ratio * C1, and the C1 that a power inside the envelope gives may exceed the
+    cooperativity row.  The powers returned are not bounded by the power row either
+    (``DriveConfig._inverted``).
     """
     if detuning_mode not in ("effective", "bare"):
         raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
     cavities = ((params.g1, params.kappa1, params.omega_c1),
                 (params.g2, params.kappa2, params.omega_c2))
     targets, photons = [], []
-    for c, (g, kappa, _) in zip((c1, c2), cavities):
+    for i, (c, (g, kappa, _)) in enumerate(zip((c1, c2), cavities), 1):
         n = None  # cavity 1 driven at p_c1
         if c is not None:
-            c = float(c)  # a numpy scalar would warn where the arithmetic overflows
+            c = float(c)
             if not 0.0 <= c < math.inf:
                 raise InvalidParameterError("target cooperativity must be finite and >= 0")
-            n = c * kappa * params.gamma_m / (g * g) if g * g > 0 else math.inf
-            if c == 0.0:
-                n = 0.0
-            elif not 0.0 < n < math.inf:
-                raise ConvergenceError(
-                    f"target cooperativity unreachable: {n!r} photons at g = {g!r}")
+            if c > 0.0 and g == 0.0:
+                raise ConvergenceError(f"target cooperativity C{i} = {c:g} unreachable: "
+                                       f"cavity {i} is uncoupled (g{i} = 0)")
+            n = c * kappa * params.gamma_m / (g * g) if c > 0.0 else 0.0
         targets.append(c)
         photons.append(n)
     deltas = (params.delta_bare1, params.delta_bare2)
@@ -256,18 +269,12 @@ def invert_cooperativity(
     powers = [p_c1 if c1 is None else 0.0, 0.0]
     for i, ((_, kappa, carrier), n, delta) in enumerate(zip(cavities, photons, deltas)):
         if n:  # not cavity 1 at p_c1 (None) or a zero target
-            # n scaled by a power of two, which is exact, so that n hbar cannot underflow
+            # n scaled by a power of two, which is exact, so that n hbar cannot underflow: a
+            # target's C has no lower bound but 0, and a ratio row's C2 may be tiny
             m, e = math.frexp(n)
-            try:
-                powers[i] = math.ldexp(
-                    m * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa), e)
-            except OverflowError:
-                powers[i] = math.inf
-            if not (powers[i] < math.inf
-                    and math.isfinite(drive_amplitude(powers[i], carrier, kappa))):
-                raise ConvergenceError("target cooperativity unreachable: "
-                                       f"{powers[i]!r} W or its drive amplitude overflows")
-    drives = DriveConfig(*powers)
+            powers[i] = math.ldexp(
+                m * HBAR * carrier * (kappa * kappa + delta * delta) / (2.0 * kappa), e)
+    drives = DriveConfig._inverted(*powers)
     wp = solve_working_point(params, drives, detuning_mode)
     for c, (g, kappa, _), n in zip(targets, cavities, (wp.n1, wp.n2)):
         if not c:
@@ -323,10 +330,7 @@ def require_stable(wp: WorkingPoint, params: SystemParams, what: str) -> None:
     """
     m = drift_matrix(wp, params)
     margin = np.atleast_1d(np.linalg.eigvals(m).real.max(axis=-1))
-    # m and its margin scaled by a power of two, which is exact, so that no square overflows
-    e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
-    norm = np.linalg.norm(np.ldexp(m, -e[..., None, None]), axis=(-2, -1))
-    bad = np.flatnonzero(np.ldexp(margin, -e) > STABILITY_RTOL * norm)
+    bad = np.flatnonzero(margin > STABILITY_RTOL * np.linalg.norm(m, axis=(-2, -1)))
     if bad.size:
         i = int(bad[0])
         raise UnstableWorkingPointError(

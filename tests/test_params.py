@@ -76,15 +76,18 @@ def test_critical_power_vanishes_at_rate_degeneracy():
 
 
 def test_critical_power_limits_out_of_float_range():
-    # 4 g1^2 kappa1 of 0 is the 1/g1^2 limit; a square that overflows has no float answer
+    # g1 = 0 is the 1/g1^2 limit; the envelope's corners give finite powers, and the rates
+    # whose squares left the float range are refused when the parameters are built
     def with_hz(**hz):
         return om.SystemParams.from_hz(**{**om.params.REFERENCE_HZ, **hz})
 
     assert om.critical_power(with_hz(g1=0.0)) == math.inf
-    assert om.critical_power(with_hz(g1=1e-170)) == math.inf
-    for hz in ({"omega_m": 1e300}, {"g1": 1e300}):
-        with pytest.raises(om.ConvergenceError, match="critical power out of range"):
-            om.critical_power(with_hz(**hz))
+    for hz in ({"g1": 1e-6, "kappa1": 1e-3}, {"g1": 1e-6, "kappa1": 1e12, "omega_m": 1e11},
+               {"g1": 1e9, "kappa1": 1e-3, "gamma_m": 1e10}):
+        assert 0.0 < om.critical_power(with_hz(**hz)) < math.inf
+    for hz in ({"omega_m": 1e300}, {"g1": 1e300}, {"g1": 1e-170}):
+        with pytest.raises(om.InvalidParameterError, match="is outside the supported range"):
+            with_hz(**hz)
 
 
 def test_eit_width_values(params):

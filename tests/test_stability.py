@@ -145,11 +145,14 @@ def test_drift_matrix_is_the_jacobian_of_the_mean_field_equations():
 
 
 def test_margin_within_eigensolver_rounding_passes_the_gate():
-    """With kappa at 1e-10 Hz the least damped modes decay at about 1e-9 rad/s, far below the
-    eigensolver's rounding on a matrix of norm 1.5e8: the computed margin comes out at about
-    +1e-8 rad/s (8e-17 of the norm) here, which is rounding, not growth."""
-    _, wp, params = run_wp({"params": {"kappa1_hz": 1e-10, "kappa2_hz": 1e-10},
-                            "drives": {"c1": 1.0, "c2": 1.0}})
+    """With kappa at 1e-3 Hz the least damped modes decay at about 6e-3 rad/s, below the
+    eigensolver's rounding on a matrix of norm 1.3e14 (detunings of 1e13 Hz): the computed
+    margin comes out at +1.2e-2 rad/s (9e-17 of the norm) here, which is rounding, not
+    growth."""
+    _, wp, params = run_wp({"params": {"kappa1_hz": 1e-3, "kappa2_hz": 1e-3, "g1_hz": 1e6,
+                                       "g2_hz": 1e5, "omega_m_hz": 1e11, "delta1_hz": -1e13,
+                                       "delta2_hz": -1e13},
+                            "drives": {"c1": 40.0, "c2": 40.0}})
     norm = np.linalg.norm(wpmod.drift_matrix(wp, params))
     assert abs(om.stability_margin(wp, params)) < 1e-15 * norm
     wpmod.require_stable(wp, params, "derive")

@@ -367,8 +367,9 @@ class Run:
         self.drives, self.c1, self.c2, self.wp = resolve_drives(scenario)
 
     def scaled(self, targets, what: str) -> list[WorkingPoint]:
-        """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``;
-        a ScenarioError if a target above 0 falls on an uncoupled cavity 2."""
+        """Working points at the C2 ``targets`` (None: the run's own), gated as batch ``what``:
+        the CLI's one stability gate.  A ScenarioError if a target above 0 falls on an
+        uncoupled cavity 2."""
         s = self.scenario
         _coupled(max((c2 for c2 in targets if c2 is not None), default=0.0), 2, s.params,
                  f"the {what} target C2")
@@ -398,9 +399,9 @@ def derive_summary(run: Run) -> dict:
     split = eia_splitting(gamma_eit, coeffs.s2, params.kappa2)
     peak = peak_height(c1, c2)
 
-    wp_off = wp if drives.p_c2 == 0.0 else solve_working_point(
-        params, DriveConfig._inverted(drives.p_c1, 0.0), run.scenario.detuning_mode)
-    require_stable(_stacked([wp, wp_off]), params, "derive [as driven, tone 2 off]")
+    # tone 2 off is the C2 = 0 ratio row, and the run's own point when tone 2 is already off
+    wp_off = run.scaled([None, None if drives.p_c2 == 0.0 else 0.0],
+                        "derive [as driven, tone 2 off]")[1]
     on = response_grid(wp, params, params.omega_m, "rwa")
     off = response_grid(wp_off, params, params.omega_m, "rwa")
     switch_t_over_r = on.transmit_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf
@@ -806,7 +807,7 @@ def _dispatch(command: str, opts: dict) -> int:
     if command == "invert":  # --target and --cavity are the scenario's drives
         target, cavity = opts["target"], opts["cavity"]
         run = Run(scenario._replace(drives={"c1": 0.0, "c2": 0.0, f"c{cavity}": target}))
-        require_stable(run.wp, scenario.params, "invert")
+        run.scaled([None], "invert")
         power = run.drives.p_c1 if cavity == 1 else run.drives.p_c2
         _print_json({"target_c": target, "cavity": cavity, "power_w": _round12(power)},
                     opts.get("out"))

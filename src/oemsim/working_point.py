@@ -20,7 +20,9 @@ therefore self-consistent in q0.  Multiplied by D_1 D_2 it is the quintic
     omega_m q0 D_1 D_2 - g1 E_c1^2 D_2 + g2 E_c2^2 D_1 = 0,
 
 whose real roots are every steady state; at high drive there are several
-(bistability).  A cooperativity target fixes a photon number instead of a
+(bistability), and the operating point is the smallest-|q0| one.  One routine,
+``_steady_state``, applies that rule for the forward solve and the inversion
+alike.  A cooperativity target fixes a photon number instead of a
 power, and a held photon number is a constant force: its cavity pushes with
 g1 n1 or -g2 n2 whatever q0 is.  With both n_i fixed the balance is linear,
 q0 = (g1 n1 - g2 n2) / omega_m; with n_2 fixed and tone 1 at a given power it
@@ -71,12 +73,6 @@ class WorkingPoint(NamedTuple):
     multiple_roots: bool = False
 
 
-def _photon_numbers(e1, e2, k1, k2, d1, d2):
-    n1 = e1 * e1 / (k1 * k1 + d1 * d1)
-    n2 = e2 * e2 / (k2 * k2 + d2 * d2)
-    return n1, n2
-
-
 def _terms(params, e1, e2):
     """Lorentzian terms of the force balance omega_m q + F + s_1 n_1(q) + s_2 n_2(q).
 
@@ -95,15 +91,18 @@ def _terms(params, e1, e2):
 
 
 def _balance(q, params, terms, force=0.0):
-    """The force balance omega_m q + force + sum_i s_i n_i(q) and its derivative in q."""
+    """The force balance omega_m q + force + sum_i s_i n_i(q), its derivative in q, and the
+    scale omega_m max(|q|, 1) + |force| + sum_i |s_i| n_i(q) that its residual is judged by."""
     f, df = params.omega_m * q + force, params.omega_m
+    scale = params.omega_m * np.maximum(np.abs(q), 1.0) + abs(force)
     for s, delta, kappa, c in terms:
         d = delta + s * q
         den = kappa * kappa + d * d
         n = c / den
         f = f + s * n
         df = df - 2.0 * s * s * d * n / den
-    return f, df
+        scale = scale + abs(s) * n
+    return f, df, scale
 
 
 def _real_roots(params, terms, force=0.0) -> list[float]:
@@ -112,10 +111,9 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
     The balance times its Lorentzian denominators is a polynomial in q of degree
     1 + 2 per term.  Its roots with a negligible imaginary part are polished by
     Newton steps on the balance itself and merged when they agree to 1e-9.  A value
-    the polish sends past the float range, or whose balance misses ``REL_TOL`` of
-    omega_m max(|q|, 1) + |force| + sum_i |s_i| n_i(q), is dropped: near a fold a
-    complex pair with a small imaginary part passes as real, and the polish sends it
-    far from any root.
+    the polish sends past the float range, or whose balance misses ``REL_TOL`` of its
+    scale (``_balance``), is dropped: near a fold a complex pair with a small imaginary
+    part passes as real, and the polish sends it far from any root.
     No real root at all, or a leading coefficient so small that np.roots's
     companion matrix overflows, raises ConvergenceError.
     """
@@ -133,14 +131,11 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
                                    "omega_m g1^2 g2^2 is too small for np.roots") from None
         q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
         for _ in range(POLISH_STEPS):
-            f, df = _balance(q, params, terms, force)
+            f, df, _ = _balance(q, params, terms, force)
             q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
         q = q[np.isfinite(q)]
-        scale = params.omega_m * np.maximum(np.abs(q), 1.0) + abs(force)
-        for s, delta, kappa, c in terms:
-            d = delta + s * q
-            scale = scale + abs(s) * (c / (kappa * kappa + d * d))
-        q = q[np.abs(_balance(q, params, terms, force)[0]) <= REL_TOL * scale]
+        f, _, scale = _balance(q, params, terms, force)
+        q = q[np.abs(f) <= REL_TOL * scale]
     roots: list[float] = []
     for r in np.sort(q).tolist():
         if not roots or r - roots[-1] > 1e-9 * max(abs(r), 1.0):
@@ -148,6 +143,38 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
     if not roots:
         raise ConvergenceError("force balance has no real root")
     return roots
+
+
+def _steady_state(params, detuning_mode, e1, e2, held=(None, None)) -> WorkingPoint:
+    """The steady state with cavity i driven at amplitude e_i, or holding ``held[i]`` photons.
+
+    A held photon number is a constant force s_i n_i (s_1 = -g1, s_2 = g2) whatever q0 is;
+    its cavity's amplitude e_i is 0.  In effective mode Delta_i is the stored detuning and
+    q0 = (g1 n1 - g2 n2) / omega_m.  In bare mode q0 is the smallest-|q0| real root of the
+    force balance (``_real_roots``), ``multiple_roots`` flags that there were several, and
+    a tie for the smallest |q0| raises ConvergenceError: the operating point is ambiguous.
+    """
+    if detuning_mode not in ("effective", "bare"):
+        raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
+    g1, g2, k1, k2 = params.g1, params.g2, params.kappa1, params.kappa2
+    q, multiple = None, False
+    d1, d2 = params.delta_bare1, params.delta_bare2
+    if detuning_mode == "bare":
+        force = sum(s * n for s, n in zip((-g1, g2), held) if n is not None)
+        by_mag = sorted(_real_roots(params, _terms(params, e1, e2), force), key=abs)
+        q, multiple = by_mag[0], len(by_mag) > 1
+        if multiple and abs(abs(q) - abs(by_mag[1])) <= 1e-9 * (abs(q) + 1.0):
+            raise ConvergenceError(
+                "force balance has tied smallest-|q0| roots "
+                f"(q0 = {q:.6g} and {by_mag[1]:.6g}); operating point ambiguous"
+            )
+        d1, d2 = d1 - g1 * q, d2 + g2 * q
+    n1, n2 = (e * e / (k * k + d * d) if n is None else n
+              for e, k, d, n in ((e1, k1, d1, held[0]), (e2, k2, d2, held[1])))
+    if q is None:
+        q = (g1 * n1 - g2 * n2) / params.omega_m
+    return WorkingPoint(a10=e1 / (k1 + 1j * d1), a20=e2 / (k2 + 1j * d2), q0=q,
+                        delta1=d1, delta2=d2, n1=n1, n2=n2, multiple_roots=multiple)
 
 
 def solve_working_point(
@@ -171,39 +198,9 @@ def solve_working_point(
             Every root meets the 1e-10 relative force-balance residual
             (``_real_roots``); ConvergenceError when none does.
     """
-    if detuning_mode not in ("effective", "bare"):
-        raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
     e1 = drive_amplitude(drives.p_c1, params.omega_c1, params.kappa1)
     e2 = drive_amplitude(drives.p_c2, params.omega_c2, params.kappa2)
-    k1, k2 = params.kappa1, params.kappa2
-    g1, g2 = params.g1, params.g2
-
-    if detuning_mode == "effective":
-        d1, d2 = params.delta_bare1, params.delta_bare2
-        n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
-        q, multiple = (g1 * n1 - g2 * n2) / params.omega_m, False
-    else:
-        terms = _terms(params, e1, e2)
-        by_mag = sorted(_real_roots(params, terms), key=abs)
-        q, multiple = by_mag[0], len(by_mag) > 1
-        if multiple and abs(abs(q) - abs(by_mag[1])) <= 1e-9 * (abs(q) + 1.0):
-            raise ConvergenceError(
-                "force balance has tied smallest-|q0| roots "
-                f"(q0 = {q:.6g} and {by_mag[1]:.6g}); operating point ambiguous"
-            )
-        d1 = params.delta_bare1 - g1 * q
-        d2 = params.delta_bare2 + g2 * q
-        n1, n2 = _photon_numbers(e1, e2, k1, k2, d1, d2)
-    return WorkingPoint(
-        a10=e1 / (k1 + 1j * d1),
-        a20=e2 / (k2 + 1j * d2),
-        q0=q,
-        delta1=d1,
-        delta2=d2,
-        n1=n1,
-        n2=n2,
-        multiple_roots=multiple,
-    )
+    return _steady_state(params, detuning_mode, e1, e2)
 
 
 def invert_cooperativity(
@@ -231,20 +228,17 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
     photon number, n_i = C_i kappa_i gamma_m / g_i^2 (a zero target holds no photons), and
     n_i = E_i^2 / (kappa_i^2 + Delta_i^2) with
     E_i^2 = 2 kappa_i P_i / (hbar omega_ci) gives P_i = n_i hbar omega_ci (kappa_i^2 +
-    Delta_i^2) / (2 kappa_i).  In effective mode Delta_i is the stored detuning.  In bare
-    mode it is Delta_i(q0), with q0 the smallest-|q0| real root of the force balance in
-    which a held photon number is a constant force s_i n_i (s_1 = -g1, s_2 = g2): linear
-    in q0 when both are fixed, cavity 1's Lorentzian plus that force, a cubic, when cavity
-    1 is driven at ``p_c1``.  One forward solve at these powers confirms the branch: every
-    target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
+    Delta_i^2) / (2 kappa_i).  Delta_i is that of the steady state (``_steady_state``) in
+    which each target's cavity holds its photon number: in bare mode the balance is linear
+    in q0 when both are held, and cavity 1's Lorentzian plus a constant force, a cubic, when
+    cavity 1 is driven at ``p_c1``.  One forward solve at these powers confirms the branch:
+    every target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
     ConvergenceError too for a target above 0 on an uncoupled cavity (g_i = 0).  The
     targets are not bounded by the envelope: ratio rows and probe variants ask for
     C2 = ratio * C1, and the C1 that a power inside the envelope gives may exceed the
     cooperativity row.  The powers returned are not bounded by the power row either
     (``DriveConfig._inverted``).
     """
-    if detuning_mode not in ("effective", "bare"):
-        raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
     cavities = ((params.g1, params.kappa1, params.omega_c1),
                 (params.g2, params.kappa2, params.omega_c2))
     targets, photons = [], []
@@ -260,14 +254,11 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
             n = c * kappa * params.gamma_m / (g * g) if c > 0.0 else 0.0
         targets.append(c)
         photons.append(n)
-    deltas = (params.delta_bare1, params.delta_bare2)
-    if detuning_mode == "bare":  # a target's photon number pushes with the constant s_i n_i
-        force = sum(s * n for s, n in zip((-params.g1, params.g2), photons) if n is not None)
-        e1 = drive_amplitude(p_c1, params.omega_c1, params.kappa1) if c1 is None else 0.0
-        q0 = min(_real_roots(params, _terms(params, e1, 0.0), force), key=abs)
-        deltas = (params.delta_bare1 - params.g1 * q0, params.delta_bare2 + params.g2 * q0)
+    e1 = drive_amplitude(p_c1, params.omega_c1, params.kappa1) if c1 is None else 0.0
+    held = _steady_state(params, detuning_mode, e1, 0.0, photons)
     powers = [p_c1 if c1 is None else 0.0, 0.0]
-    for i, ((_, kappa, carrier), n, delta) in enumerate(zip(cavities, photons, deltas)):
+    for i, ((_, kappa, carrier), n, delta) in enumerate(
+            zip(cavities, photons, (held.delta1, held.delta2))):
         if n:  # not cavity 1 at p_c1 (None) or a zero target
             # n scaled by a power of two, which is exact, so that n hbar cannot underflow: a
             # target's C has no lower bound but 0, and a ratio row's C2 may be tiny

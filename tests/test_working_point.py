@@ -104,9 +104,25 @@ def test_tied_roots_raise(params, monkeypatch):
         )
 
 
+def test_inversion_refuses_tied_roots_as_the_forward_solve_does(params, monkeypatch):
+    """One operating-root rule: a tie for the smallest |q0| is refused by the inversion's
+    held-photon balance with the forward solve's own message."""
+    monkeypatch.setattr(wpmod, "_real_roots", lambda *a: [-5.0, 5.0])
+    with pytest.raises(om.ConvergenceError) as forward:
+        om.solve_working_point(params, om.DriveConfig(p_c1=1e-3, p_c2=0.0), "bare")
+    # refused at the held balance, before any confirming forward solve
+    monkeypatch.setattr(wpmod, "solve_working_point", None)
+    with pytest.raises(om.ConvergenceError) as inverse:
+        wpmod.invert_cooperativity(params, None, 40.0, "bare", p_c1=1e-3)
+    assert str(inverse.value) == str(forward.value)
+    assert "tied smallest-|q0| roots (q0 = -5 and 5)" in str(inverse.value)
+
+
 def test_unknown_mode_rejected(params):
     with pytest.raises(om.InvalidParameterError):
         om.solve_working_point(params, om.DriveConfig(0.0, 0.0), detuning_mode="pinned")
+    with pytest.raises(om.InvalidParameterError, match="unknown detuning_mode 'sideways'"):
+        wpmod.invert_cooperativity(params, 40.0, 40.0, "sideways")
 
 
 def test_bare_ratio_rows_meet_their_c2_target_to_rounding(params):

@@ -120,9 +120,14 @@ def probe_outputs(sol: SidebandSolution, params: SystemParams) -> ProbeResponse:
 
 def _arrow_solve(diag, col, row, corner):
     """Solve cavity rows diag[j] x_j + col[j] q = (1, 0, ...)_j and mechanical row
-    sum_j row[j] x_j + corner q = 0 by eliminating the x_j; returns (x, q, residual)."""
-    q = -(row[0] / diag[0]) / (corner - sum(r * c / d for d, c, r in zip(diag, col, row)))
-    xs = [(1.0 - col[0] * q) / diag[0]] + [-c * q / d for d, c in zip(diag[1:], col[1:])]
+    sum_j row[j] x_j + corner q = 0; returns (x, q, residual).  The undriven rows j >= 1
+    go into the mechanical row, m q = -row[0] x_0, and that into the driven row, so x_0
+    is one quotient: forming it as (1 - col[0] q) / diag[0] would cancel where the probe
+    is almost transparent (x_0 small)."""
+    m = corner - sum(r * c / d for d, c, r in zip(diag[1:], col[1:], row[1:]))
+    x0 = 1.0 / (diag[0] - col[0] * row[0] / m)
+    q = -row[0] * x0 / m
+    xs = [x0] + [-c * q / d for d, c in zip(diag[1:], col[1:])]
     return xs, q, _arrow_residual(diag, col, row, corner, xs, q)
 
 
@@ -150,8 +155,9 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
     ``delta`` and the working-point fields broadcast (one working point and a delta
     grid, or one delta and a WorkingPoint of arrays).  "full", "rwa" and "oscillator"
     are arrow matrices (each cavity row couples only to itself and the mechanics),
-    solved by eliminating the cavity rows; "analytic" is the rwa system solved by
-    nested elimination (a2+ into the mechanical row, then Q+ into the cavity-1 row).
+    solved by ``_arrow_solve``; "analytic" is the rwa system eliminated in the same order
+    (a2+ into the mechanical row, then Q+ into the cavity-1 row), its coefficients formed
+    from g_i^2 n_i rather than from the matrix entries.
     A point whose re-substitution residual exceeds 1e-10 raises
     SingularResponseError naming its row and x.
     """

@@ -1,6 +1,7 @@
 """The whole-grid response kernel against independent per-point oracles: a dense LU
 solve of the sideband matrices and the oscillator steady state."""
 
+import json
 import math
 import re
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import oemsim as om
-from oemsim import linear_response
+from oemsim import cli, linear_response
 from oemsim.linear_response import response_grid
 
 REL = 1e-12
@@ -205,3 +206,24 @@ def test_gate_rejects_nan(params, wp_c40, model):
 def test_unknown_model_rejected(params, wp_c40):
     with pytest.raises(om.InvalidParameterError):
         response_grid(wp_c40, params, params.omega_m, "dense")
+
+
+@pytest.mark.parametrize("doc", [
+    {"params": {"kappa1_hz": 100, "gamma_m_hz": 1, "kappa2_hz": 0.01},
+     "drives": {"c1": 1e8, "c2": 0}},
+    {"params": {"kappa1_hz": 1e-3, "kappa2_hz": 1e12}, "drives": {"p_c1": 1000, "p_c2": 1000}},
+], ids=["c1_1e8", "reversed_hierarchy"])
+def test_almost_transparent_probe_keeps_its_precision(tmp_path, capsys, doc):
+    """Where E_L at x = 0 is small (2e-8 and 1.5e-7 here), x0 = 1 / (d0 - c0 r0 / m) keeps
+    it to rounding; (1 - c0 q) / d0 cancelled and failed the 1e-10 gate (exit 3)."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["derive", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["reflect_flux_line_center"] > 0.99
+    run = cli.Run(cli.Scenario.from_dict(doc))
+    params, wp = run.scenario.params, run.wp
+    for model in ("rwa", "full", "oscillator"):
+        ref = dense_solution(wp, params, params.omega_m, model != "full")
+        want = linear_response.probe_outputs(ref, params).e_l
+        got = response_grid(wp, params, params.omega_m, model).e_l
+        assert abs(got - want) <= REL * abs(want), (model, got, want)

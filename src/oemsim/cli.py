@@ -806,7 +806,7 @@ def _dispatch(command: str, opts: dict) -> int:
         return 0
     if command == "invert":  # --target and --cavity are the scenario's drives
         target, cavity = opts["target"], opts["cavity"]
-        run = Run(scenario._replace(drives={"c1": 0.0, "c2": 0.0, f"c{cavity}": target}))
+        run = Run(scenario._replace(drives=_drives_from_spec({f"c{cavity}": target})))
         run.scaled([None], "invert")
         power = run.drives.p_c1 if cavity == 1 else run.drives.p_c2
         _print_json({"target_c": target, "cavity": cavity, "power_w": _round12(power)},

@@ -54,6 +54,20 @@ def test_response_vectorized(params):
         assert v == om.response_rwa(float(x), c)
 
 
+@pytest.mark.parametrize("c1, c2, rate, message", [
+    (40.0, 40.0, "kappa2", "x + i*kappa2 vanished"),
+    (40.0, 0.0, "gamma_m_half", "middle level of the response fraction vanished"),
+    (0.0, 0.0, "kappa1", "response evaluated exactly on a pole"),
+], ids=["inner", "middle", "outer"])
+def test_response_on_an_exact_pole_is_refused(params, c1, c2, rate, message):
+    """x = -i kappa2 zeroes the inner level; with s2 = 0, x = -i gamma_m / 2 the middle
+    one; with s1 = s2 = 0, x = -i kappa1 the outer one."""
+    c = coeffs_for(params, c1, c2)
+    x = -1j * {"kappa1": c.kappa1, "kappa2": c.kappa2, "gamma_m_half": c.gamma_m / 2}[rate]
+    with pytest.raises(om.SingularResponseError, match=re.escape(message)):
+        om.response_rwa(x, c)
+
+
 def test_decoupled_roots(params):
     c = coeffs_for(params, 0.0, 0.0)
     ps = om.denominator_roots(c)

@@ -654,9 +654,11 @@ def test_unallocatable_grid_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("target", ["nan", "inf"])
-def test_invert_non_finite_target_exits_2(capsys, target):
-    assert run_main(["invert", "--target", target, "--cavity", 1]) == 2
-    assert "error: target cooperativity must be finite and >= 0" in capsys.readouterr().err
+def test_invert_non_finite_target_exits_2(tmp_path, capsys, target):
+    out = tmp_path / "r.json"
+    assert run_main(["invert", "--target", target, "--cavity", 1, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: drives.c1 must be finite, got {target}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["effective", "bare"])
@@ -824,7 +826,8 @@ def test_fig2_variants_run(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["sweep", "invert"])
 def test_overflowing_cooperativity_target_is_unreachable(tmp_path, capsys, mode, command):
     """A finite target whose coupling power (about 1e292 W) or drive amplitude overflowed
-    lies outside the envelope: one exit-2 line naming the ratio or the target."""
+    lies outside the envelope: one exit-2 line naming the ratio or the drives key that
+    --target sets."""
     sweep = {"kind": "cooperativity_ratio", "n_points": 3, "ratio_max": 1e300}
     path = tmp_path / "s.json"
     path.write_text(json.dumps({"detuning_mode": mode,
@@ -834,7 +837,7 @@ def test_overflowing_cooperativity_target_is_unreachable(tmp_path, capsys, mode,
     target = ["--target", 1e300, "--cavity", 2] if command == "invert" else []
     assert run_main([command, *target, "--scenario", path, "--out", out / "t.csv"]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: target cooperativity C2 = 1e+300 is outside the supported range "
+    assert err == ("error: drives.c2 = 1e+300 is outside the supported range "
                    "0 to 1e+09\n" if command == "invert" else
                    "error: sweep.ratio_max = 1e+300 is outside the supported range 0 to 1e+06\n")
     assert list(out.iterdir()) == []

@@ -219,7 +219,7 @@ def test_a_negative_number_is_a_value_not_a_flag(capsys):
     assert cli.parse_args(["invert", "--target", "-1", "--cavity", "1"]) == (
         "invert", {"target": -1.0, "cavity": 1})
     assert cli.main(["invert", "--target", "-1", "--cavity", "1"]) == 2
-    assert capsys.readouterr().err == "error: target cooperativity must be finite and >= 0\n"
+    assert capsys.readouterr().err == "error: drives.c1 must be finite and >= 0, got -1.0\n"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--he"]]

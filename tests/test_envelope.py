@@ -76,11 +76,14 @@ def test_input_just_outside_the_envelope_exits_2(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("end", ["low", "high"])
 def test_invert_target_just_outside_the_envelope_exits_2(tmp_path, capsys, end):
+    """--target sets drives.c<cavity>, and its refusal names that key."""
     target = just_outside("c")[end]
     out = tmp_path / "r.json"
     assert cli.main(["invert", f"--target={target!r}", "--cavity", "1", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: target cooperativity") and err.count("\n") == 1
+    assert capsys.readouterr().err == {
+        "low": "error: drives.c1 must be finite and >= 0, got -1e-09\n",
+        "high": "error: drives.c1 = 1000000001 is outside the supported range 0 to 1e+09\n",
+    }[end]
     assert not out.exists()
 
 

@@ -205,6 +205,17 @@ def test_propagate_rejects_fewer_than_one_sample(scaled_model, method, n_samples
         om.propagate(scaled_model, 1.0, 1e4, 0.05, method=method, dt=1e-4, n_samples=n_samples)
 
 
+@pytest.mark.parametrize("t_final", [0.0, -1e-3])
+def test_propagate_rejects_a_span_that_is_not_positive(scaled_model, t_final):
+    with pytest.raises(om.InvalidParameterError, match="t_final must be > 0"):
+        om.propagate(scaled_model, 1.0, 1e4, t_final)
+
+
+def test_propagate_rejects_an_unknown_method(scaled_model):
+    with pytest.raises(om.InvalidParameterError, match="unknown integration method 'euler'"):
+        om.propagate(scaled_model, 1.0, 1e4, 0.05, method="euler", dt=1e-4)
+
+
 def test_trajectory_time_grid_validation():
     with pytest.raises(om.InvalidParameterError):
         om.Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.zeros((3, 3), dtype=complex))

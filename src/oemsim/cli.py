@@ -13,9 +13,10 @@ with an SI prefix ("1.3mW", "3.3uW").  Outputs are deterministic: fixed
 column order, numbers serialized with 12 significant digits, no
 environment- or time-dependent content, so repeated runs are byte-identical.
 
-Every input is checked against the supported-input envelope (``params.ENVELOPE``)
-when the scenario is loaded: a value outside its bound is refused with one line naming
-the key, the value and the range.
+The whole scenario is checked when it is loaded: every object in it holds only its
+known keys (``_object``), every input lies inside the supported-input envelope
+(``params.ENVELOPE``, whose own ``InvalidParameterError`` names the key, the value and the
+range), and no cooperativity target above 0 falls on an uncoupled cavity.
 
 Exit codes: 0 success, 2 config/parse error (an input outside the envelope and a grid
 too large to allocate included), 3 solver failure (non-convergence or singular system),
@@ -139,22 +140,8 @@ class Scenario(NamedTuple):
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario document must be a JSON object")
-        allowed = {
-            "params",
-            "detuning_mode",
-            "drives",
-            "sweep",
-            "model",
-            "variants",
-            "output",
-            "description",  # accepted and ignored
-        }
-        unknown = set(doc) - allowed
-        if unknown:
-            raise ScenarioError(f"unknown scenario keys: {sorted(unknown)}")
-
+        _object(doc, "scenario", ("params", "detuning_mode", "drives", "sweep", "model",
+                                  "variants", "output", "description"))  # description: ignored
         params = _params_from_spec(doc.get("params", {}))
         mode = doc.get("detuning_mode", "effective")
         if mode not in ("effective", "bare"):
@@ -164,9 +151,7 @@ class Scenario(NamedTuple):
         if model not in MODELS:
             raise ScenarioError(f"model must be one of {MODELS}, got {model!r}")
 
-        output = doc.get("output", {})
-        if not isinstance(output, dict) or set(output) - {"path", "format"}:
-            raise ScenarioError(f"output must be an object with path and format, got {output!r}")
+        output = _object(doc.get("output", {}), "output", ("path", "format"))
         out_path = output.get("path")
         if out_path is not None and not isinstance(out_path, str):
             raise ScenarioError(f"output.path must be a string, got {out_path!r}")
@@ -187,7 +172,7 @@ class Scenario(NamedTuple):
         return cls(
             params=params,
             detuning_mode=mode,
-            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0})),
+            drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0}), params),
             sweep=sweep,
             model=model,
             variants=_variants_from_spec(doc.get("variants"), model),
@@ -209,13 +194,15 @@ def _number(value, name: str) -> float:
     return number
 
 
-def _within(value: float, name: str, kind: str) -> float:
-    """``value`` if it lies inside the envelope row ``kind``, else a ScenarioError naming
-    ``name``."""
-    try:
-        return within(value, name, kind)
-    except InvalidParameterError as exc:
-        raise ScenarioError(str(exc)) from None
+def _object(value, name: str, keys) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``; else a ScenarioError
+    naming the object ``name`` and its unknown keys."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{name} must be an object, got {value!r:.60}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ScenarioError(f"unknown {name} keys: {unknown}")
+    return value
 
 
 def _coupled(target: float, cavity: int, params: SystemParams, name: str) -> None:
@@ -231,52 +218,44 @@ def _count(value, name: str) -> int:
     return value
 
 
-def _params_from_spec(spec: dict) -> SystemParams:
+def _params_from_spec(spec) -> SystemParams:
     """SystemParams from a Hz-valued config object (missing keys -> REFERENCE_HZ)."""
-    if not isinstance(spec, dict):
-        raise ScenarioError("params must be an object of plain-Hz values")
     names = {f"{name}_hz": name for name in REFERENCE_HZ}
     names.update(delta1_hz="delta_bare1", delta2_hz="delta_bare2")
-    unknown = set(spec) - set(names)
-    if unknown:
-        raise ScenarioError(f"unknown params keys: {sorted(unknown)}")
-    hz = {names[key]: _within(_number(value, f"params.{key}"), f"params.{key}",
-                              PARAM_KINDS[names[key]]) for key, value in spec.items()}
+    hz = {names[key]: within(_number(value, f"params.{key}"), f"params.{key}",
+                             PARAM_KINDS[names[key]])
+          for key, value in _object(spec, "params", names).items()}
     return SystemParams.from_hz(**{**REFERENCE_HZ, **hz})
 
 
-def _drives_from_spec(spec: dict) -> dict:
+def _drives_from_spec(spec, params: SystemParams) -> dict:
     """Cooperativity targets {c1, c2} or powers {p_c1, p_c2} [W], missing ones 0, each
-    inside the envelope."""
-    if not isinstance(spec, dict):
-        raise ScenarioError("drives must be an object")
-    if "c1" in spec or "c2" in spec:
-        extra = set(spec) - {"c1", "c2"}
-        if extra:
-            raise ScenarioError(f"drives mixes cooperativity targets with {sorted(extra)}")
-        return {key: _within(_number(spec.get(key, 0.0), f"drives.{key}"), f"drives.{key}", "c")
-                for key in ("c1", "c2")}
-    extra = set(spec) - {"p_c1", "p_c2"}
-    if extra:
-        raise ScenarioError(f"unknown drives keys: {sorted(extra)}")
-    return {key: _within(parse_power(spec.get(key, 0.0), f"drives.{key}"), f"drives.{key}",
-                         "power") for key in ("p_c1", "p_c2")}
+    inside the envelope; a target above 0 on a cavity that ``params`` leaves uncoupled is
+    refused too."""
+    powers = sorted(set(_object(spec, "drives", ("c1", "c2", "p_c1", "p_c2"))) - {"c1", "c2"})
+    if "c1" not in spec and "c2" not in spec:
+        return {key: within(parse_power(spec.get(key, 0.0), f"drives.{key}"), f"drives.{key}",
+                            "power") for key in ("p_c1", "p_c2")}
+    if powers:
+        raise ScenarioError(f"drives mixes cooperativity targets with {powers}")
+    targets = {key: within(_number(spec.get(key, 0.0), f"drives.{key}"), f"drives.{key}", "c")
+               for key in ("c1", "c2")}
+    for cavity, key in ((1, "c1"), (2, "c2")):
+        _coupled(targets[key], cavity, params, f"drives.{key}")
+    return targets
 
 
-def _sweep_from_spec(spec: dict) -> dict:
+def _sweep_from_spec(spec) -> dict:
     """Every key of the sweep's kind, typed and checked against ``SWEEPS``; the ratio
     window and every probe offset inside the envelope."""
-    if not isinstance(spec, dict):
-        raise ScenarioError("sweep must be an object")
-    if not spec:
+    # any kind's keys first: a sweep with a wrong kind is refused for its kind, not its keys
+    if not _object(spec, "sweep", {"kind"}.union(*(keys for *_, keys in SWEEPS.values()))):
         return {}
     kind, kinds = spec.get("kind"), tuple(SWEEPS)
     if kind not in kinds:
         raise ScenarioError(f"sweep.kind must be one of {kinds}, got {kind!r}")
     defaults = SWEEPS[kind][2]
-    unknown = set(spec) - {"kind", *defaults}
-    if unknown:
-        raise ScenarioError(f"unknown sweep keys for kind {kind}: {sorted(unknown)}")
+    _object(spec, f"{kind} sweep", ("kind", *defaults))
     sweep = {**defaults, **{k: v for k, v in spec.items() if v is not None}}
     for key, value in sweep.items():
         if value is ...:
@@ -289,10 +268,10 @@ def _sweep_from_spec(spec: dict) -> dict:
     if "ratio_min" in sweep:
         if not 0.0 <= sweep["ratio_min"] < sweep["ratio_max"]:
             raise ScenarioError("ratio sweep needs 0 <= ratio_min < ratio_max")
-        _within(sweep["ratio_max"], "sweep.ratio_max", "c2_over_c1")
+        within(sweep["ratio_max"], "sweep.ratio_max", "c2_over_c1")
     for key in ("x_gamma_m", "x_min_gamma_m", "x_max_gamma_m"):
         if key in sweep:
-            _within(sweep[key], f"sweep.{key}", "x")
+            within(sweep[key], f"sweep.{key}", "x")
     if kind == "time_domain":
         from .oscillators import METHODS
 
@@ -312,9 +291,8 @@ def _variants_from_spec(spec, model: str) -> list[dict]:
     if not isinstance(spec, list) or not spec:
         raise ScenarioError("variants must be a non-empty list")
     variants = []
-    for v in spec:
-        if not isinstance(v, dict) or set(v) - {"label", "model", "c2_over_c1"}:
-            raise ScenarioError(f"a variant is an object of label, model, c2_over_c1; got {v!r}")
+    for i, v in enumerate(spec):
+        _object(v, f"variants[{i}]", ("label", "model", "c2_over_c1"))
         if not isinstance(v.get("label"), str) or not _LABEL_RE.fullmatch(v["label"]):
             raise ScenarioError(f"variant label must be a plain file-name part: {v.get('label')!r}")
         variant = {"label": v["label"], "model": v.get("model", model),
@@ -325,7 +303,7 @@ def _variants_from_spec(spec, model: str) -> list[dict]:
             ratio = variant["c2_over_c1"] = _number(variant["c2_over_c1"], "variant c2_over_c1")
             if ratio < 0:
                 raise ScenarioError(f"variant c2_over_c1 must be >= 0, got {ratio!r}")
-            _within(ratio, f"variant {v['label']!r}: c2_over_c1", "c2_over_c1")
+            within(ratio, f"variant {v['label']!r}: c2_over_c1", "c2_over_c1")
         if any(v["label"] == variant["label"] for v in variants):
             raise ScenarioError(f"variant labels must be unique: {variant['label']!r} repeats")
         variants.append(variant)
@@ -336,13 +314,10 @@ def resolve_drives(scenario: Scenario) -> tuple[DriveConfig, float, float, Worki
     """Resolve the drive spec to powers; returns (drives, c1, c2, wp).
 
     wp is the working point at ``drives`` and c1, c2 its cooperativities.
-    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve; a target
-    above 0 on an uncoupled cavity is a ScenarioError.
+    Cooperativity targets take one ``invert_cooperativity`` call, powers one solve.
     """
     spec, params, mode = scenario.drives, scenario.params, scenario.detuning_mode
     if "c1" in spec:
-        for cavity, key in ((1, "c1"), (2, "c2")):
-            _coupled(spec[key], cavity, params, f"drives.{key}")
         drives, wp = invert_cooperativity(params, spec["c1"], spec["c2"], mode)
     else:
         drives = DriveConfig(p_c1=spec["p_c1"], p_c2=spec["p_c2"])
@@ -577,7 +552,7 @@ SWEEPS = {
 }
 
 
-def _csv_chunk(v: np.ndarray, ncols: int) -> np.ndarray:
+def _csv_chunk(v: np.ndarray, ncols: int) -> bytes:
     """The bytes ``"%.12g" % x`` prints for each x of ``v``, each followed by "," or, after
     every ``ncols``-th, by "\\n".
 
@@ -638,8 +613,7 @@ def _csv_chunk(v: np.ndarray, ncols: int) -> np.ndarray:
     if inexact.size:
         text = np.array([b"%.12g" % x for x in v[inexact].tolist()], "S23")
         t[:23, inexact] = text.view(np.uint8).reshape(-1, 23).T
-    flat = t.T.ravel()
-    return flat[flat != 0]
+    return t.T.tobytes().translate(None, b"\0")
 
 
 def _write_table(path: Path, columns, rows: np.ndarray, out_format: str) -> None:
@@ -806,7 +780,8 @@ def _dispatch(command: str, opts: dict) -> int:
         return 0
     if command == "invert":  # --target and --cavity are the scenario's drives
         target, cavity = opts["target"], opts["cavity"]
-        run = Run(scenario._replace(drives=_drives_from_spec({f"c{cavity}": target})))
+        run = Run(scenario._replace(drives=_drives_from_spec({f"c{cavity}": target},
+                                                             scenario.params)))
         run.scaled([None], "invert")
         power = run.drives.p_c1 if cavity == 1 else run.drives.p_c2
         _print_json({"target_c": target, "cavity": cavity, "power_w": _round12(power)},
@@ -845,7 +820,7 @@ def main(argv=None) -> int:
         prog = "oemsim" if command is None else f"oemsim {command}"
         sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
         return 2
-    except (ScenarioError, InvalidParameterError, json.JSONDecodeError) as exc:
+    except (ScenarioError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a grid or trace too large to allocate

@@ -42,4 +42,11 @@ class StepSizeError(ValueError):
 
 
 class ScenarioError(ValueError):
-    """A scenario/config document failed to parse or validate."""
+    """A scenario that cannot be read or whose shape is wrong: no such file or preset, not
+    valid JSON, an object in it that is not a JSON object or holds an unknown key, a value
+    of the wrong type or choice, or keys that contradict each other (a subcommand and its
+    sweep kind included).
+
+    A value outside the supported-input envelope is not a ScenarioError: the envelope
+    refuses it with its own InvalidParameterError, wherever the value enters.
+    """

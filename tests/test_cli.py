@@ -8,6 +8,7 @@ import pytest
 
 import oemsim as om
 from oemsim import cli, linear_response
+from oemsim.params import REFERENCE_HZ, TWO_PI
 
 
 def run_main(args):
@@ -116,8 +117,21 @@ def test_scenario_validation_errors():
         cli.Scenario.from_dict({"sweep": {"kind": "probe"}})
     with pytest.raises(om.ScenarioError):
         cli.Scenario.from_dict({"sweep": {"kind": "probe_x", "n_points": 1}})
-    with pytest.raises(om.ScenarioError):
+    with pytest.raises(om.InvalidParameterError):
         cli.Scenario.from_dict({"params": {"kappa1_hz": -1.0}})
+
+
+def test_an_input_outside_the_envelope_is_refused_with_the_envelopes_own_error():
+    """The loader raises the InvalidParameterError of ``params.within`` itself, as
+    ``SystemParams.from_hz`` does; only the name (the scenario key, not the field) and the
+    unit of the value (Hz, not rad/s) differ."""
+    with pytest.raises(om.InvalidParameterError) as built:
+        om.SystemParams.from_hz(**{**REFERENCE_HZ, "kappa1": -1.0})
+    with pytest.raises(om.InvalidParameterError) as loaded:
+        cli.Scenario.from_dict({"params": {"kappa1_hz": -1.0}})
+    assert type(loaded.value) is type(built.value)
+    assert str(built.value) == f"kappa1 must be finite and > 0, got {-TWO_PI!r}"
+    assert str(loaded.value) == "params.kappa1_hz must be finite and > 0, got -1.0"
 
 
 RK4_SWEEP = {"kind": "time_domain", "t_final": 1e-6, "method": "rk4", "dt": 1e-9}
@@ -152,18 +166,20 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
     "power_bool": ("sweep", {"drives": {"p_c1": True}}, "drives.p_c1 must be a number"),
     "sweep_text": ("sweep", {"sweep": "probe"}, "sweep must be an object"),
     "output_text": ("sweep", {"output": "e.csv"}, "output must be an object"),
-    "variant_number": ("sweep", {"variants": [3]}, "a variant is an object"),
+    "variant_number": ("sweep", {"variants": [3]}, "variants[0] must be an object, got 3"),
     "variant_ratio_text": ("sweep", {"variants": [{"label": "a", "c2_over_c1": "x"}]},
                            "variant c2_over_c1 must be a number"),
     "variant_ratio_negative": ("sweep", {"variants": [{"label": "a", "c2_over_c1": -2}]},
                                "variant c2_over_c1 must be >= 0"),
     "variant_label_path": ("sweep", {"variants": [{"label": "a/b"}]}, "variant label"),
     "variant_unknown_key": ("sweep", {"variants": [{"label": "a", "ratio": 0.5}]},
-                            "a variant is an object"),
+                            "unknown variants[0] keys: ['ratio']"),
     "sweep_unknown_key": ("sweep", {"sweep": {"kind": "probe_x", "n_point": 5}},
-                          "unknown sweep keys for kind probe_x: ['n_point']"),
+                          "unknown sweep keys: ['n_point']"),
     "derive_sweep_unknown_key": ("derive", {"sweep": {"kind": "probe_x", "n_point": 5}},
-                                 "unknown sweep keys"),
+                                 "unknown sweep keys: ['n_point']"),
+    "sweep_key_of_another_kind": ("sweep", {"sweep": {**PROBE_5, "t_final": 1e-6}},
+                                  "unknown probe_x sweep keys: ['t_final']"),
     "x_bounds_not_increasing": ("sweep", {"sweep": {**PROBE_5, "x_min_gamma_m": 2,
                                                     "x_max_gamma_m": 2}},
                                 "probe sweep needs x_min_gamma_m < x_max_gamma_m"),
@@ -223,7 +239,8 @@ def test_malformed_scenario_exits_2(tmp_path, capsys, case):
     out = tmp_path / "out"
     out.mkdir()
     assert run_main([command, "--scenario", path, "--out", out / "t.csv"]) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
     assert list(out.iterdir()) == []
 
 
@@ -232,7 +249,8 @@ def test_unloadable_scenario_exits_2(tmp_path, capsys, case):
     path = tmp_path / "s.json"
     path.write_text(json.dumps([{"sweep": PROBE_5}]))
     ref, message = {
-        "json_list": (path, "scenario document must be a JSON object"),
+        "json_list": (path, "scenario must be an object, got [{'sweep': {'kind': 'probe_x', "
+                            "'n_points': 5}}]"),
         "no_such_scenario": (tmp_path / "none.json", "is neither a file nor a preset"),
     }[case]
     out = tmp_path / "out"
@@ -241,6 +259,38 @@ def test_unloadable_scenario_exits_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: scenario") and message in err
     assert list(out.iterdir()) == []
+
+
+# object: (a document where it is not an object, a document where it has an unknown key,
+# the key the non-object line names, the key the unknown-key line names)
+OBJECTS = {
+    "scenario": ([], {"nonsense": 1}, "scenario", "nonsense"),
+    "params": ({"params": [1e7]}, {"params": {"g3_hz": 5.0}}, "params", "g3_hz"),
+    "drives": ({"drives": 40}, {"drives": {"p_p": 1e-9}}, "drives", "p_p"),
+    "sweep": ({"sweep": "probe"}, {"sweep": {**PROBE_5, "n_point": 5}}, "sweep", "n_point"),
+    "variant": ({"variants": [{"label": "a"}, 3]},
+                {"variants": [{"label": "a"}, {"label": "b", "ratio": 1}]}, "variants[1]", "ratio"),
+    "output": ({"output": "e.csv"}, {"output": {"fmt": "csv"}}, "output", "fmt"),
+}
+
+
+@pytest.mark.parametrize("shape", ["not_an_object", "unknown_key"])
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_every_scenario_object_is_refused_by_one_rule(tmp_path, capsys, name, shape):
+    """Each object of a scenario must be a JSON object holding only its known keys; either
+    refusal exits 2 with one line naming the object and the key, and writes no table."""
+    not_an_object, unknown_key, named, key = OBJECTS[name]
+    doc = not_an_object if shape == "not_an_object" else unknown_key
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc if name == "scenario" else {"sweep": PROBE_5, **doc}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_main(["sweep", "--scenario", path, "--out", out / "t.csv"]) == 2
+    captured = capsys.readouterr()
+    line = (f"error: {named} must be an object, got " if shape == "not_an_object"
+            else f"error: unknown {named} keys: [{key!r}]\n")
+    assert captured.err.startswith(line) and captured.err.count("\n") == 1, captured.err
+    assert captured.out == "" and list(out.iterdir()) == []
 
 
 # finite params whose squares or photon energies left the float range: outside the envelope,
@@ -923,8 +973,10 @@ def test_main_exit_codes(tmp_path, capsys):
     assert run_main(["sweep", "--scenario", "fig3"]) == 2  # kind mismatch
 
     probe_power = tmp_path / "probe_power.json"  # the probe needs no power: no p_p key
-    for drives, message in [({"p_c1": "1.3mW", "p_p": 1e-9}, "unknown drives keys"),
-                            ({"c1": 40.0, "p_p": 1e-9}, "drives mixes cooperativity targets")]:
+    for drives, message in [({"p_c1": "1.3mW", "p_p": 1e-9}, "unknown drives keys: ['p_p']"),
+                            ({"c1": 40.0, "p_p": 1e-9}, "unknown drives keys: ['p_p']"),
+                            ({"c1": 40.0, "p_c1": 1e-3},
+                             "drives mixes cooperativity targets with ['p_c1']")]:
         probe_power.write_text(json.dumps({"drives": drives}))
         capsys.readouterr()
         assert run_main(["derive", "--scenario", probe_power]) == 2

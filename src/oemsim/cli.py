@@ -124,16 +124,15 @@ def _round12(value: float) -> float:
 class Scenario(NamedTuple):
     """Validated scenario document driving one CLI run.
 
-    ``sweep`` is empty or holds every key of its kind (``SWEEPS``), already
-    typed; ``variants`` holds one dict per table a probe sweep writes, with every
-    variant key set (a scenario without variants has the one unlabeled variant).
+    ``sweep`` is empty or holds every key of its kind (``SWEEPS``), already typed;
+    ``variants`` holds one dict per table a probe sweep writes, every variant key set, the
+    response model included (a scenario without variants has the one unlabeled variant).
     """
 
     params: SystemParams
     detuning_mode: str
     drives: dict
     sweep: dict
-    model: str
     variants: list
     out_path: str | None
     out_format: str
@@ -174,7 +173,6 @@ class Scenario(NamedTuple):
             detuning_mode=mode,
             drives=_drives_from_spec(doc.get("drives", {"c1": 40.0, "c2": 40.0}), params),
             sweep=sweep,
-            model=model,
             variants=_variants_from_spec(doc.get("variants"), model),
             out_path=out_path,
             out_format=out_format,
@@ -301,8 +299,6 @@ def _variants_from_spec(spec, model: str) -> list[dict]:
             raise ScenarioError(f"variant model invalid: {variant['model']!r}")
         if variant["c2_over_c1"] is not None:
             ratio = variant["c2_over_c1"] = _number(variant["c2_over_c1"], "variant c2_over_c1")
-            if ratio < 0:
-                raise ScenarioError(f"variant c2_over_c1 must be >= 0, got {ratio!r}")
             within(ratio, f"variant {v['label']!r}: c2_over_c1", "c2_over_c1")
         if any(v["label"] == variant["label"] for v in variants):
             raise ScenarioError(f"variant labels must be unique: {variant['label']!r} repeats")
@@ -435,7 +431,7 @@ def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
         width = eia_splitting(gamma_eit, coeffs.s2, params.kappa2).gamma_eia_approx
     else:
         width = gamma_eit
-    # capped before the int: 20 (x_max - x_min) of a window near the float range overflows
+    # capped before the int: no window inside the envelope overflows, but the cap stays
     return max(801, math.ceil(min(20.0 * (x_max - x_min) / width, 20000.0)) + 1)
 
 
@@ -501,7 +497,7 @@ def _ratio_tables(run: Run):
     ratios, c2 = _c2_targets(run)
     stacked = _stacked(run.scaled(c2, "cooperativity_ratio"))
     delta = params.omega_m + sweep["x_gamma_m"] * params.gamma_m
-    resp = response_grid(stacked, params, delta, run.scenario.model)
+    resp = response_grid(stacked, params, delta, run.scenario.variants[0]["model"])
     yield None, RATIO_COLUMNS, _response_table(ratios, resp)
 
 
@@ -794,14 +790,13 @@ def _dispatch(command: str, opts: dict) -> int:
         raise ScenarioError(
             f"subcommand {command!r} needs a sweep of kind {allowed}, got {kind!r}"
         )
-    # the flags are Scenario fields; --model sets every variant's model too
+    # the flags are Scenario fields; --model sets every variant's model
     points, model = opts.get("points"), opts.get("model")
     if points is not None:
         scenario = scenario._replace(sweep={**scenario.sweep,
                                             "n_points": _count(points, "--points")})
     if model:
-        scenario = scenario._replace(model=model,
-                                     variants=[{**v, "model": model} for v in scenario.variants])
+        scenario = scenario._replace(variants=[{**v, "model": model} for v in scenario.variants])
     scenario = scenario._replace(out_path=opts.get("out") or scenario.out_path,
                                  out_format=opts.get("format") or scenario.out_format)
     _print_json(run_scenario(scenario))

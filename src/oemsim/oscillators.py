@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError, SingularResponseError, StepSizeError
-from .params import Checked, SystemParams, _require_positive, rate_hierarchy
+from .params import Checked, SystemParams, _require_positive
 from .working_point import WorkingPoint
 
 METHODS = ("exact_propagator", "rk4")  # the integration methods of ``propagate``
@@ -62,10 +62,6 @@ class OscillatorModel(Checked, _OscillatorModel):
     @property
     def gamma_m(self) -> float:
         return 2.0 * self.gamma_m_half
-
-    def hierarchy_report(self) -> dict:
-        """``params.rate_hierarchy`` of this triple's rates."""
-        return rate_hierarchy(self.kappa1, self.gamma_m, self.kappa2)
 
     def system_matrix(self) -> np.ndarray:
         return np.array(

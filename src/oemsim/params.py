@@ -67,15 +67,15 @@ PARAM_KINDS = {"omega_c1": "carrier", "omega_c2": "carrier", "delta_bare1": "del
 def within(value: float, name: str, kind: str, scale: float = 1.0) -> float:
     """``value``, checked against the envelope row ``kind`` after a scale of ``scale``.
 
-    InvalidParameterError naming ``name``: a rate or a coupling rate that is not finite and
-    > 0 (>= 0) fails as ``_require_positive`` (``_require_non_negative``) does; any other
-    value outside its row fails with its value and the supported range.
+    InvalidParameterError naming ``name`` with the value in the row's unit, ``value / scale``:
+    a value that is not finite and > 0 (>= 0 in a row from 0, and for g), judged on ``value``,
+    fails in the words of ``_require_positive`` (``_require_non_negative``); any other value
+    outside its row fails with the supported range.
     """
     low, high, unit = ENVELOPE[kind]
-    if kind == "g" or low == 0.0:
-        _require_non_negative(value, name)
-    elif low > 0.0:
-        _require_positive(value, name)
+    sign = ">= 0" if kind == "g" or low == 0.0 else "> 0" if low > 0.0 else None
+    if sign and not (math.isfinite(value) and (value > 0.0 or sign == ">= 0" and value == 0.0)):
+        raise InvalidParameterError(f"{name} must be finite and {sign}, got {value / scale!r}")
     if not (low * scale <= value <= high * scale or kind == "g" and value == 0.0):
         unit = f" {unit}" if unit else ""
         zero = ", or 0" if kind == "g" else ""

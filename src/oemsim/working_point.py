@@ -213,10 +213,11 @@ def invert_cooperativity(
     """Coupling powers [W] whose working point has the target cooperativities, and that point.
 
     As ``_invert_cooperativity``, with each target checked against the envelope's
-    cooperativity row (``params.ENVELOPE``): InvalidParameterError outside it.
+    cooperativity row (``params.ENVELOPE``): InvalidParameterError naming the target's
+    cavity outside it, a target that is negative or not finite included.
     """
     for i, c in enumerate((c1, c2), 1):
-        if c is not None and 0.0 <= float(c) < math.inf:  # else refused with its own message
+        if c is not None:
             within(float(c), f"target cooperativity C{i}", "c")
     return _invert_cooperativity(params, c1, c2, detuning_mode, p_c1)
 
@@ -234,10 +235,10 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
     cavity 1 is driven at ``p_c1``.  One forward solve at these powers confirms the branch:
     every target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
     ConvergenceError too for a target above 0 on an uncoupled cavity (g_i = 0).  The
-    targets are not bounded by the envelope: ratio rows and probe variants ask for
-    C2 = ratio * C1, and the C1 that a power inside the envelope gives may exceed the
-    cooperativity row.  The powers returned are not bounded by the power row either
-    (``DriveConfig._inverted``).
+    targets must be finite and >= 0 (not checked here) but are not bounded by the
+    envelope: ratio rows and probe variants ask for C2 = ratio * C1, and the C1 that a
+    power inside the envelope gives may exceed the cooperativity row.  The powers returned
+    are not bounded by the power row either (``DriveConfig._inverted``).
     """
     cavities = ((params.g1, params.kappa1, params.omega_c1),
                 (params.g2, params.kappa2, params.omega_c2))
@@ -246,8 +247,6 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
         n = None  # cavity 1 driven at p_c1
         if c is not None:
             c = float(c)
-            if not 0.0 <= c < math.inf:
-                raise InvalidParameterError("target cooperativity must be finite and >= 0")
             if c > 0.0 and g == 0.0:
                 raise ConvergenceError(f"target cooperativity C{i} = {c:g} unreachable: "
                                        f"cavity {i} is uncoupled (g{i} = 0)")

@@ -8,7 +8,7 @@ import pytest
 
 import oemsim as om
 from oemsim import cli, linear_response
-from oemsim.params import REFERENCE_HZ, TWO_PI
+from oemsim.params import REFERENCE_HZ
 
 
 def run_main(args):
@@ -123,14 +123,14 @@ def test_scenario_validation_errors():
 
 def test_an_input_outside_the_envelope_is_refused_with_the_envelopes_own_error():
     """The loader raises the InvalidParameterError of ``params.within`` itself, as
-    ``SystemParams.from_hz`` does; only the name (the scenario key, not the field) and the
-    unit of the value (Hz, not rad/s) differ."""
+    ``SystemParams.from_hz`` does; only the name (the scenario key, not the field) differs,
+    and both give the value in Hz, the unit it was given in."""
     with pytest.raises(om.InvalidParameterError) as built:
         om.SystemParams.from_hz(**{**REFERENCE_HZ, "kappa1": -1.0})
     with pytest.raises(om.InvalidParameterError) as loaded:
         cli.Scenario.from_dict({"params": {"kappa1_hz": -1.0}})
     assert type(loaded.value) is type(built.value)
-    assert str(built.value) == f"kappa1 must be finite and > 0, got {-TWO_PI!r}"
+    assert str(built.value) == "kappa1 must be finite and > 0, got -1.0"
     assert str(loaded.value) == "params.kappa1_hz must be finite and > 0, got -1.0"
 
 
@@ -170,7 +170,7 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
     "variant_ratio_text": ("sweep", {"variants": [{"label": "a", "c2_over_c1": "x"}]},
                            "variant c2_over_c1 must be a number"),
     "variant_ratio_negative": ("sweep", {"variants": [{"label": "a", "c2_over_c1": -2}]},
-                               "variant c2_over_c1 must be >= 0"),
+                               "variant 'a': c2_over_c1 must be finite and >= 0, got -2.0"),
     "variant_label_path": ("sweep", {"variants": [{"label": "a/b"}]}, "variant label"),
     "variant_unknown_key": ("sweep", {"variants": [{"label": "a", "ratio": 0.5}]},
                             "unknown variants[0] keys: ['ratio']"),

@@ -3,6 +3,7 @@ outside either end, and runs drawn from the envelope's corners end in a table or
 physics refusal, never in a float-range failure."""
 
 import json
+import math
 import random
 import re
 
@@ -10,7 +11,7 @@ import pytest
 
 import oemsim as om
 from oemsim import cli
-from oemsim.params import ENVELOPE, PARAM_KINDS
+from oemsim.params import ENVELOPE, PARAM_KINDS, TWO_PI, within
 
 
 def just_outside(kind: str) -> dict:
@@ -210,3 +211,27 @@ def test_corner_runs_end_in_a_table_or_a_physics_refusal(tmp_path, capsys):
         codes.append(code)
     assert codes.count(0) >= len(codes) // 4  # most corners give a table
     assert {0, 2, 3} <= set(codes)
+
+
+def test_a_rate_in_rad_s_is_refused_in_hz():
+    """``SystemParams`` holds rad/s, but its refusals give the value in Hz, the envelope row's
+    unit, whether the value is negative or out of range."""
+    fields = om.default_params()._asdict()
+    with pytest.raises(om.InvalidParameterError,
+                       match=r"^kappa1 must be finite and > 0, got -1\.0$"):
+        om.SystemParams(**{**fields, "kappa1": -TWO_PI})
+    with pytest.raises(om.InvalidParameterError, match=r"^kappa1 = 1e\+13 Hz is outside"):
+        om.SystemParams(**{**fields, "kappa1": 1e13 * TWO_PI})
+
+
+@pytest.mark.parametrize("scale", [1.0, TWO_PI], ids=["unscaled", "two_pi"])
+@pytest.mark.parametrize("kind", sorted(k for k, (low, *_) in ENVELOPE.items() if low >= 0.0))
+def test_a_value_just_above_0_is_never_refused_as_not_positive(kind, scale):
+    """Sign is judged on the value itself, not on value / scale, which rounds to 0 here: the
+    smallest float above 0 passes a row from 0 and is out of range in any other."""
+    tiny = math.ulp(0.0)
+    if ENVELOPE[kind][0] == 0.0:
+        assert within(tiny, "v", kind, scale) == tiny
+    else:
+        with pytest.raises(om.InvalidParameterError, match="^v = .* is outside the supported"):
+            within(tiny, "v", kind, scale)

@@ -5,6 +5,7 @@ import pytest
 
 import oemsim as om
 from oemsim import oscillators
+from oemsim.params import rate_hierarchy
 
 
 def steady_at(model, delta, t, probe_amp=1.0):
@@ -17,7 +18,7 @@ def test_mapping_from_working_point(params, wp_c40):
     assert model.g_eff1**2 == pytest.approx(40.0 * params.kappa1 * params.gamma_m / 2.0, rel=1e-9)
     assert model.g_eff2**2 == pytest.approx(40.0 * params.kappa2 * params.gamma_m / 2.0, rel=1e-9)
     assert model.gamma_m == params.gamma_m
-    report = model.hierarchy_report()
+    report = rate_hierarchy(model.kappa1, model.gamma_m, model.kappa2)
     assert report["satisfied"]
     assert report["kappa1_over_gamma_m"] == pytest.approx(1000.0, rel=1e-9)
     assert report["gamma_m_over_kappa2"] == pytest.approx(10.0, rel=1e-9)

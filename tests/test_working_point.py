@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 import oemsim as om
+from oemsim import cli
 from oemsim import working_point as wpmod
 
 
@@ -133,3 +136,34 @@ def test_bare_ratio_rows_meet_their_c2_target_to_rounding(params):
         _, wp = wpmod.invert_cooperativity(params, None, c2, "bare", p_c1=p_c1)
         achieved = om.cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
         assert abs(achieved - c2) <= 1e-12 * c2
+
+
+@pytest.mark.parametrize("c1, c2, cavity", [(-1.0, 0.0, 1), (np.nan, 0.0, 1), (np.inf, 0.0, 1),
+                                            (40.0, -1.0, 2)],
+                         ids=["c1_negative", "c1_nan", "c1_inf", "c2_negative"])
+def test_inversion_refuses_a_bad_target_naming_its_cavity(params, c1, c2, cavity):
+    """Every target goes through the envelope's cooperativity row, so a negative or
+    non-finite one is refused in that row's words and names the target's cavity."""
+    message = f"target cooperativity C{cavity} must be finite and >= 0, got "
+    with pytest.raises(om.InvalidParameterError, match="^" + re.escape(message)):
+        wpmod.invert_cooperativity(params, c1, c2)
+
+
+# README "Supported inputs": cavity 1's Lorentzian puts two polynomial roots near
+# |q0| = kappa1/g1 = 1e18, so np.roots resolves the others only to about 1e2 in q0, far
+# coarser than cavity 2's Lorentzian, kappa2/g2 = 1e-12 wide.
+ROOT_CORNER = {"detuning_mode": "bare", "params": {
+    "omega_c1_hz": 1e16, "omega_c2_hz": 1e16, "omega_m_hz": 4408261.408548234,
+    "gamma_m_hz": 44824417.361899644, "kappa1_hz": 1e12, "kappa2_hz": 0.001, "g1_hz": 1e-6,
+    "g2_hz": 1e9, "delta1_hz": -0.001, "delta2_hz": 0}, "drives": {"p_c1": 1e-12, "p_c2": 1e-12}}
+
+
+@pytest.mark.xfail(strict=True, raises=om.ConvergenceError,
+                   reason="known bare root corner: 'force balance has no real root'")
+def test_bare_root_corner_finds_its_root():
+    """The balance runs from -inf to +inf in q0, so a root exists; the solve should find
+    one that meets the 1e-10 force-balance residual."""
+    scenario = cli.Scenario.from_dict(ROOT_CORNER)
+    drives = om.DriveConfig(**scenario.drives)
+    wp = om.solve_working_point(scenario.params, drives, scenario.detuning_mode)
+    assert residuals(wp, scenario.params, drives)[2] <= 1e-10

@@ -24,7 +24,7 @@ _PROVIDERS = {
                  "RwaCoefficients", "denominator_roots", "eia_splitting", "peak_height",
                  "response_rwa", "root_trajectories"),
     "errors": ("ConvergenceError", "InvalidParameterError", "ScenarioError",
-               "SingularResponseError", "StepSizeError", "UnstableWorkingPointError"),
+               "SingularResponseError", "UnstableWorkingPointError"),
     "linear_response": ("ProbeResponse", "response_grid"),
     "oscillators": ("OscillatorModel", "Trajectory", "from_working_point",
                     "harmonic_steady_state", "propagate"),

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParameterError, SingularResponseError
+from .errors import InvalidParameterError, SingularResponseError
 from .params import Checked, _require_non_negative, _require_positive
 
 EIT_REGIME = "EIT_regime"
@@ -203,7 +203,7 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     All Gamma quantities are half-widths (pole decay rates).  s2 is the
     cavity-2 drive weight g2^2 |a20|^2 / 2, so the discriminant reads
     Gamma_EIT^2 - 2 g2^2 |a20|^2.  A Gamma_EIT whose square leaves the float range
-    raises ConvergenceError; inside the envelope (``params.ENVELOPE``) none does.
+    raises InvalidParameterError; inside the envelope (``params.ENVELOPE``) none does.
     """
     _require_positive(gamma_eit, "gamma_eit")
     _require_non_negative(s2, "s2")
@@ -213,7 +213,7 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     except OverflowError:
         gamma_sq = math.inf
     if not 0.0 < gamma_sq < math.inf:
-        raise ConvergenceError(f"EIA splitting: Gamma_EIT^2 leaves the float range at "
+        raise InvalidParameterError(f"EIA splitting: Gamma_EIT^2 leaves the float range at "
                                f"Gamma_EIT = {gamma_eit:.6e} rad/s")
     disc = complex(gamma_sq - 4.0 * s2)
     root = np.sqrt(disc)

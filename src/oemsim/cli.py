@@ -18,9 +18,11 @@ known keys (``_object``), every input lies inside the supported-input envelope
 (``params.ENVELOPE``, whose own ``InvalidParameterError`` names the key, the value and the
 range), and no cooperativity target above 0 falls on an uncoupled cavity.
 
-Exit codes: 0 success, 2 config/parse error (an input outside the envelope and a grid
-too large to allocate included), 3 solver failure (non-convergence or singular system),
-4 I/O failure.
+Exit codes: 0 success; 2 an input the run cannot serve (a config or parse error, an input
+outside the envelope or off the two-photon resonance a table assumes, an rk4 ``dt`` past
+the stability guard and a grid too large to allocate included); 3 a solver that failed on
+a valid input (non-convergence, an unstable working point or a singular system); 4 I/O
+failure.
 
 Only the layers a subcommand runs are imported: ``invert`` needs the working point
 alone, ``derive`` and the sweeps add the closed forms (``analytic``) and the response
@@ -39,21 +41,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InvalidParameterError,
-    ScenarioError,
-    SingularResponseError,
-    StepSizeError,
-)
+from .errors import ConvergenceError, InvalidParameterError, ScenarioError, SingularResponseError
 from .params import (
     PARAM_KINDS,
     REFERENCE_HZ,
+    TWO_PI,
     DriveConfig,
     SystemParams,
     cooperativity,
     critical_power,
     eit_width,
+    off_resonance,
     rate_hierarchy,
     within,
 )
@@ -161,13 +159,22 @@ class Scenario(NamedTuple):
         sweep = _sweep_from_spec(doc.get("sweep", {}))
         if doc.get("variants") is not None and sweep.get("kind") != "probe_x":
             raise ScenarioError(f"variants need a probe_x sweep, got kind {sweep.get('kind')!r}")
-        if model == "full" and sweep.get("kind") == "roots_vs_ratio":
-            raise ScenarioError("the roots_vs_ratio table tracks the RWA poles; "
-                                "model 'full' has no such table")
-        if mode == "bare" and sweep.get("kind") == "roots_vs_ratio":
-            raise ScenarioError("the roots_vs_ratio table assumes two-photon resonance "
-                                "(Delta1 = Delta2 = omega_m), which detuning_mode 'bare' "
-                                "does not hold")
+        if sweep.get("kind") == "roots_vs_ratio":
+            if model == "full":
+                raise ScenarioError("the roots_vs_ratio table tracks the RWA poles; "
+                                    "model 'full' has no such table")
+            if mode == "bare":
+                raise ScenarioError("the roots_vs_ratio table assumes two-photon resonance "
+                                    "(Delta1 = Delta2 = omega_m), which detuning_mode 'bare' "
+                                    "does not hold")
+            deltas = (params.delta_bare1, params.delta_bare2)
+            off = off_resonance(params, *deltas)
+            if off:
+                i = min(off)
+                raise ScenarioError(f"params.delta{i}_hz = {deltas[i - 1] / TWO_PI:.12g} Hz "
+                                    f"lies {off[i]:.4g} kappa{i} from omega_m; the "
+                                    f"roots_vs_ratio table assumes two-photon resonance "
+                                    f"(within 0.1 kappa{i})")
         return cls(
             params=params,
             detuning_mode=mode,
@@ -415,6 +422,20 @@ def derive_summary(run: Run) -> dict:
     return {k: clean(v) for k, v in summary.items()}
 
 
+def _note_off_resonance(run: Run) -> None:
+    """One stderr line when a driven cavity (n_i > 0) of the run's own working point is
+    ``off_resonance``: the summary's closed-form keys assume two-photon resonance.  Printed
+    with the summary, so derive and every sweep print it; keys and values stay as they are."""
+    wp = run.wp
+    offsets = [f"Delta{i} - omega_m = {offset:.4g} kappa{i}"
+               for i, offset in off_resonance(run.scenario.params, wp.delta1, wp.delta2).items()
+               if (wp.n1, wp.n2)[i - 1] > 0.0]
+    if offsets:
+        print("note: gamma_eit_*, gamma_eia_*, eia_narrow_coupling_valid, peak_height_exact "
+              "and peak_height_large_c assume two-photon resonance, but "
+              + " and ".join(offsets), file=sys.stderr)
+
+
 def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
     """Default grid density: at least 20 points per estimated peak width.
 
@@ -436,7 +457,8 @@ def _auto_probe_points(run: Run, x_min: float, x_max: float) -> int:
 
 
 def run_scenario(scenario: Scenario) -> dict:
-    """Execute a scenario: write its table file(s) and return the summary dict.
+    """Execute a scenario: write its table file(s), print ``_note_off_resonance``'s line if
+    it applies, and return the summary dict.
 
     The summary, plus a "files" entry listing every table written, is also what the
     subcommands print; their flags are already applied to ``scenario``.  The sweep kind's
@@ -453,6 +475,7 @@ def run_scenario(scenario: Scenario) -> dict:
         _write_table(path, columns, rows, scenario.out_format)
         summary["files"].append(str(path))
         del rows  # free this table before the producer makes the next
+    _note_off_resonance(run)
     return summary
 
 
@@ -772,7 +795,9 @@ def _dispatch(command: str, opts: dict) -> int:
     scenario = load_scenario(opts.get("scenario"))
 
     if command == "derive":
-        _print_json(derive_summary(Run(scenario)), opts.get("out"))
+        run = Run(scenario)
+        _print_json(derive_summary(run), opts.get("out"))
+        _note_off_resonance(run)
         return 0
     if command == "invert":  # --target and --cavity are the scenario's drives
         target, cavity = opts["target"], opts["cavity"]
@@ -821,7 +846,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a grid or trace too large to allocate
         print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 2
-    except (ConvergenceError, SingularResponseError, StepSizeError) as exc:
+    except (ConvergenceError, SingularResponseError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -37,10 +37,6 @@ class SingularResponseError(RuntimeError):
         self.delta = delta
 
 
-class StepSizeError(ValueError):
-    """RK4 step size violates the stability guard."""
-
-
 class ScenarioError(ValueError):
     """A scenario that cannot be read or whose shape is wrong: no such file or preset, not
     valid JSON, an object in it that is not a JSON object or holds an unknown key, a value

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError, SingularResponseError, StepSizeError
+from .errors import InvalidParameterError, SingularResponseError
 from .params import Checked, SystemParams, _require_positive
 from .working_point import WorkingPoint
 
@@ -192,8 +192,8 @@ def propagate(
         for this linear system, unconditionally stable, and equally valid at
         exceptional points, where A has no eigenbasis.
     rk4:
-        classic fixed-step RK4, guarded by dt <= 0.1/max_rate of B, at step
-        h = t_final / ceil(t_final / dt).  On this linear system one step is
+        classic fixed-step RK4 at step h = t_final / ceil(t_final / dt), guarded by
+        dt <= 0.1/max_rate of B (InvalidParameterError).  On this linear system one step is
         the degree-4 Taylor polynomial of h G; its powers (``matrix_power``)
         give the map of one output stride and of the final partial stride, so
         the work grows with n_samples and only logarithmically with the steps
@@ -226,7 +226,7 @@ def propagate(
         raise InvalidParameterError("rk4 requires dt > 0")
     max_rate = _max_rate(g[:3, :3])
     if max_rate > 0 and dt > STABILITY_FACTOR / max_rate:
-        raise StepSizeError(
+        raise InvalidParameterError(
             f"dt = {dt:.3e} s violates the stability guard "
             f"{STABILITY_FACTOR:.1f}/max_rate = {STABILITY_FACTOR / max_rate:.3e} s"
         )

@@ -292,3 +292,12 @@ def eit_width(c1: float, gamma_m: float) -> float:
     _require_non_negative(c1, "c1")
     _require_positive(gamma_m, "gamma_m")
     return (1.0 + c1) * gamma_m / 2.0
+
+
+def off_resonance(params: SystemParams, delta1: float, delta2: float) -> dict[int, float]:
+    """(Delta_i - omega_m) / kappa_i of each cavity i whose detuning misses omega_m by more
+    than 0.1 kappa_i: off the two-photon resonance Delta1 = Delta2 = omega_m that the closed
+    forms (``analytic``) and the pole table assume.  Empty when both cavities are on it."""
+    offsets = {1: (delta1 - params.omega_m) / params.kappa1,
+               2: (delta2 - params.omega_m) / params.kappa2}
+    return {i: offset for i, offset in offsets.items() if abs(offset) > 0.1}

@@ -234,7 +234,7 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
     in q0 when both are held, and cavity 1's Lorentzian plus a constant force, a cubic, when
     cavity 1 is driven at ``p_c1``.  One forward solve at these powers confirms the branch:
     every target above 0 must be met within ``INVERSION_RTOL``, else ConvergenceError.
-    ConvergenceError too for a target above 0 on an uncoupled cavity (g_i = 0).  The
+    InvalidParameterError for a target above 0 on an uncoupled cavity (g_i = 0).  The
     targets must be finite and >= 0 (not checked here) but are not bounded by the
     envelope: ratio rows and probe variants ask for C2 = ratio * C1, and the C1 that a
     power inside the envelope gives may exceed the cooperativity row.  The powers returned
@@ -248,7 +248,7 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
         if c is not None:
             c = float(c)
             if c > 0.0 and g == 0.0:
-                raise ConvergenceError(f"target cooperativity C{i} = {c:g} unreachable: "
+                raise InvalidParameterError(f"target cooperativity C{i} = {c:g} unreachable: "
                                        f"cavity {i} is uncoupled (g{i} = 0)")
             n = c * kappa * params.gamma_m / (g * g) if c > 0.0 else 0.0
         targets.append(c)

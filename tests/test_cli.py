@@ -1,6 +1,7 @@
 import inspect
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -48,7 +49,7 @@ def test_invert_cooperativity_unreachable():
         omega_c1=4e14, omega_c2=1e10, omega_m=1e7, gamma_m=1e3,
         kappa1=1e6, kappa2=1e2, g1=0.0, g2=5.0,
     )
-    with pytest.raises(om.ConvergenceError):
+    with pytest.raises(om.InvalidParameterError, match="cavity 1 is uncoupled"):
         cli.invert_cooperativity(p, 10.0, 0.0)
 
 
@@ -136,6 +137,9 @@ def test_an_input_outside_the_envelope_is_refused_with_the_envelopes_own_error()
 
 RK4_SWEEP = {"kind": "time_domain", "t_final": 1e-6, "method": "rk4", "dt": 1e-9}
 RATIO_SWEEP = {"kind": "cooperativity_ratio", "n_points": 3}
+OFF_RESONANCE_NOTE = ("note: gamma_eit_*, gamma_eia_*, eia_narrow_coupling_valid, "
+                      "peak_height_exact and peak_height_large_c assume two-photon resonance, "
+                      "but ")
 
 
 @pytest.mark.parametrize("command, sweep", [
@@ -190,6 +194,14 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
     "roots_bare": ("roots", {"detuning_mode": "bare", "drives": {"c1": 40},
                              "sweep": {"kind": "roots_vs_ratio", "n_points": 3}},
                    "the roots_vs_ratio table assumes two-photon resonance"),
+    "roots_delta1_off_resonance": (
+        "roots", {"params": {"delta1_hz": 1.02e7}, "sweep": {"kind": "roots_vs_ratio"}},
+        "params.delta1_hz = 10200000 Hz lies 0.2 kappa1 from omega_m; the roots_vs_ratio table "
+        "assumes two-photon resonance (within 0.1 kappa1)"),
+    "roots_delta2_off_resonance": (
+        "roots", {"params": {"delta2_hz": 10000400}, "sweep": {"kind": "roots_vs_ratio"}},
+        "params.delta2_hz = 10000400 Hz lies 4 kappa2 from omega_m; the roots_vs_ratio table "
+        "assumes two-photon resonance (within 0.1 kappa2)"),
     "roots_ratio_min_negative": ("roots", {"sweep": {"kind": "roots_vs_ratio", "ratio_min": -1}},
                                  "ratio sweep needs 0 <= ratio_min"),
     "ratio_bounds_not_increasing": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": 0.5,
@@ -545,18 +557,20 @@ def test_overflowing_time_trace_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("doc", [
-    {"sweep": {**RATIO_SWEEP, "x_gamma_m": 1e9}},
-    {"params": {"delta2_hz": 1e13}, "drives": {"p_c1": "1mW", "p_c2": "1uW"},
-     "sweep": {"kind": "probe_x", "n_points": 3}},
+@pytest.mark.parametrize("doc, err", [
+    ({"sweep": {**RATIO_SWEEP, "x_gamma_m": 1e9}}, ""),
+    ({"params": {"delta2_hz": 1e13}, "drives": {"p_c1": "1mW", "p_c2": "1uW"},
+      "sweep": {"kind": "probe_x", "n_points": 3}},
+     OFF_RESONANCE_NOTE + "Delta2 - omega_m = 1e+11 kappa2\n"),
 ], ids=["probe_far_detuned", "cavity2_far_detuned"])
-def test_far_detuned_point_passes_the_residual_gate(tmp_path, capsys, doc):
+def test_far_detuned_point_passes_the_residual_gate(tmp_path, capsys, doc, err):
     """At the envelope's farthest probe offset and cavity-2 detuning the rows are finite and
-    almost nothing reaches cavity 2."""
+    almost nothing reaches cavity 2.  The driven cavity 2 sits 1e11 kappa2 off two-photon
+    resonance, which the summary notes."""
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert run_main(["sweep", "--scenario", path, "--out", tmp_path / "t.csv"]) == 0
-    assert capsys.readouterr().err == ""
+    assert capsys.readouterr().err == err
     rows = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
     assert rows.shape == (3, 8) and np.isfinite(rows).all()
     assert (rows[:, 5] < 1e-30).all()  # transmit_flux
@@ -658,7 +672,7 @@ EIA_SPLITTING_FLOW = {  # case: (scenario keys, the error line)
 @pytest.mark.parametrize("command, case", [
     ("derive", "overflow"), ("sweep", "overflow"), ("derive", "underflow"), ("sweep", "underflow"),
 ], ids=["derive", "sweep", "derive-underflow", "sweep-underflow"])
-def test_overflowing_eia_splitting_exits_3(tmp_path, capsys, command, case):
+def test_overflowing_eia_splitting_exits_2(tmp_path, capsys, command, case):
     """At C1 = C2 = 1e200 Gamma_EIT^2 overflowed, and at gamma_m = 1e-200 Hz it underflowed
     to 0, which exited 3 (and once ended in a ZeroDivisionError traceback).  Both inputs lie
     outside the envelope: one exit-2 line naming the key, no traceback, no warning (pytest
@@ -874,7 +888,7 @@ def test_fig2_variants_run(tmp_path, capsys, command):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("mode", ["effective", "bare"])
 @pytest.mark.parametrize("command", ["sweep", "invert"])
-def test_overflowing_cooperativity_target_is_unreachable(tmp_path, capsys, mode, command):
+def test_overflowing_cooperativity_target_exits_2(tmp_path, capsys, mode, command):
     """A finite target whose coupling power (about 1e292 W) or drive amplitude overflowed
     lies outside the envelope: one exit-2 line naming the ratio or the drives key that
     --target sets."""
@@ -965,6 +979,45 @@ def test_main_derive_stdout(capsys):
     assert doc["switch_ratio_transmit_over_reflect"] == pytest.approx(6400.0, rel=1e-6)
 
 
+def test_roots_within_a_tenth_of_kappa_of_resonance_run(tmp_path, capsys):
+    """A stored detuning 0.09 kappa2 from omega_m still counts as two-photon resonance."""
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"params": {"delta2_hz": 10000009},
+                                "sweep": {"kind": "roots_vs_ratio", "n_points": 3}}))
+    assert run_main(["roots", "--scenario", path, "--out", tmp_path / "t.csv"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len((tmp_path / "t.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", ["derive", "sweep", "integrate"])
+def test_closed_forms_off_resonance_are_noted(tmp_path, capsys, command):
+    """Bare C1 = C2 = 40 drives cavity 2 3.996 kappa2 off two-photon resonance: derive and
+    every sweep print one note naming the closed-form keys, whose values stay as they were."""
+    sweep = ({"kind": "time_domain", "t_final": 1e-6, "n_samples": 3}
+             if command == "integrate" else RATIO_SWEEP)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"detuning_mode": "bare", "drives": {"c1": 40, "c2": 40},
+                                "sweep": sweep}))
+    assert run_main([command, "--scenario", path, "--out", tmp_path / "t.csv"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == OFF_RESONANCE_NOTE + "Delta2 - omega_m = 3.996 kappa2\n"
+    assert json.loads(captured.out)["peak_height_exact"] == 1.01234567901
+
+
+@pytest.mark.parametrize("scenario", [*cli.PRESETS, {"params": {"delta2_hz": 1e13},
+                                                      "drives": {"c1": 40.0, "c2": 0.0}}],
+                         ids=[*cli.PRESETS, "undriven_cavity2_far_detuned"])
+def test_resonant_or_undriven_cavities_are_not_noted(tmp_path, capsys, scenario):
+    """No preset drives a cavity off two-photon resonance, and an undriven cavity's detuning
+    enters no closed-form key: derive prints no note."""
+    if isinstance(scenario, dict):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        scenario = path
+    assert run_main(["derive", "--scenario", scenario]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_main_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -1005,8 +1058,11 @@ def test_main_exit_codes(tmp_path, capsys):
             }
         )
     )
-    assert run_main(["integrate", "--scenario", rk]) == 3  # stability guard
     capsys.readouterr()
+    assert run_main(["integrate", "--scenario", rk]) == 2  # stability guard: an input error
+    assert re.fullmatch(r"error: dt = \S+ s violates the stability guard [^\n]*\n",
+                        capsys.readouterr().err)
+    assert not (tmp_path / "rk.csv").exists()
 
 
 def test_main_integrate_exact(tmp_path, capsys):

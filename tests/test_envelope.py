@@ -119,7 +119,9 @@ def test_derived_values_are_not_bounded(tmp_path, capsys):
         "sweep": {**RATIO, "ratio_max": 1e6, "x_gamma_m": -30.0}}))
     out = tmp_path / "r.csv"
     assert cli.main(["sweep", "--scenario", str(path), "--out", str(out)]) == 0
-    assert capsys.readouterr().err == ""
+    err = capsys.readouterr().err  # the driven cavity 2 is off resonance: one note
+    assert OFF_RESONANCE_NOTE.fullmatch(err)
+    assert err.endswith("Delta2 - omega_m = -1e+11 kappa2\n")
     assert len(out.read_text().splitlines()) == 4
 
 
@@ -130,7 +132,8 @@ def test_raw_float_entry_points_refuse_out_of_range_values():
     with pytest.raises(om.InvalidParameterError, match="^carrier = .* is outside the supported"):
         om.drive_amplitude(1e-3, 1e-300, 1.0)
     for gamma_eit in (1e200, 1e-200):
-        with pytest.raises(om.ConvergenceError, match="Gamma_EIT\\^2 leaves the float range"):
+        with pytest.raises(om.InvalidParameterError,
+                           match="Gamma_EIT\\^2 leaves the float range"):
             om.eia_splitting(gamma_eit, 0.0, 1.0)
 
 
@@ -144,13 +147,20 @@ CORNERS = {
     "delta1_hz": (-1e13, 1e13, None), "delta2_hz": (-1e13, 1e13, None),
 }
 X_CORNERS = (-1e9, -30.0, 0.0, 30.0, 1e9)
-# What a run at the corners may end in besides a table: a physics refusal (exit 3), or a
-# target above 0 on an uncoupled cavity (exit 2).
+# What a run at the corners may end in besides a table: a physics refusal (exit 3), a
+# target above 0 on an uncoupled cavity (exit 2), or a pole table off two-photon resonance
+# (exit 2).  A table may come with one note that a driven cavity is off that resonance.
 PHYSICS_REFUSAL = re.compile(
     r"^solver error: .*(unstable working point|another branch|tied smallest-\|q0\| roots"
     r"|residual exceeds|has no real root|trace is not finite)")
-UNCOUPLED_REFUSAL = re.compile(r"^error: .* needs a coupled cavity [12], "
-                               r"but params\.g[12]_hz is 0$")
+INPUT_REFUSAL = re.compile(r"^error: (.* needs a coupled cavity [12], but params\.g[12]_hz is 0"
+                           r"|params\.delta[12]_hz = \S+ Hz lies \S+ kappa[12] from omega_m; "
+                           r"the roots_vs_ratio table assumes two-photon resonance "
+                           r"\(within 0\.1 kappa[12]\))$")
+OFF_RESONANCE_NOTE = re.compile(r"note: gamma_eit_\*, gamma_eia_\*, eia_narrow_coupling_valid, "
+                                r"peak_height_exact and peak_height_large_c assume two-photon "
+                                r"resonance, but Delta[12] - omega_m = \S+ kappa[12]"
+                                r"( and Delta2 - omega_m = \S+ kappa2)?\n")
 FLOAT_RANGE = re.compile(r"overflow|underflow|float range|out of range|\bnan\b|\binf\b"
                          r"|Warning|Traceback", re.IGNORECASE)
 
@@ -201,10 +211,10 @@ def test_corner_runs_end_in_a_table_or_a_physics_refusal(tmp_path, capsys):
         err = capsys.readouterr().err
         context = (command, doc, extra, err)
         if code == 0:
-            assert err == "", context
+            assert err == "" or OFF_RESONANCE_NOTE.fullmatch(err), context
         else:
             assert err.count("\n") == 1 and not FLOAT_RANGE.search(err), context
-            assert (PHYSICS_REFUSAL if code == 3 else UNCOUPLED_REFUSAL).match(err), context
+            assert (PHYSICS_REFUSAL if code == 3 else INPUT_REFUSAL).match(err), context
             assert list(out.iterdir()) == [], context
         for written in out.iterdir():
             written.unlink()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oemsim as om
-from oemsim.params import HBAR, TWO_PI
+from oemsim.params import HBAR, TWO_PI, off_resonance
 
 
 def test_drive_amplitude_zero_power():
@@ -148,3 +148,14 @@ def test_checked_record_checks_every_construction(name):
     for attr in (field, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, attr, bad)
+
+
+def test_off_resonance_is_a_tenth_of_kappa_from_omega_m(params):
+    """Each cavity whose detuning misses omega_m by more than 0.1 kappa_i, with the offset in
+    kappa_i; the reference detunings sit on two-photon resonance."""
+    wm, k1, k2 = params.omega_m, params.kappa1, params.kappa2
+    assert off_resonance(params, params.delta_bare1, params.delta_bare2) == {}
+    assert off_resonance(params, wm + 0.0999 * k1, wm - 0.0999 * k2) == {}
+    assert off_resonance(params, wm - 0.1001 * k1, wm + 4.0 * k2) == pytest.approx(
+        {1: -0.1001, 2: 4.0}, rel=1e-9)
+    assert off_resonance(params, wm, wm + 4.0 * k2) == pytest.approx({2: 4.0}, rel=1e-9)

@@ -18,7 +18,9 @@ gives the cubic
 whose roots are the response poles: all purely imaginary below the critical
 drive (overdamped interference regime -- the transparency window and, with
 s2 > 0, the narrow absorption peak inside it), acquiring real parts above it
-(normal-mode splitting).
+(normal-mode splitting).  The regime is read off the poles: a real root of the
+real cubic that ``_poles`` solves comes back exactly real, so a pole set is
+EIT_regime exactly when every pole's real part is exactly 0.
 """
 
 from __future__ import annotations
@@ -34,10 +36,6 @@ from .params import Checked, _require_non_negative, _require_positive
 
 EIT_REGIME = "EIT_regime"
 NMS_REGIME = "NMS_regime"
-
-# "purely imaginary" classification: |Re| <= tol * max(|Im|, gamma_m).
-# An exact-zero test is meaningless after companion-matrix eigensolves.
-PURE_IMAG_TOL = 1e-6
 
 
 class _RwaCoefficients(NamedTuple):
@@ -77,10 +75,10 @@ class RwaCoefficients(Checked, _RwaCoefficients):
 class PoleSet(NamedTuple):
     """The three response poles, ordered by ascending |Im|.
 
-    classification is EIT_regime when every root is purely imaginary within
-    tolerance, NMS_regime when a pair has acquired real parts.  The widths
-    property returns the decay rates -Im(root) (half-widths at half maximum
-    of the corresponding Lorentzian factors).
+    classification is EIT_regime when every root's real part is exactly 0 (how
+    ``_poles`` returns a real root of its cubic), NMS_regime when a pair has
+    acquired real parts.  The widths property returns the decay rates -Im(root)
+    (half-widths at half maximum of the corresponding Lorentzian factors).
     """
 
     roots: tuple[complex, complex, complex]
@@ -155,10 +153,9 @@ def _poles(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
 def denominator_roots(c: RwaCoefficients) -> PoleSet:
     """Poles of the closed-form response, ordered by ascending |Im|: one row of ``_poles``."""
     roots = _poles(c.kappa1, c.kappa2, c.gamma_m, c.s1, c.s2)[0]
-    eit = np.all(np.abs(roots.real) <= PURE_IMAG_TOL * np.maximum(np.abs(roots.imag), c.gamma_m))
     return PoleSet(
         roots=tuple(complex(r) for r in roots),
-        classification=EIT_REGIME if eit else NMS_REGIME,
+        classification=EIT_REGIME if np.all(roots.real == 0.0) else NMS_REGIME,
     )
 
 
@@ -185,10 +182,12 @@ def root_trajectories(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
 class EiaSplitting(NamedTuple):
     """Splitting of the transparency-window pole by the second coupling tone.
 
-    gamma_plus/gamma_minus are the two descendants of Gamma_EIT (complex when
-    the discriminant goes negative); gamma_eia_approx = kappa2 + s2/Gamma_EIT
-    is the small-coupling estimate of the absorption-peak half-width, valid
-    when 4*s2/Gamma_EIT^2 << 1 (narrow_coupling flag, threshold 0.1).
+    gamma_plus/gamma_minus are the two descendants of Gamma_EIT, as Python
+    complex numbers (a conjugate pair when the discriminant goes negative, each
+    imaginary part then at least 5e-9 Gamma_EIT); gamma_eia_approx =
+    kappa2 + s2/Gamma_EIT is the small-coupling estimate of the absorption-peak
+    half-width, valid when 4*s2/Gamma_EIT^2 << 1 (narrow_coupling flag,
+    threshold 0.1).
     """
 
     gamma_plus: complex
@@ -219,12 +218,9 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     root = np.sqrt(disc)
     gamma_plus = 0.5 * (gamma_eit + root)
     gamma_minus = 0.5 * (gamma_eit - root)
-    if abs(gamma_plus.imag) < 1e-12 * gamma_eit:
-        gamma_plus = complex(gamma_plus.real)
-        gamma_minus = complex(gamma_minus.real)
     return EiaSplitting(
-        gamma_plus=gamma_plus,
-        gamma_minus=gamma_minus,
+        gamma_plus=complex(gamma_plus),
+        gamma_minus=complex(gamma_minus),
         gamma_eia_approx=kappa2 + s2 / gamma_eit,
         narrow_coupling=4.0 * s2 / gamma_sq <= 0.1,
     )

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 import oemsim as om
 from oemsim import analytic, cli
-from oemsim.analytic import EIT_REGIME, NMS_REGIME, PURE_IMAG_TOL
+from oemsim.analytic import EIT_REGIME, NMS_REGIME
 from oemsim.linear_response import response_grid
 
 
@@ -195,8 +196,7 @@ def scalar_poles(c):
         ys.append(y)
     x = -1j * np.array(ys) * g
     x = x[np.lexsort((x.real, np.abs(x.imag)))]
-    pure = all(abs(r.real) <= PURE_IMAG_TOL * max(abs(r.imag), g) for r in x)
-    return x, EIT_REGIME if pure else NMS_REGIME
+    return x, EIT_REGIME if all(r.real == 0.0 for r in x) else NMS_REGIME
 
 
 def scalar_trajectories(sets):
@@ -251,6 +251,31 @@ def test_batched_poles_match_scalar_oracle_bit_for_bit():
         regimes.add(regime)
     assert regimes == {EIT_REGIME, NMS_REGIME}
     assert sum(c.s2 == 0 for c in sets) > 500
+
+
+def test_regime_is_the_sign_of_the_exact_discriminant():
+    """A real root y of the cubic comes back exactly real, so a pole set is EIT_regime
+    exactly when every pole has a real part of exactly 0, even where the split pair is
+    closer than any tolerance on |Re| could tell: s1 within 1e-10 to 1e-8 of
+    s1* = (kappa1 - gamma_m/2)^2/4 at s2 = 0.  The reference is the sign of the cubic's
+    discriminant, evaluated exactly from the float coefficients that ``_poles`` solves.
+    kappa1 stays at least gamma_m/100 above gamma_m/2, where s1*'s own cancellation
+    would leave the distance below the coefficients' rounding."""
+    rng = np.random.default_rng(47)
+    regimes = set()
+    for _ in range(2000):
+        g = 10 ** rng.uniform(-3, 9)
+        k1, k2 = g * (0.5 + 10 ** rng.uniform(-2, 5)), g * 10 ** rng.uniform(-4, 5)
+        s1 = (k1 - g / 2.0) ** 2 / 4.0 * (1.0 + rng.choice([-1, 1]) * 10 ** rng.uniform(-10, -8))
+        c = om.RwaCoefficients(k1, k2, g, s1, 0.0)
+        k1, k2, s1 = k1 / g, k2 / g, s1 / g**2
+        a1, a2, a3 = map(Fraction, (-(k1 + k2 + 0.5), k1 * 0.5 + k1 * k2 + 0.5 * k2 + s1,
+                                    -(k1 * 0.5 * k2 + s1 * k2)))
+        disc = 18 * a1 * a2 * a3 - 4 * a1**3 * a3 + a1**2 * a2**2 - 4 * a2**3 - 27 * a3**2
+        regime = om.denominator_roots(c).classification
+        assert regime == (EIT_REGIME if disc >= 0 else NMS_REGIME), c
+        regimes.add(regime)
+    assert regimes == {EIT_REGIME, NMS_REGIME}
 
 
 def test_batched_trajectories_match_scalar_oracle_bit_for_bit():
@@ -313,9 +338,15 @@ def test_eia_splitting_trivial_and_degenerate(params):
     assert off.gamma_plus == gamma_eit
     assert off.gamma_minus == 0.0
     assert off.gamma_eia_approx == params.kappa2
+    # the exceptional point: Gamma^2 - 4 s2 is exactly 0, so Gamma+/- are real
     deg = om.eia_splitting(gamma_eit, gamma_eit**2 / 4.0, params.kappa2)
-    assert deg.gamma_plus == pytest.approx(gamma_eit / 2.0)
-    assert deg.gamma_minus == pytest.approx(gamma_eit / 2.0)
+    assert type(deg.gamma_plus) is complex and type(deg.gamma_minus) is complex
+    assert deg.gamma_plus == deg.gamma_minus == gamma_eit / 2.0
+    # one float above it the discriminant is at least half an ulp of Gamma^2 below 0
+    past = om.eia_splitting(gamma_eit, np.nextafter(gamma_eit**2 / 4.0, np.inf), params.kappa2)
+    assert type(past.gamma_plus) is complex
+    assert abs(past.gamma_plus.imag) >= 1e-9 * gamma_eit
+    assert past.gamma_minus == past.gamma_plus.conjugate()
 
 
 def test_eia_splitting_reference_point(params, wp_c40):

@@ -105,6 +105,39 @@ def _balance(q, params, terms, force=0.0):
     return f, df, scale
 
 
+def _on_balance(q, params, terms, force):
+    """The finite values of ``q`` whose balance meets ``REL_TOL`` of its scale (``_balance``)."""
+    q = q[np.isfinite(q)]
+    f, _, scale = _balance(q, params, terms, force)
+    return q[np.abs(f) <= REL_TOL * scale]
+
+
+def _bisected(params, terms, force):
+    """Both ends of every sign change of the balance, bisected to adjacent floats.
+
+    The sign is sampled at 0, at each Lorentzian's center -delta_i/s_i and at
+    center +/- (kappa_i/|s_i|) 4^k for k < 80; a sample where the balance is exactly
+    0 is returned as it is.
+    """
+    grid = [np.zeros(1)]
+    for s, delta, kappa, _ in terms:
+        center, width = -delta / s, kappa / abs(s) * 4.0 ** np.arange(80)
+        grid += [[center], center - width, center + width]
+    q = np.unique(np.concatenate(grid))
+    f = _balance(q, params, terms, force)[0]
+    change = np.sign(f[:-1]) * np.sign(f[1:]) < 0
+    a, b, fa = q[:-1][change], q[1:][change], f[:-1][change]
+    while True:
+        m = 0.5 * a + 0.5 * b
+        inside = (a < m) & (m < b)
+        if not inside.any():
+            return np.concatenate([q[f == 0.0], a, b])
+        fm = _balance(m, params, terms, force)[0]
+        right = inside & (np.sign(fm) == np.sign(fa))  # the sign change lies in [m, b]
+        a, fa = np.where(right, m, a), np.where(right, fm, fa)
+        b = np.where(inside & ~right, m, b)
+
+
 def _real_roots(params, terms, force=0.0) -> list[float]:
     """Every distinct real root of the force balance with the constant ``force``, ascending.
 
@@ -113,7 +146,10 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
     Newton steps on the balance itself and merged when they agree to 1e-9.  A value
     the polish sends past the float range, or whose balance misses ``REL_TOL`` of its
     scale (``_balance``), is dropped: near a fold a complex pair with a small imaginary
-    part passes as real, and the polish sends it far from any root.
+    part passes as real, and the polish sends it far from any root.  When no root
+    survives, the sign changes of the balance are bisected instead (``_bisected``) and
+    judged by the same rules: a Lorentzian far wider than another puts polynomial roots
+    so far out that np.roots resolves the narrow one's roots to nothing near it.
     No real root at all, or a leading coefficient so small that np.roots's
     companion matrix overflows, raises ConvergenceError.
     """
@@ -133,9 +169,9 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
         for _ in range(POLISH_STEPS):
             f, df, _ = _balance(q, params, terms, force)
             q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
-        q = q[np.isfinite(q)]
-        f, _, scale = _balance(q, params, terms, force)
-        q = q[np.abs(f) <= REL_TOL * scale]
+        q = _on_balance(q, params, terms, force)
+        if not q.size:
+            q = _on_balance(_bisected(params, terms, force), params, terms, force)
     roots: list[float] = []
     for r in np.sort(q).tolist():
         if not roots or r - roots[-1] > 1e-9 * max(abs(r), 1.0):
@@ -318,9 +354,9 @@ def require_stable(wp: WorkingPoint, params: SystemParams, what: str) -> None:
     A margin within ``STABILITY_RTOL`` of the drift matrix's norm is eigensolver
     rounding, not growth, and passes.  ``what`` names the batch in the message.
     """
-    m = drift_matrix(wp, params)
-    margin = np.atleast_1d(np.linalg.eigvals(m).real.max(axis=-1))
-    bad = np.flatnonzero(margin > STABILITY_RTOL * np.linalg.norm(m, axis=(-2, -1)))
+    margin = np.atleast_1d(stability_margin(wp, params))
+    norm = np.linalg.norm(drift_matrix(wp, params), axis=(-2, -1))
+    bad = np.flatnonzero(margin > STABILITY_RTOL * norm)
     if bad.size:
         i = int(bad[0])
         raise UnstableWorkingPointError(

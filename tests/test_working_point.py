@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -158,8 +159,6 @@ ROOT_CORNER = {"detuning_mode": "bare", "params": {
     "g2_hz": 1e9, "delta1_hz": -0.001, "delta2_hz": 0}, "drives": {"p_c1": 1e-12, "p_c2": 1e-12}}
 
 
-@pytest.mark.xfail(strict=True, raises=om.ConvergenceError,
-                   reason="known bare root corner: 'force balance has no real root'")
 def test_bare_root_corner_finds_its_root():
     """The balance runs from -inf to +inf in q0, so a root exists; the solve should find
     one that meets the 1e-10 force-balance residual."""
@@ -167,3 +166,17 @@ def test_bare_root_corner_finds_its_root():
     drives = om.DriveConfig(**scenario.drives)
     wp = om.solve_working_point(scenario.params, drives, scenario.detuning_mode)
     assert residuals(wp, scenario.params, drives)[2] <= 1e-10
+
+
+@pytest.mark.parametrize("p_c2, code, message", [
+    (1e-12, 3, "derive [as driven, tone 2 off] row 0: unstable working point"),
+    (1e-18, 0, "note: "),  # cavity 2 sits far off two-photon resonance
+], ids=["unstable", "stable"])
+def test_bare_root_corner_derive_judges_its_root(tmp_path, capsys, p_c2, code, message):
+    """``derive`` at the root corner gets past the solve.  At 1 pW on tone 2 the root's
+    linearized dynamics grow (exit 3 names it); at 1e-18 W they decay (exit 0)."""
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps({**ROOT_CORNER, "drives": {"p_c1": 1e-12, "p_c2": p_c2}}))
+    assert cli.main(["derive", "--scenario", str(path)]) == code
+    err = capsys.readouterr().err
+    assert message in err and "no real root" not in err

@@ -20,7 +20,9 @@ therefore self-consistent in q0.  Multiplied by D_1 D_2 it is the quintic
     omega_m q0 D_1 D_2 - g1 E_c1^2 D_2 + g2 E_c2^2 D_1 = 0,
 
 whose real roots are every steady state; at high drive there are several
-(bistability), and the operating point is the smallest-|q0| one.  One routine,
+(bistability), and the operating point is the smallest-|q0| one.  The roots are
+those np.roots finds for the polynomial and, as reciprocals, for its coefficient
+reversal (``_real_roots``), judged relative to q0 itself.  One routine,
 ``_steady_state``, applies that rule for the forward solve and the inversion
 alike.  A cooperativity target fixes a photon number instead of a
 power, and a held photon number is a constant force: its cavity pushes with
@@ -50,6 +52,7 @@ IMAG_TOL = 1e-6  # a polynomial root z with |Im z| <= IMAG_TOL |z| counts as rea
 POLISH_STEPS = 3  # Newton steps on the force balance itself
 STABILITY_RTOL = 1e-12  # a margin below this fraction of the drift matrix norm is rounding
 INVERSION_RTOL = 1e-3  # relative miss of a cooperativity target that means another branch
+_TINY = np.finfo(float).tiny  # the floor of every relative comparison of roots
 
 
 class WorkingPoint(NamedTuple):
@@ -92,9 +95,9 @@ def _terms(params, e1, e2):
 
 def _balance(q, params, terms, force=0.0):
     """The force balance omega_m q + force + sum_i s_i n_i(q), its derivative in q, and the
-    scale omega_m max(|q|, 1) + |force| + sum_i |s_i| n_i(q) that its residual is judged by."""
+    scale omega_m |q| + |force| + sum_i |s_i| n_i(q) that its residual is judged by."""
     f, df = params.omega_m * q + force, params.omega_m
-    scale = params.omega_m * np.maximum(np.abs(q), 1.0) + abs(force)
+    scale = params.omega_m * np.abs(q) + abs(force)
     for s, delta, kappa, c in terms:
         d = delta + s * q
         den = kappa * kappa + d * d
@@ -105,53 +108,24 @@ def _balance(q, params, terms, force=0.0):
     return f, df, scale
 
 
-def _on_balance(q, params, terms, force):
-    """The finite values of ``q`` whose balance meets ``REL_TOL`` of its scale (``_balance``)."""
-    q = q[np.isfinite(q)]
-    f, _, scale = _balance(q, params, terms, force)
-    return q[np.abs(f) <= REL_TOL * scale]
-
-
-def _bisected(params, terms, force):
-    """Both ends of every sign change of the balance, bisected to adjacent floats.
-
-    The sign is sampled at 0, at each Lorentzian's center -delta_i/s_i and at
-    center +/- (kappa_i/|s_i|) 4^k for k < 80; a sample where the balance is exactly
-    0 is returned as it is.
-    """
-    grid = [np.zeros(1)]
-    for s, delta, kappa, _ in terms:
-        center, width = -delta / s, kappa / abs(s) * 4.0 ** np.arange(80)
-        grid += [[center], center - width, center + width]
-    q = np.unique(np.concatenate(grid))
-    f = _balance(q, params, terms, force)[0]
-    change = np.sign(f[:-1]) * np.sign(f[1:]) < 0
-    a, b, fa = q[:-1][change], q[1:][change], f[:-1][change]
-    while True:
-        m = 0.5 * a + 0.5 * b
-        inside = (a < m) & (m < b)
-        if not inside.any():
-            return np.concatenate([q[f == 0.0], a, b])
-        fm = _balance(m, params, terms, force)[0]
-        right = inside & (np.sign(fm) == np.sign(fa))  # the sign change lies in [m, b]
-        a, fa = np.where(right, m, a), np.where(right, fm, fa)
-        b = np.where(inside & ~right, m, b)
-
-
 def _real_roots(params, terms, force=0.0) -> list[float]:
     """Every distinct real root of the force balance with the constant ``force``, ascending.
 
     The balance times its Lorentzian denominators is a polynomial in q of degree
-    1 + 2 per term.  Its roots with a negligible imaginary part are polished by
-    Newton steps on the balance itself and merged when they agree to 1e-9.  A value
-    the polish sends past the float range, or whose balance misses ``REL_TOL`` of its
-    scale (``_balance``), is dropped: near a fold a complex pair with a small imaginary
-    part passes as real, and the polish sends it far from any root.  When no root
-    survives, the sign changes of the balance are bisected instead (``_bisected``) and
-    judged by the same rules: a Lorentzian far wider than another puts polynomial roots
-    so far out that np.roots resolves the narrow one's roots to nothing near it.
-    No real root at all, or a leading coefficient so small that np.roots's
-    companion matrix overflows, raises ConvergenceError.
+    1 + 2 per term.  np.roots resolves a polynomial's large roots to a small relative
+    error, and its small ones only to an error relative to the largest; so the candidates
+    are the polynomial's roots and the reciprocals of the roots of its coefficient
+    reversal, whose large roots are the small ones.  A reversal whose companion matrix
+    overflows (a constant term far below the others) adds none.  Candidates with a
+    negligible imaginary part are polished by Newton steps on the balance itself and
+    merged when they agree to 1e-9 relative.  A value the polish sends past the float
+    range is dropped, and so is one whose balance misses ``REL_TOL`` of its scale
+    (``_balance``) plus the step of the balance to the adjacent float: near a fold a
+    complex pair with a small imaginary part passes as real, and the polish sends it far
+    from any root, while on a Lorentzian far narrower than |q| the balance steps by more
+    than ``REL_TOL`` between adjacent floats.  Every comparison is relative to q itself,
+    with ``_TINY`` as its only floor.  No real root at all, or a leading coefficient so
+    small that np.roots's companion matrix overflows, raises ConvergenceError.
     """
     num, den = np.array([params.omega_m, force]), np.array([1.0])  # balance = num / den
     with np.errstate(all="ignore"):  # the roots are checked as wholes
@@ -165,16 +139,20 @@ def _real_roots(params, terms, force=0.0) -> list[float]:
         except np.linalg.LinAlgError:  # a coefficient over the leading one overflows
             raise ConvergenceError("force balance roots out of range: its leading coefficient "
                                    "omega_m g1^2 g2^2 is too small for np.roots") from None
+        try:
+            z = np.concatenate([z, 1.0 / np.roots(num[::-1])])
+        except np.linalg.LinAlgError:
+            pass
         q = z.real[np.abs(z.imag) <= IMAG_TOL * np.abs(z)]
         for _ in range(POLISH_STEPS):
             f, df, _ = _balance(q, params, terms, force)
             q = q - np.divide(f, df, out=np.zeros_like(q), where=df != 0.0)
-        q = _on_balance(q, params, terms, force)
-        if not q.size:
-            q = _on_balance(_bisected(params, terms, force), params, terms, force)
+        q = q[np.isfinite(q)]
+        f, df, scale = _balance(q, params, terms, force)
+        q = q[np.abs(f) <= REL_TOL * scale + np.abs(df * np.spacing(q)) + _TINY]
     roots: list[float] = []
     for r in np.sort(q).tolist():
-        if not roots or r - roots[-1] > 1e-9 * max(abs(r), 1.0):
+        if not roots or r - roots[-1] > 1e-9 * max(abs(r), abs(roots[-1])) + _TINY:
             roots.append(r)
     if not roots:
         raise ConvergenceError("force balance has no real root")
@@ -188,7 +166,8 @@ def _steady_state(params, detuning_mode, e1, e2, held=(None, None)) -> WorkingPo
     its cavity's amplitude e_i is 0.  In effective mode Delta_i is the stored detuning and
     q0 = (g1 n1 - g2 n2) / omega_m.  In bare mode q0 is the smallest-|q0| real root of the
     force balance (``_real_roots``), ``multiple_roots`` flags that there were several, and
-    a tie for the smallest |q0| raises ConvergenceError: the operating point is ambiguous.
+    a tie for the smallest |q0|, magnitudes within 1e-9 relative, raises ConvergenceError:
+    the operating point is ambiguous.
     """
     if detuning_mode not in ("effective", "bare"):
         raise InvalidParameterError(f"unknown detuning_mode {detuning_mode!r}")
@@ -199,7 +178,7 @@ def _steady_state(params, detuning_mode, e1, e2, held=(None, None)) -> WorkingPo
         force = sum(s * n for s, n in zip((-g1, g2), held) if n is not None)
         by_mag = sorted(_real_roots(params, _terms(params, e1, e2), force), key=abs)
         q, multiple = by_mag[0], len(by_mag) > 1
-        if multiple and abs(abs(q) - abs(by_mag[1])) <= 1e-9 * (abs(q) + 1.0):
+        if multiple and abs(abs(q) - abs(by_mag[1])) <= 1e-9 * abs(by_mag[1]) + _TINY:
             raise ConvergenceError(
                 "force balance has tied smallest-|q0| roots "
                 f"(q0 = {q:.6g} and {by_mag[1]:.6g}); operating point ambiguous"
@@ -228,11 +207,13 @@ def solve_working_point(
             and needs no root finding.
         "bare" - the stored detunings are the bare delta_i; q0 is a real root
             of the force-balance quintic (see the module docstring), found by
-            ``np.roots`` and Newton-polished on the balance itself.  If
-            several roots exist, the smallest-|q0| one is returned with
-            ``multiple_roots=True``; an exact tie raises ConvergenceError.
-            Every root meets the 1e-10 relative force-balance residual
-            (``_real_roots``); ConvergenceError when none does.
+            ``np.roots`` on the quintic and on its coefficient reversal and
+            Newton-polished on the balance itself.  If several roots exist, the
+            smallest-|q0| one is returned with ``multiple_roots=True``; a tie,
+            magnitudes within 1e-9 relative, raises ConvergenceError.  Every root
+            meets the 1e-10 force-balance residual relative to its own scale, or
+            the balance's step to the adjacent float (``_real_roots``);
+            ConvergenceError when none does.
     """
     e1 = drive_amplitude(drives.p_c1, params.omega_c1, params.kappa1)
     e2 = drive_amplitude(drives.p_c2, params.omega_c2, params.kappa2)

@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -180,3 +181,138 @@ def test_bare_root_corner_derive_judges_its_root(tmp_path, capsys, p_c2, code, m
     assert cli.main(["derive", "--scenario", str(path)]) == code
     err = capsys.readouterr().err
     assert message in err and "no real root" not in err
+
+
+def exact_balance(params, e1, e2, q):
+    """omega_m q - g1 n1(q) + g2 n2(q) in exact rational arithmetic on the float inputs."""
+    q = Fraction(q)
+    f = Fraction(params.omega_m) * q
+    for s, delta, kappa, e in ((-params.g1, params.delta_bare1, params.kappa1, e1),
+                               (params.g2, params.delta_bare2, params.kappa2, e2)):
+        d = Fraction(delta) + Fraction(s) * q
+        f += Fraction(s) * Fraction(e) ** 2 / (Fraction(kappa) ** 2 + d * d)
+    return f
+
+
+def brackets_a_root(params, drives, q):
+    """Whether the exact balance changes sign across q (1 +/- 1e-9), widened by the smallest
+    subnormal float so that a subnormal q, which carries few digits, is judged too."""
+    e1 = om.drive_amplitude(drives.p_c1, params.omega_c1, params.kappa1)
+    e2 = om.drive_amplitude(drives.p_c2, params.omega_c2, params.kappa2)
+    half = abs(Fraction(q)) / 10**9 + Fraction(2) ** -1074
+    lo, hi = (exact_balance(params, e1, e2, Fraction(q) + k * half) for k in (-1, 1))
+    return lo * hi < 0
+
+
+def bare_params(hz):
+    return cli.Scenario.from_dict({"detuning_mode": "bare", "params": hz}).params
+
+
+# Found on seeded envelope draws, each against a 60-digit root set of the balance polynomial.
+# Two roots below 1 in |q0|, far apart relative to themselves: not a tie.
+SMALL_PAIR = {"omega_c1_hz": 1.585e6, "omega_c2_hz": 6.015e13, "omega_m_hz": 1.712,
+              "gamma_m_hz": 7.581, "kappa1_hz": 1.665e5, "kappa2_hz": 1e-3, "g1_hz": 1e-6,
+              "g2_hz": 1e9, "delta1_hz": 4.314e7, "delta2_hz": -0.208}
+# A close root pair near q0 = -0.1411, 4e-5 apart relative.  np.roots on the polynomial puts
+# it at -0.14123 and -0.14103, too far off for the Newton polish to meet the residual gate;
+# the reversal resolves the pair.  q0 = -6.61 is the next root out.
+REVERSAL_PAIR = {
+    "omega_c1_hz": 293021630023938.06, "omega_c2_hz": 18931548.668736655,
+    "omega_m_hz": 10970272669.258842, "gamma_m_hz": 2.566735615854066, "kappa1_hz": 0.001,
+    "kappa2_hz": 262006846844.46, "g1_hz": 109271831.78603223, "g2_hz": 0.0010920225459498903,
+    "delta1_hz": -15421490.443920098, "delta2_hz": 1e13}
+REVERSAL_DRIVES = {"p_c1": 4.3073155749547976e-08, "p_c2": 1000.0}
+# One root of about 4e-9, where a residual judged against max(|q0|, 1) admits a value 0.7%
+# away from it.
+SMALL_ROOT = {
+    "omega_c1_hz": 1e16, "omega_c2_hz": 1e6, "omega_m_hz": 180382412.91111457,
+    "gamma_m_hz": 123097.91576758912, "kappa1_hz": 19511543914.937836,
+    "kappa2_hz": 0.0022192810258904734, "g1_hz": 1e9, "g2_hz": 1.4573534222084673e-06,
+    "delta1_hz": -1e13, "delta2_hz": -6316318.854513209}
+
+# A root pair 5e-7 apart relative on cavity 2's Lorentzian, kappa2/g2 = 1e-12 wide: between
+# adjacent floats the balance steps by 8e-10 of its scale, so no float meets 1e-10.
+STEEP_PAIR = {
+    "omega_c1_hz": 1942125.4630617101, "omega_c2_hz": 32190489.247760322,
+    "omega_m_hz": 6934895.7019735435, "gamma_m_hz": 40146.1898275262, "kappa1_hz": 1e12,
+    "kappa2_hz": 0.001, "g1_hz": 4726.001812851307, "g2_hz": 1e9,
+    "delta1_hz": 185251.35122947724, "delta2_hz": -33601335141.806545}
+# The same on cavity 1's Lorentzian, for the held balance of a C2 target at 1 pW on tone 1.
+STEEP_HELD_PAIR = {
+    "omega_c1_hz": 49563927299212.57, "omega_c2_hz": 1e16, "omega_m_hz": 1249394019.4658082,
+    "gamma_m_hz": 76.18752084464015, "kappa1_hz": 0.03970373952838794,
+    "kappa2_hz": 48945.2390837213, "g1_hz": 1e9, "g2_hz": 1e-6, "delta1_hz": -604923.3174540276,
+    "delta2_hz": 0.001}
+
+
+def test_distinct_small_roots_are_not_tied():
+    """q0 = -3.347e-10 and 7.507e-10 differ by more than their own size; the smaller one is
+    the operating point, flagged as one of several."""
+    params, drives = bare_params(SMALL_PAIR), om.DriveConfig(1e3, 1e-12)
+    wp = om.solve_working_point(params, drives, "bare")
+    assert wp.multiple_roots
+    assert wp.q0 == pytest.approx(-3.3471563919997663e-10, rel=1e-9, abs=0.0)
+    assert brackets_a_root(params, drives, wp.q0)
+    assert brackets_a_root(params, drives, 7.507156391999765e-10)
+
+
+def test_bare_solve_finds_the_root_pair_only_the_reversal_resolves(tmp_path, capsys):
+    """``derive`` reports the smallest-|q0| root -0.141126588029, not the next root out."""
+    params, drives = bare_params(REVERSAL_PAIR), om.DriveConfig(**REVERSAL_DRIVES)
+    wp = om.solve_working_point(params, drives, "bare")
+    assert wp.multiple_roots
+    assert brackets_a_root(params, drives, wp.q0)
+    assert brackets_a_root(params, drives, -6.613582093601769)
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"detuning_mode": "bare", "params": REVERSAL_PAIR,
+                                "drives": REVERSAL_DRIVES}))
+    assert cli.main(["derive", "--scenario", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["q0"] == -0.141126588029
+
+
+def test_bare_solve_judges_a_small_root_relative_to_itself():
+    """The root -3.6970e-9 is the operating point; -3.7231e-9, which met a residual gate
+    scaled by max(|q0|, 1), is no root: the exact balance keeps its sign across it."""
+    params, drives = bare_params(SMALL_ROOT), om.DriveConfig(1.0794921254589554e-10,
+                                                             4.310486936781348e-05)
+    wp = om.solve_working_point(params, drives, "bare")
+    assert not wp.multiple_roots
+    assert wp.q0 == pytest.approx(-3.69695422007e-09, rel=1e-11, abs=0.0)
+    assert brackets_a_root(params, drives, wp.q0)
+    assert not brackets_a_root(params, drives, -3.72313024855e-09)
+
+
+@pytest.mark.parametrize("power", [5e-324, 1e-310, 1e-300])
+@pytest.mark.parametrize("tones", [(1, 1), (1, 0), (0, 1)], ids=["both", "tone1", "tone2"])
+def test_subnormal_powers_solve(params, power, tones):
+    """Photon numbers, forces and q0 below the normal float range still meet the balance:
+    its residual gate has the smallest normal float as its floor.  At 5e-324 W the
+    polynomial's constant term is so small that its reversal's companion matrix overflows;
+    the reversal then adds no candidates."""
+    drives = om.DriveConfig(power * tones[0], power * tones[1])
+    wp = om.solve_working_point(params, drives, "bare")
+    assert not wp.multiple_roots
+    assert brackets_a_root(params, drives, wp.q0)
+
+
+def test_a_root_steeper_than_the_float_spacing_meets_the_gate():
+    """The residual gate allows |d balance/dq| times the float spacing of q: the smallest-|q0|
+    root 33.6013 is the operating point, not the next root out at 1.08e7."""
+    params = bare_params(STEEP_PAIR)
+    drives = om.DriveConfig(6.424257004542835e-05, 4.062910482259703e-10)
+    wp = om.solve_working_point(params, drives, "bare")
+    assert wp.multiple_roots
+    assert wp.q0 == pytest.approx(33.60132615644084, rel=1e-12, abs=0.0)
+    assert brackets_a_root(params, drives, wp.q0)
+    assert brackets_a_root(params, drives, 33.601344127172254)
+
+
+def test_inversion_holds_the_smallest_root_of_a_steep_pair():
+    """The held balance's roots -6.049229556e-4 and -6.049236793e-4 are 1.2e-6 apart
+    relative; the inversion lands on the smaller |q0| and meets its C2 target."""
+    params, c2 = bare_params(STEEP_HELD_PAIR), 778.7992174772619
+    drives, wp = wpmod.invert_cooperativity(params, None, c2, "bare", p_c1=1e-12)
+    assert wp.q0 == pytest.approx(-6.049229556101775e-04, rel=1e-12, abs=0.0)
+    assert brackets_a_root(params, drives, wp.q0)
+    achieved = om.cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
+    assert abs(achieved - c2) <= 1e-12 * c2

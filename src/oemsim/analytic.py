@@ -26,8 +26,8 @@ EIT_regime exactly when every pole's real part is exactly 0.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import permutations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,16 +38,8 @@ EIT_REGIME = "EIT_regime"
 NMS_REGIME = "NMS_regime"
 
 
-class _RwaCoefficients(NamedTuple):
-    kappa1: float
-    kappa2: float
-    gamma_m: float
-    s1: float
-    s2: float
-
-
-class RwaCoefficients(Checked, _RwaCoefficients):
-    """Rates and drive weights entering the closed-form response.
+class RwaCoefficients(Checked, namedtuple("RwaCoefficients", "kappa1 kappa2 gamma_m s1 s2")):
+    """Rates [rad/s] and drive weights entering the closed-form response.
 
     s1 = g1^2 |a10|^2 / 2 and s2 = g2^2 |a20|^2 / 2, in rad^2/s^2.
     """
@@ -72,8 +64,9 @@ class RwaCoefficients(Checked, _RwaCoefficients):
         )
 
 
-class PoleSet(NamedTuple):
-    """The three response poles, ordered by ascending |Im|.
+class PoleSet(namedtuple("PoleSet", "roots classification")):
+    """The three response poles ``roots``, a tuple of three complex numbers ordered by
+    ascending |Im|.
 
     classification is EIT_regime when every root's real part is exactly 0 (how
     ``_poles`` returns a real root of its cubic), NMS_regime when a pair has
@@ -81,8 +74,7 @@ class PoleSet(NamedTuple):
     (half-widths at half maximum of the corresponding Lorentzian factors).
     """
 
-    roots: tuple[complex, complex, complex]
-    classification: str
+    __slots__ = ()
 
     @property
     def widths(self) -> tuple[float, float, float]:
@@ -179,7 +171,8 @@ def root_trajectories(kappa1, kappa2, gamma_m, s1, s2) -> np.ndarray:
     return out
 
 
-class EiaSplitting(NamedTuple):
+class EiaSplitting(namedtuple("EiaSplitting",
+                              "gamma_plus gamma_minus gamma_eia_approx narrow_coupling")):
     """Splitting of the transparency-window pole by the second coupling tone.
 
     gamma_plus/gamma_minus are the two descendants of Gamma_EIT, as Python
@@ -190,10 +183,7 @@ class EiaSplitting(NamedTuple):
     threshold 0.1).
     """
 
-    gamma_plus: complex
-    gamma_minus: complex
-    gamma_eia_approx: float
-    narrow_coupling: bool
+    __slots__ = ()
 
 
 def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
@@ -226,11 +216,11 @@ def eia_splitting(gamma_eit: float, s2: float, kappa2: float) -> EiaSplitting:
     )
 
 
-class PeakHeight(NamedTuple):
-    """Line-center response height: exact x=0 value and its large-C estimate."""
+class PeakHeight(namedtuple("PeakHeight", "exact large_c_approx")):
+    """Line-center response height: exact x=0 value and its large-C estimate (a float, or
+    None where it is undefined)."""
 
-    exact: float
-    large_c_approx: float | None
+    __slots__ = ()
 
 
 def peak_height(c1: float, c2: float) -> PeakHeight:

@@ -36,8 +36,8 @@ import math
 import os
 import re
 import sys
+from collections import namedtuple
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,21 +119,19 @@ def _round12(value: float) -> float:
     return float(_fmt(value))
 
 
-class Scenario(NamedTuple):
+class Scenario(namedtuple("Scenario", "params detuning_mode drives sweep variants out_path "
+                                      "out_format")):
     """Validated scenario document driving one CLI run.
 
+    ``params`` is a SystemParams, ``detuning_mode`` "effective" or "bare", ``drives`` a dict
+    of both powers or both cooperativity targets, ``out_path`` a str or None and
+    ``out_format`` "csv" or "json".
     ``sweep`` is empty or holds every key of its kind (``SWEEPS``), already typed;
     ``variants`` holds one dict per table a probe sweep writes, every variant key set, the
     response model included (a scenario without variants has the one unlabeled variant).
     """
 
-    params: SystemParams
-    detuning_mode: str
-    drives: dict
-    sweep: dict
-    variants: list
-    out_path: str | None
-    out_format: str
+    __slots__ = ()
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":

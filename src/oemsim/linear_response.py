@@ -28,7 +28,7 @@ internally); thermal occupations are taken as zero.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -40,26 +40,23 @@ RESIDUAL_TOL = 1e-10
 _TINY = np.finfo(float).tiny
 
 
-class SidebandSolution(NamedTuple):
+class SidebandSolution(namedtuple("SidebandSolution", "a1_plus a1_minus a2_plus a2_minus q_plus "
+                                                      "delta rwa residual")):
     """Complex sideband amplitudes at one probe detuning (arrays over a grid), per unit E_p.
 
     a1_plus/a2_plus sit at omega_ci + delta (the cavity-1 upper sideband is
     the probe frequency itself), a1_minus/a2_minus at omega_ci - delta, and
     q_plus is the mechanical coherence at +delta (Q_- = conj(Q_+)).
-    ``residual`` is the relative re-substitution error of the linear solve.
+    ``rwa`` is True for every model but "full", and ``residual`` is the relative
+    re-substitution error of the linear solve.
     """
 
-    a1_plus: complex
-    a1_minus: complex
-    a2_plus: complex
-    a2_minus: complex
-    q_plus: complex
-    delta: float
-    rwa: bool
-    residual: float
+    __slots__ = ()
 
 
-class ProbeResponse(NamedTuple):
+class ProbeResponse(namedtuple("ProbeResponse", "e_l e_r reflect_flux transmit_flux mech_intensity "
+                                                "lower_sideband_flux1 lower_sideband_flux2 "
+                                                "bath_flux flux_budget")):
     """Observables at one probe detuning (arrays over a grid), flux-normalized to the probe input.
 
     e_l and e_r are the normalized output-field amplitudes 2 kappa_i a_i+ / E_p;
@@ -71,15 +68,7 @@ class ProbeResponse(NamedTuple):
     emerges at omega_c2 + (omega_p - omega_c1) = omega_c2 + delta.
     """
 
-    e_l: complex
-    e_r: complex
-    reflect_flux: float
-    transmit_flux: float
-    mech_intensity: float
-    lower_sideband_flux1: float
-    lower_sideband_flux2: float
-    bath_flux: float
-    flux_budget: float
+    __slots__ = ()
 
 
 def probe_outputs(sol: SidebandSolution, params: SystemParams) -> ProbeResponse:

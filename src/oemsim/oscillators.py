@@ -22,7 +22,7 @@ purely as a cross-check.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,18 +34,8 @@ METHODS = ("exact_propagator", "rk4")  # the integration methods of ``propagate`
 STABILITY_FACTOR = 0.1  # rk4 guard: dt <= STABILITY_FACTOR / max_rate
 
 
-class _OscillatorModel(NamedTuple):
-    delta1: float
-    delta2: float
-    omega_m: float
-    kappa1: float
-    kappa2: float
-    gamma_m_half: float
-    g_eff1: float
-    g_eff2: float
-
-
-class OscillatorModel(Checked, _OscillatorModel):
+class OscillatorModel(Checked, namedtuple("OscillatorModel", "delta1 delta2 omega_m kappa1 kappa2 "
+                                                            "gamma_m_half g_eff1 g_eff2")):
     """Rates and couplings of the effective (u, v, w) oscillator triple.
 
     gamma_m_half is the amplitude damping rate of w (half the mechanical
@@ -74,13 +64,9 @@ class OscillatorModel(Checked, _OscillatorModel):
         )
 
 
-class _Trajectory(NamedTuple):
-    times: np.ndarray
-    states: np.ndarray  # shape (len(times), 3), complex
-
-
-class Trajectory(Checked, _Trajectory):
-    """Time samples of the (u, v, w) amplitudes; times strictly increasing."""
+class Trajectory(Checked, namedtuple("Trajectory", "times states")):
+    """Time samples of the (u, v, w) amplitudes: ``times``, a strictly increasing array, and
+    ``states``, a complex array of shape (len(times), 3)."""
 
     __slots__ = ()
 

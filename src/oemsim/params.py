@@ -21,7 +21,7 @@ carriers themselves are kept only for photon-energy conversions.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidParameterError
 
@@ -85,8 +85,8 @@ def within(value: float, name: str, kind: str, scale: float = 1.0) -> float:
 
 
 class Checked:
-    """Base of a checked record: a subclass of a NamedTuple that runs ``_check`` on
-    every new instance, those made by ``_make`` and ``_replace`` included.
+    """Base of a checked record, ``class X(Checked, namedtuple("X", fields))``: runs
+    ``_check`` on every new instance, those made by ``_make`` and ``_replace`` included.
 
     A subclass sets ``__slots__ = ()`` so that its instances stay immutable.
     """
@@ -103,20 +103,8 @@ class Checked:
         return cls(*iterable)
 
 
-class _SystemParams(NamedTuple):
-    omega_c1: float
-    omega_c2: float
-    delta_bare1: float
-    delta_bare2: float
-    omega_m: float
-    gamma_m: float
-    kappa1: float
-    kappa2: float
-    g1: float
-    g2: float
-
-
-class SystemParams(Checked, _SystemParams):
+class SystemParams(Checked, namedtuple("SystemParams", "omega_c1 omega_c2 delta_bare1 delta_bare2 "
+                                                      "omega_m gamma_m kappa1 kappa2 g1 g2")):
     """Fixed hardware rates and detunings of the two-cavity device.
 
     Attributes
@@ -215,12 +203,7 @@ def default_params() -> SystemParams:
     return SystemParams.from_hz(**REFERENCE_HZ)
 
 
-class _DriveConfig(NamedTuple):
-    p_c1: float
-    p_c2: float
-
-
-class DriveConfig(Checked, _DriveConfig):
+class DriveConfig(Checked, namedtuple("DriveConfig", "p_c1 p_c2")):
     """Input powers of the two coupling tones [W], each inside the envelope's power row.
 
     The probe needs no power: the linear response is normalized per unit
@@ -240,7 +223,7 @@ class DriveConfig(Checked, _DriveConfig):
         far more than 1e3 W, and the power it needs stays finite."""
         _require_non_negative(p_c1, "p_c1")
         _require_non_negative(p_c2, "p_c2")
-        return _DriveConfig.__new__(cls, p_c1, p_c2)
+        return tuple.__new__(cls, (p_c1, p_c2))
 
 
 def drive_amplitude(power: float, carrier: float, kappa: float) -> float:

@@ -40,7 +40,7 @@ working point whose margin is positive.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,7 +55,8 @@ INVERSION_RTOL = 1e-3  # relative miss of a cooperativity target that means anot
 _TINY = np.finfo(float).tiny  # the floor of every relative comparison of roots
 
 
-class WorkingPoint(NamedTuple):
+class WorkingPoint(namedtuple("WorkingPoint", "a10 a20 q0 delta1 delta2 n1 n2 multiple_roots",
+                              defaults=(False,))):
     """Zeroth-order steady state about which the probe response is linearized.
 
     a10, a20 are the intracavity amplitudes at the coupling-tone frequencies
@@ -63,17 +64,10 @@ class WorkingPoint(NamedTuple):
     coordinate, delta1/delta2 the effective (spring-shifted) detunings
     [rad/s], and n1/n2 the intracavity photon numbers.  ``multiple_roots``
     flags that the static force balance had several solutions (bistability)
-    and the smallest-|q0| one was returned.
+    and the smallest-|q0| one was returned; it defaults to False.
     """
 
-    a10: complex
-    a20: complex
-    q0: float
-    delta1: float
-    delta2: float
-    n1: float
-    n2: float
-    multiple_roots: bool = False
+    __slots__ = ()
 
 
 def _terms(params, e1, e2):

@@ -119,3 +119,25 @@ def test_exact_propagator_takes_one_expm_and_loads_no_scipy():
         "assert calls == [(4, 4)], calls\n"
         "assert not any(m.startswith('scipy') for m in sys.modules)\n"
     )
+
+
+def test_no_record_is_built_through_typing_namedtuple():
+    """Every record is a ``collections.namedtuple`` class: ``typing.NamedTuple`` compiles
+    each field annotation when its module loads, in every process that loads it.  A class
+    counts as built through it when ``typing.NamedTuple`` is among its original bases or
+    when it carries the field annotations that ``typing.NamedTuple`` sets."""
+    found = run_python(
+        "import inspect, sys, typing\n"
+        "import oemsim.cli, oemsim.analytic, oemsim.linear_response, oemsim.oscillators\n"
+        "found = set()\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.split('.')[0] != 'oemsim':\n"
+        "        continue\n"
+        "    for _, cls in inspect.getmembers(module, inspect.isclass):\n"
+        "        for c in cls.__mro__:\n"
+        "            if c.__module__.split('.')[0] == 'oemsim' and (\n"
+        "                    typing.NamedTuple in vars(c).get('__orig_bases__', ())\n"
+        "                    or hasattr(c, '_fields') and vars(c).get('__annotations__')):\n"
+        "                found.add(f'{c.__module__}.{c.__qualname__}')\n"
+        "print(sorted(found))\n")
+    assert found == "[]\n", found

@@ -194,12 +194,12 @@ def exact_balance(params, e1, e2, q):
     return f
 
 
-def brackets_a_root(params, drives, q):
-    """Whether the exact balance changes sign across q (1 +/- 1e-9), widened by the smallest
+def brackets_a_root(params, drives, q, rel=1e-9):
+    """Whether the exact balance changes sign across q (1 +/- rel), widened by the smallest
     subnormal float so that a subnormal q, which carries few digits, is judged too."""
     e1 = om.drive_amplitude(drives.p_c1, params.omega_c1, params.kappa1)
     e2 = om.drive_amplitude(drives.p_c2, params.omega_c2, params.kappa2)
-    half = abs(Fraction(q)) / 10**9 + Fraction(2) ** -1074
+    half = abs(Fraction(q)) * Fraction(rel) + Fraction(2) ** -1074
     lo, hi = (exact_balance(params, e1, e2, Fraction(q) + k * half) for k in (-1, 1))
     return lo * hi < 0
 
@@ -243,6 +243,19 @@ STEEP_HELD_PAIR = {
     "gamma_m_hz": 76.18752084464015, "kappa1_hz": 0.03970373952838794,
     "kappa2_hz": 48945.2390837213, "g1_hz": 1e9, "g2_hz": 1e-6, "delta1_hz": -604923.3174540276,
     "delta2_hz": 0.001}
+# A root pair 2.8e-13 apart relative at cavity 1's Lorentzian center delta1/g1 = 1e4, whose
+# width kappa1/g1 is 1e-12: the smallest-|q0| roots are 9999.999999998618 and
+# 10000.00000000138, and -2302372.299 is the next root out.
+CLOSE_PAIR = {
+    "omega_c1_hz": 2.720983297043495e15, "omega_c2_hz": 393269427.2510466, "omega_m_hz": 1e11,
+    "gamma_m_hz": 1e-3, "kappa1_hz": 1e-3, "kappa2_hz": 1e-3, "g1_hz": 1e9, "g2_hz": 1e-6,
+    "delta1_hz": 1e13, "delta2_hz": -1e-3}
+# Delta2 rounds to 0 near q0 = -1e-12, where the float balance reads exactly 0; the exact
+# balance keeps its sign there, and its only real root is 1.923e10.
+ZERO_READING = {
+    "omega_c1_hz": 1e6, "omega_c2_hz": 1e6, "omega_m_hz": 67.55296712811675,
+    "gamma_m_hz": 2312110476.855714, "kappa1_hz": 1e12, "kappa2_hz": 1e-3, "g1_hz": 1e9,
+    "g2_hz": 1e9, "delta1_hz": -1e-3, "delta2_hz": 1e-3}
 
 
 def test_distinct_small_roots_are_not_tied():
@@ -316,3 +329,32 @@ def test_inversion_holds_the_smallest_root_of_a_steep_pair():
     assert brackets_a_root(params, drives, wp.q0)
     achieved = om.cooperativity(params.g2, wp.n2, params.kappa2, params.gamma_m)
     assert abs(achieved - c2) <= 1e-12 * c2
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known bare-solve fault: a root pair closer than about 1e-7 "
+                          "relative is missed, and the next root out is returned")
+def test_bare_solve_resolves_a_close_root_pair_at_a_lorentzian_center():
+    """The operating point is the pair's smaller root 9999.999999998618, flagged as one of
+    several; the exact balance changes sign across it within 1e-15 relative, a window that
+    leaves out the pair's other root, 2.8e-13 relative away."""
+    params, drives = bare_params(CLOSE_PAIR), om.DriveConfig(0.16096495547884337, 1e3)
+    wp = om.solve_working_point(params, drives, "bare")
+    assert wp.q0 == pytest.approx(9999.999999998618, rel=1e-15, abs=0.0)
+    assert wp.multiple_roots
+    assert brackets_a_root(params, drives, wp.q0, rel=1e-15)
+    assert brackets_a_root(params, drives, 10000.00000000138, rel=1e-15)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known bare-solve fault: a float balance that reads exactly 0 "
+                          "off every root is taken for a root")
+def test_bare_solve_takes_no_zero_reading_for_a_root():
+    """The only real root is 1.923e10; q0 = -1e-12, where the float balance reads 0, is no
+    root: the exact balance keeps its sign across it."""
+    params, drives = bare_params(ZERO_READING), om.DriveConfig(1e3, 1e-12)
+    assert not brackets_a_root(params, drives, -1.0000000000000002e-12)
+    wp = om.solve_working_point(params, drives, "bare")
+    assert wp.q0 == pytest.approx(1.9230174401882e10, rel=1e-12, abs=0.0)
+    assert not wp.multiple_roots
+    assert brackets_a_root(params, drives, wp.q0)

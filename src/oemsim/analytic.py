@@ -9,7 +9,10 @@ nested continued fraction
                                     - s2 / (x + i*kappa2) ) )
 
 with x the probe detuning from the shifted cavity resonance, and the
-radiation-pressure weights s_i = g_i^2 |a_i0|^2 / 2.  Clearing denominators
+radiation-pressure weights s_i = g_i^2 |a_i0|^2 / 2.  Off resonance each cavity
+level shifts by its offset eps_i = Delta_i - omega_m (``_levels``, which the
+"analytic" model of ``linear_response.response_grid`` evaluates); every other
+function here assumes eps_i = 0.  Clearing denominators
 gives the cubic
 
     p(x) = (x + i*kappa1)(x + i*gamma_m/2)(x + i*kappa2)
@@ -81,21 +84,33 @@ class PoleSet(namedtuple("PoleSet", "roots classification")):
         return tuple(-r.imag for r in self.roots)
 
 
+def _levels(x, kappa1, kappa2, gamma_m, s1, s2, eps1=0.0, eps2=0.0):
+    """The levels of the nested fraction, innermost first: inner = x - eps2 + i kappa2,
+    mid = (x + i gamma_m/2) - s2/inner and outer = (x - eps1 + i kappa1) - s1/mid, so that
+    E_L = 2i kappa1/outer.
+
+    eps_i = Delta_i - omega_m is cavity i's offset from two-photon resonance (Agarwal &
+    Huang, Phys. Rev. A 81, 041803(R) (2010)); every argument broadcasts.
+    """
+    inner = x - eps2 + 1j * kappa2
+    mid = (x + 0.5j * gamma_m) - s2 / inner
+    return inner, mid, (x - eps1 + 1j * kappa1) - s1 / mid
+
+
 def response_rwa(x, c: RwaCoefficients):
-    """Evaluate the nested-fraction response E_L(x); accepts scalar or array x.
+    """Evaluate the nested-fraction response E_L(x) (``_levels``); accepts scalar or array x.
 
     Raises SingularResponseError if x sits exactly on a pole (only possible
     for complex x; the response is pole-free on the real axis since every
     level of the fraction keeps a positive imaginary part).
     """
-    x_arr = np.asarray(x, dtype=complex)
-    inner = x_arr + 1j * c.kappa2
+    with np.errstate(all="ignore"):  # a vanishing level is refused below, innermost first
+        inner, mid, outer = _levels(np.asarray(x, dtype=complex), c.kappa1, c.kappa2,
+                                    c.gamma_m, c.s1, c.s2)
     if np.any(inner == 0):
         raise SingularResponseError("x + i*kappa2 vanished", delta=None)
-    mid = (x_arr + 0.5j * c.gamma_m) - c.s2 / inner
     if np.any(mid == 0):
         raise SingularResponseError("middle level of the response fraction vanished")
-    outer = (x_arr + 1j * c.kappa1) - c.s1 / mid
     if np.any(outer == 0):
         raise SingularResponseError("response evaluated exactly on a pole")
     result = 2j * c.kappa1 / outer

@@ -26,7 +26,8 @@ failure.
 
 Only the layers a subcommand runs are imported: ``invert`` needs the working point
 alone, ``derive`` and the sweeps add the closed forms (``analytic``) and the response
-kernel (``linear_response``), and only ``integrate`` loads ``oscillators``.
+kernel (``linear_response``), and only ``integrate`` and the "oscillator" response model
+load ``oscillators``.
 """
 
 from __future__ import annotations

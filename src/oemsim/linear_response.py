@@ -12,14 +12,17 @@ susceptibility is linearized about omega_m,
 
 which turns the mechanical coherence into a rotating-wave oscillator with
 half damping.  The reduced 3x3 system is then algebraically identical to the
-closed-form nested-fraction response (see ``analytic``) at
-Delta_1 = Delta_2 = omega_m, and conserves probe photon flux exactly across
-its three decay channels.
+closed-form nested-fraction response (``analytic``, offset by
+eps_i = Delta_i - omega_m) and to the steady state of the three-oscillator
+model (``oscillators``), and conserves probe photon flux exactly across its
+three decay channels.
 
-One kernel, ``_solve_grid``, solves every model on a whole grid at once by
-eliminating the cavity rows into the mechanical row, and gates every point
-on its re-substitution residual.  ``response_grid``, the one public entry,
-adds the observables; ``model`` selects the system it solves.
+One kernel, ``_solve_grid``, answers every model on a whole grid at once and gates
+every point on its re-substitution residual.  It solves "full" and "rwa" itself, by
+eliminating the cavity rows into the mechanical row; "analytic" evaluates the nested
+fraction and "oscillator" the oscillator steady state, so the three RWA routes stay
+independent.  ``response_grid``, the one public entry, adds the observables; ``model``
+selects the route.
 
 All sideband amplitudes are normalized per unit probe amplitude (E_p = 1
 internally); thermal occupations are taken as zero.
@@ -142,12 +145,12 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
     """Sideband amplitudes of ``model`` on a whole grid, as a SidebandSolution of arrays.
 
     ``delta`` and the working-point fields broadcast (one working point and a delta
-    grid, or one delta and a WorkingPoint of arrays).  "full", "rwa" and "oscillator"
-    are arrow matrices (each cavity row couples only to itself and the mechanics),
-    solved by ``_arrow_solve``; "analytic" is the rwa system eliminated in the same order
-    (a2+ into the mechanical row, then Q+ into the cavity-1 row), its coefficients formed
-    from g_i^2 n_i rather than from the matrix entries.
-    A point whose re-substitution residual exceeds 1e-10 raises
+    grid, or one delta and a WorkingPoint of arrays).  "full" and "rwa" are arrow
+    matrices (each cavity row couples only to itself and the mechanics), solved by
+    ``_arrow_solve``.  "analytic" is the nested fraction (``analytic._levels``) and
+    "oscillator" the stacked oscillator steady state (``oscillators.steady_state``),
+    whose amplitudes drop the tones' phases; the first is gated on the rwa system, the
+    second on its own.  A point whose re-substitution residual exceeds 1e-10 raises
     SingularResponseError naming its row and x.
     """
     k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
@@ -173,15 +176,22 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
             # unknowns (a1+, a2+, Q+); mechanical row linearized about omega_m
             (a1p, a2p), qp, residual = _arrow_solve(*rwa)
         elif model == "analytic":
-            m_mech = rwa[3] + 1j * g2**2 * wp.n2 / cav[1]
-            a1p = 1.0 / (cav[0] + 1j * g1**2 * wp.n1 / m_mech)
-            qp = -g1 * np.conj(a10) * a1p / m_mech
-            a2p = -1j * g2 * a20 * qp / cav[1]
+            # the nested fraction at the cavities' offsets eps_i = Delta_i - omega_m
+            from .analytic import _levels
+            inner, mid, outer = _levels(delta - wm, k1, k2, gm, g1**2 * wp.n1 / 2.0,
+                                        g2**2 * wp.n2 / 2.0, d1 - wm, d2 - wm)
+            a1p = 1j / outer
+            qp = -g1 * np.conj(a10) * a1p / (2.0 * mid)
+            a2p = g2 * a20 * qp / inner
             residual = _arrow_residual(*rwa, [a1p, a2p], qp)
         elif model == "oscillator":
-            # (-i delta - A)(u, v, w) = (1, 0, 0), A = oscillators.system_matrix; Q+ = w / sqrt 2
-            g_eff = [1j * (g * np.abs(a) / math.sqrt(2.0)) for g, a in ((g1, a10), (g2, a20))]
-            (a1p, a2p), w, residual = _arrow_solve(cav, g_eff, g_eff, gm / 2.0 - 1j * (delta - wm))
+            # the oscillator steady state (u, v, w), gated on its own arrow system; Q+ = w/sqrt 2
+            from .oscillators import from_working_point, steady_state
+            osc = from_working_point(wp, params)
+            a1p, a2p, w = np.moveaxis(steady_state(osc, delta), -1, 0)
+            g_eff = [1j * osc.g_eff1, 1j * osc.g_eff2]
+            residual = _arrow_residual(cav, g_eff, g_eff, osc.gamma_m_half - 1j * (delta - wm),
+                                       [a1p, a2p], w)
             qp = w / math.sqrt(2.0)
         else:
             raise InvalidParameterError(f"unknown response model {model!r}")
@@ -194,11 +204,12 @@ def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> 
     """Probe response of ``model`` ("full", "rwa", "analytic" or "oscillator") on a whole
     grid: a ProbeResponse of arrays, or of scalars for a scalar delta and working point.
 
-    The sideband amplitudes come from ``_solve_grid`` (broadcasting ``delta``
-    against the working-point fields, 1e-10 residual gate), the observables
-    from ``probe_outputs``.  A point whose reflect_flux, transmit_flux,
-    mech_intensity or flux_budget is not finite raises SingularResponseError
-    naming its row and x.
+    The sideband amplitudes come from ``_solve_grid`` (the kernel's own elimination for
+    "full" and "rwa", the nested fraction for "analytic", the oscillator steady state for
+    "oscillator"; ``delta`` broadcasts against the working-point fields; 1e-10 residual
+    gate), the observables from ``probe_outputs``.  A point whose reflect_flux,
+    transmit_flux, mech_intensity or flux_budget is not finite raises
+    SingularResponseError naming its row and x.
     """
     sol = _solve_grid(wp, params, delta, model)
     with np.errstate(all="ignore"):  # a float overflow shows up as a non-finite observable

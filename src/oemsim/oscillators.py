@@ -9,9 +9,11 @@ rotating-wave mechanical amplitude:
 
 with effective couplings G_i = g_i |a_i0| / sqrt(2), so that G_i^2 equals
 the drive weights s_i of the closed-form response and the harmonic steady
-state reproduces it exactly at Delta_1 = Delta_2 = omega_m.  The narrow
-absorption peak needs the rate hierarchy kappa1 >> gamma_m >> kappa2, i.e. a
-mechanical linewidth between the two cavity linewidths.
+state reproduces it exactly, at cavity offsets Delta_i - omega_m included.  The
+narrow absorption peak needs the rate hierarchy kappa1 >> gamma_m >> kappa2,
+i.e. a mechanical linewidth between the two cavity linewidths.  The steady state
+over a whole grid, one stacked solve (``steady_state``), is the "oscillator"
+model of ``linear_response.response_grid``.
 
 The system is linear with constant coefficients, so the time-domain
 propagation is done exactly (the matrix exponential of one output step,
@@ -54,14 +56,14 @@ class OscillatorModel(Checked, namedtuple("OscillatorModel", "delta1 delta2 omeg
         return 2.0 * self.gamma_m_half
 
     def system_matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [-1j * self.delta1 - self.kappa1, 0.0, -1j * self.g_eff1],
-                [0.0, -1j * self.delta2 - self.kappa2, -1j * self.g_eff2],
-                [-1j * self.g_eff1, -1j * self.g_eff2, -1j * self.omega_m - self.gamma_m_half],
-            ],
-            dtype=complex,
-        )
+        """The drift matrix A of (u, v, w), of shape (..., 3, 3) over the broadcast fields."""
+        a = np.zeros(np.broadcast(*self).shape + (3, 3), dtype=complex)
+        a[..., 0, 0] = -1j * self.delta1 - self.kappa1
+        a[..., 1, 1] = -1j * self.delta2 - self.kappa2
+        a[..., 2, 2] = -1j * self.omega_m - self.gamma_m_half
+        a[..., 0, 2] = a[..., 2, 0] = -1j * self.g_eff1
+        a[..., 1, 2] = a[..., 2, 1] = -1j * self.g_eff2
+        return a
 
 
 class Trajectory(Checked, namedtuple("Trajectory", "times states")):
@@ -89,24 +91,29 @@ def from_working_point(wp: WorkingPoint, params: SystemParams) -> OscillatorMode
     )
 
 
+def steady_state(model: OscillatorModel, delta, probe_amp: complex = 1.0) -> np.ndarray:
+    """Periodic steady-state amplitudes Z of z(t) = Z exp(-i delta t), of shape (..., 3).
+
+    Solves (-i delta I - A) Z = d for the constant drive vector d = (probe_amp, 0, 0) in
+    one stacked np.linalg.solve; ``delta`` and the model's fields broadcast.  d is a
+    (..., 3, 1) column, which numpy 1.x and 2.x both read as one right-hand side.
+    """
+    delta = np.asarray(delta, dtype=float)
+    m = -1j * delta[..., None, None] * np.eye(3) - model.system_matrix()
+    d = np.zeros(m.shape[:-1] + (1,), dtype=complex)
+    d[..., 0, 0] = probe_amp
+    try:
+        return np.linalg.solve(m, d)[..., 0]
+    except np.linalg.LinAlgError as exc:  # an exactly zero pivot, in any system of the stack
+        raise SingularResponseError("oscillator steady state singular",
+                                    delta=float(delta) if delta.ndim == 0 else None) from exc
+
+
 def harmonic_steady_state(
     model: OscillatorModel, delta: float, probe_amp: complex = 1.0
 ) -> tuple[complex, complex, complex]:
-    """Periodic steady-state amplitudes Z of z(t) = Z exp(-i delta t).
-
-    Solves (-i delta I - A) Z = d for the constant drive vector
-    d = (probe_amp, 0, 0).
-    """
-    a = model.system_matrix()
-    m = -1j * delta * np.eye(3) - a
-    d = np.array([probe_amp, 0.0, 0.0], dtype=complex)
-    try:
-        z = np.linalg.solve(m, d)
-    except np.linalg.LinAlgError as exc:
-        raise SingularResponseError(
-            f"oscillator steady state singular at delta = {delta:.6e} rad/s", delta=delta
-        ) from exc
-    return complex(z[0]), complex(z[1]), complex(z[2])
+    """``steady_state`` at one detuning, as three Python complex numbers (u, v, w)."""
+    return tuple(complex(z) for z in steady_state(model, delta, probe_amp))
 
 
 def _max_rate(matrix: np.ndarray) -> float:

@@ -68,6 +68,34 @@ def test_steady_state_matches_nested_fraction(params, wp_c40):
         assert 2.0 * params.kappa1 * u == pytest.approx(om.response_rwa(x, coeffs), rel=1e-10)
 
 
+def test_stacked_steady_state_is_one_solve_per_system(scaled_model):
+    """A grid of detunings against a model whose couplings are arrays: one (n, 3, 3) system
+    matrix and one (n, 3) steady state, each row that of its scalar model and detuning."""
+    g2 = np.array([0.0, 1.0, 5.0, 20.0])
+    stacked = scaled_model._replace(g_eff2=g2)
+    deltas = scaled_model.omega_m + np.array([-30.0, -1.0, 0.0, 12.5])
+    matrices = stacked.system_matrix()
+    z = oscillators.steady_state(stacked, deltas, 0.5j)
+    assert matrices.shape == (4, 3, 3) and z.shape == (4, 3)
+    for i, (g, delta) in enumerate(zip(g2, deltas)):
+        scalar = scaled_model._replace(g_eff2=float(g))
+        assert np.array_equal(matrices[i], scalar.system_matrix())
+        want = om.harmonic_steady_state(scalar, float(delta), 0.5j)
+        np.testing.assert_allclose(z[i], want, rtol=1e-14, atol=0)
+
+
+def test_singular_steady_state_is_a_singular_response(scaled_model, monkeypatch):
+    """A zero LU pivot (no valid model has one: the Hermitian part of -i delta I - A is
+    diag(kappa1, kappa2, gamma_m/2) > 0) is a SingularResponseError, not a LinAlgError."""
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(om.SingularResponseError, match="^oscillator steady state singular$") as info:
+        om.harmonic_steady_state(scaled_model, 2.5)
+    assert info.value.delta == 2.5
+
+
 def test_steady_state_flux_identity(params, wp_c40):
     model = om.from_working_point(wp_c40, params)
     k1, k2, gm = params.kappa1, params.kappa2, params.gamma_m

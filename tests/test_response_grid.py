@@ -1,5 +1,6 @@
-"""The whole-grid response kernel against independent per-point oracles: a dense LU
-solve of the sideband matrices and the oscillator steady state."""
+"""The whole-grid response kernel against an independent per-point oracle, a dense LU
+solve of the sideband matrices, and the analytic and oscillator routes against the
+kernel's rwa elimination."""
 
 import json
 import math
@@ -86,24 +87,19 @@ def dense_solution(wp, params, delta, rwa):
 
 
 def oracle(wp, params, delta, model):
-    """One ProbeResponse from an independent per-point route: the dense LU solve
-    ("analytic" is the rwa system) or the oscillator steady state."""
-    if model != "oscillator":
-        sol = dense_solution(wp, params, delta, model != "full")
-        return linear_response.probe_outputs(sol, params)
-    u, v, w = om.harmonic_steady_state(om.from_working_point(wp, params), delta)
-    k1, k2 = params.kappa1, params.kappa2
-    return {"e_l": 2 * k1 * u, "e_r": 2 * k2 * v, "mech_intensity": abs(w) ** 2 / 2,
-            "transmit_flux": 4 * k1 * k2 * abs(v) ** 2, "reflect_flux": abs(2 * k1 * u - 1) ** 2,
-            "bath_flux": 2 * k1 * params.gamma_m * abs(w) ** 2}
+    """One ProbeResponse from the dense LU solve of the sideband matrices, an independent
+    per-point route ("analytic" and "oscillator" are the rwa system)."""
+    sol = dense_solution(wp, params, delta, model != "full")
+    return linear_response.probe_outputs(sol, params)
 
 
-def assert_row_matches(grid, i, ref):
-    ref = ref if isinstance(ref, dict) else ref._asdict()
-    for name, want in ref.items():
+def assert_row_matches(grid, i, ref, model):
+    for name, want in ref._asdict().items():
         got = np.broadcast_to(getattr(grid, name), np.shape(grid.e_l))[i]
+        if name == "e_r" and model == "oscillator":  # its amplitudes drop the tones' phases
+            got, want = abs(got), abs(want)
         # reflect = |e_l - 1|^2 cancels near e_l = 1: its scale is that of its terms
-        scale = (1 + abs(ref["e_l"])) ** 2 if name == "reflect_flux" else abs(want)
+        scale = (1 + abs(ref.e_l)) ** 2 if name == "reflect_flux" else abs(want)
         assert abs(got - want) <= REL * scale, (name, i, got, want)
 
 
@@ -118,7 +114,7 @@ def test_probe_grid_matches_scalar_oracle(model):
         grid = response_grid(wp, params, deltas, model)
         assert grid.e_l.shape == deltas.shape
         for i, delta in enumerate(deltas):
-            assert_row_matches(grid, i, oracle(wp, params, float(delta), model))
+            assert_row_matches(grid, i, oracle(wp, params, float(delta), model), model)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -132,7 +128,7 @@ def test_one_working_point_per_row_matches_scalar_oracle(model):
     grid = response_grid(stacked, params, delta, model)
     assert grid.e_l.shape == (len(wps),)
     for i, wp in enumerate(wps):
-        assert_row_matches(grid, i, oracle(wp, params, delta, model))
+        assert_row_matches(grid, i, oracle(wp, params, delta, model), model)
 
 
 def test_rwa_grid_conserves_flux(params, wp_c40):
@@ -140,6 +136,28 @@ def test_rwa_grid_conserves_flux(params, wp_c40):
     for model in ("rwa", "analytic", "oscillator"):
         grid = response_grid(wp_c40, params, deltas, model)
         assert np.max(np.abs(grid.flux_budget - 1.0)) < 1e-9
+
+
+def test_analytic_and_oscillator_routes_solve_no_arrow_system(monkeypatch, params, wp_c40):
+    """"analytic" is the nested fraction and "oscillator" the oscillator steady state: with
+    the kernel's arrow elimination gone, both still answer, and agree with it off two-photon
+    resonance (bare C1 = C2 = 40, where Delta2 - omega_m = 3.996 kappa2)."""
+    wp_bare = cli.invert_cooperativity(params, 40.0, 40.0, "bare")[1]
+    assert (wp_bare.delta2 - params.omega_m) / params.kappa2 == pytest.approx(3.996, abs=1e-3)
+    deltas = params.omega_m + np.linspace(-30, 30, 2001) * params.gamma_m
+    rwa = response_grid(wp_bare, params, deltas, "rwa").e_l
+
+    def no_arrow(*args):
+        raise AssertionError("solved through the kernel's arrow elimination")
+
+    monkeypatch.setattr(linear_response, "_arrow_solve", no_arrow)
+    for model in ("analytic", "oscillator"):
+        e_l = response_grid(wp_bare, params, deltas, model).e_l
+        assert np.max(np.abs(e_l - rwa) / np.abs(rwa)) <= 1e-12, model
+    closed = om.response_rwa(deltas - params.omega_m,
+                             om.RwaCoefficients.from_working_point(wp_c40, params))
+    e_l = response_grid(wp_c40, params, deltas, "analytic").e_l
+    assert np.max(np.abs(e_l - closed) / np.abs(closed)) <= 1e-14
 
 
 @pytest.mark.parametrize("model", MODELS)

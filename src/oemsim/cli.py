@@ -16,7 +16,9 @@ environment- or time-dependent content, so repeated runs are byte-identical.
 The whole scenario is checked when it is loaded: every object in it holds only its
 known keys (``_object``), every input lies inside the supported-input envelope
 (``params.ENVELOPE``, whose own ``InvalidParameterError`` names the key, the value and the
-range), and no cooperativity target above 0 falls on an uncoupled cavity.
+range), no cooperativity target above 0 falls on an uncoupled cavity, and a key that only
+some runs read appears only where one reads it: ``model`` on a probe_x or
+cooperativity_ratio sweep, ``variants`` on a probe_x sweep, ``sweep.dt`` with method rk4.
 
 Exit codes: 0 success; 2 an input the run cannot serve (a config or parse error, an input
 outside the envelope or off the two-photon resonance a table assumes, an rk4 ``dt`` past
@@ -156,12 +158,14 @@ class Scenario(namedtuple("Scenario", "params detuning_mode drives sweep variant
             raise ScenarioError(f"output.format must be csv or json, got {out_format!r}")
 
         sweep = _sweep_from_spec(doc.get("sweep", {}))
-        if doc.get("variants") is not None and sweep.get("kind") != "probe_x":
-            raise ScenarioError(f"variants need a probe_x sweep, got kind {sweep.get('kind')!r}")
+        # each top-level key that only some sweep kinds read -> those kinds; anywhere else
+        # it would be ignored, so it is refused
+        for key, verb, kinds in (("variants", "need", ("probe_x",)),
+                                 ("model", "needs", ("probe_x", "cooperativity_ratio"))):
+            if doc.get(key) is not None and sweep.get("kind") not in kinds:
+                raise ScenarioError(f"{key} {verb} a {' or '.join(kinds)} sweep, "
+                                    f"got kind {sweep.get('kind')!r}")
         if sweep.get("kind") == "roots_vs_ratio":
-            if model == "full":
-                raise ScenarioError("the roots_vs_ratio table tracks the RWA poles; "
-                                    "model 'full' has no such table")
             if mode == "bare":
                 raise ScenarioError("the roots_vs_ratio table assumes two-photon resonance "
                                     "(Delta1 = Delta2 = omega_m), which detuning_mode 'bare' "
@@ -285,6 +289,8 @@ def _sweep_from_spec(spec) -> dict:
             raise ScenarioError(f"sweep.method must be one of {METHODS}, got {sweep['method']!r}")
         if sweep["method"] == "rk4" and (sweep["dt"] is None or sweep["dt"] <= 0):
             raise ScenarioError(f"sweep.dt must be > 0 for method rk4, got {sweep['dt']!r}")
+        if sweep["method"] != "rk4" and sweep["dt"] is not None:
+            raise ScenarioError(f"sweep.dt applies to method rk4 only, got {sweep['method']!r}")
     return sweep
 
 
@@ -378,7 +384,7 @@ def derive_summary(run: Run) -> dict:
 
     # tone 2 off is the C2 = 0 ratio row, and the run's own point when tone 2 is already off
     wp_off = run.scaled([None, None if drives.p_c2 == 0.0 else 0.0],
-                        "derive [as driven, tone 2 off]")[1]
+                        "summary [as driven, tone 2 off]")[1]
     on = response_grid(wp, params, params.omega_m, "rwa")
     off = response_grid(wp_off, params, params.omega_m, "rwa")
     switch_t_over_r = on.transmit_flux / on.reflect_flux if on.reflect_flux > 0 else math.inf

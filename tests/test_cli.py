@@ -189,8 +189,22 @@ MALFORMED = {  # case: (command, scenario keys over a valid probe sweep, start o
                                 "probe sweep needs x_min_gamma_m < x_max_gamma_m"),
     "ratio_min_negative": ("sweep", {"sweep": {**RATIO_SWEEP, "ratio_min": -1}},
                            "ratio sweep needs 0 <= ratio_min"),
+    # model and dt are read by some runs only, and refused where nothing reads them
     "roots_model_full": ("roots", {"model": "full", "sweep": {"kind": "roots_vs_ratio"}},
-                         "the roots_vs_ratio table tracks the RWA poles"),
+                         "model needs a probe_x or cooperativity_ratio sweep, "
+                         "got kind 'roots_vs_ratio'"),
+    "roots_model_rwa": ("roots", {"model": "rwa", "sweep": {"kind": "roots_vs_ratio"}},
+                        "model needs a probe_x or cooperativity_ratio sweep, "
+                        "got kind 'roots_vs_ratio'"),
+    "time_domain_model_full": ("integrate", {"model": "full", "sweep": {"kind": "time_domain",
+                                                                         "t_final": 1e-6}},
+                               "model needs a probe_x or cooperativity_ratio sweep, got kind "
+                               "'time_domain'"),
+    "derive_model_no_sweep": ("derive", {"model": "rwa", "sweep": {}},
+                              "model needs a probe_x or cooperativity_ratio sweep, got kind None"),
+    "exact_propagator_dt": ("integrate", {"sweep": {"kind": "time_domain", "t_final": 1e-6,
+                                                    "dt": 1e-9}},
+                            "sweep.dt applies to method rk4 only, got 'exact_propagator'"),
     "roots_bare": ("roots", {"detuning_mode": "bare", "drives": {"c1": 40},
                              "sweep": {"kind": "roots_vs_ratio", "n_points": 3}},
                    "the roots_vs_ratio table assumes two-photon resonance"),
@@ -622,15 +636,16 @@ def test_json_out_file_is_stdout(tmp_path, capsys, command):
     assert out.read_text(encoding="utf-8") == capsys.readouterr().out
 
 
-BLUE_DETUNED = {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}, "model": "full"}
+BLUE_DETUNED = {"params": {"delta1_hz": -1e7}, "drives": {"p_c1": "1.3mW"}}
 TONE2_BLUE = {"params": {"delta2_hz": -1e7}, "drives": {"c1": 40.0, "c2": 0.0}}
 UNSTABLE = {  # case: (command, scenario, the start of the error line)
-    "derive": ("derive", BLUE_DETUNED, "derive [as driven, tone 2 off] row 0"),
-    "probe_sweep": ("sweep", {**BLUE_DETUNED, "sweep": {"kind": "probe_x", "n_points": 3}},
-                    "derive [as driven, tone 2 off] row 0"),
+    "derive": ("derive", BLUE_DETUNED, "summary [as driven, tone 2 off] row 0"),
+    "probe_sweep": ("sweep", {**BLUE_DETUNED, "model": "full",
+                              "sweep": {"kind": "probe_x", "n_points": 3}},
+                    "summary [as driven, tone 2 off] row 0"),
     "integrate": ("integrate", {**BLUE_DETUNED, "sweep": {"kind": "time_domain",
                                                           "t_final": 1e-6}},
-                  "derive [as driven, tone 2 off] row 0"),
+                  "summary [as driven, tone 2 off] row 0"),
     "invert": ("invert", BLUE_DETUNED, "invert row 0"),
     # tone 2 blue-detuned amplifies once C2 > C1 + 1: the run's own point (C2 = 0) is
     # stable, the rows at C2/C1 = 1.5 and 2 are not

@@ -1,5 +1,6 @@
-"""Start-up cost guard: the CLI must not import scipy, ``dataclasses``,
-``importlib.resources`` or argparse, and each subcommand loads only the layers it runs.
+"""Start-up cost guard: the CLI must not import scipy, ``dataclasses``, ``fractions``,
+``decimal``, ``importlib.resources`` or argparse, and each subcommand loads only the
+layers it runs.
 
 numpy is the only runtime dependency; scipy serves the tests as an oracle.
 """
@@ -52,6 +53,13 @@ def test_cli_import_loads_no_scipy():
 
 def test_cli_import_loads_no_dataclasses():
     run_python("import oemsim.cli, sys; assert 'dataclasses' not in sys.modules")
+
+
+def test_cli_import_loads_no_fractions_or_decimal():
+    """Exact arithmetic is for the rare point that needs it: ``import fractions`` alone
+    costs 2-3 ms of start-up, so a function that uses it imports it itself."""
+    run_python("import oemsim.cli, sys; "
+               "assert not {'fractions', 'decimal'} & set(sys.modules)")
 
 
 def test_cli_import_without_site_loads_no_importlib_resources():

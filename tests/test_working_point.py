@@ -170,7 +170,7 @@ def test_bare_root_corner_finds_its_root():
 
 
 @pytest.mark.parametrize("p_c2, code, message", [
-    (1e-12, 3, "derive [as driven, tone 2 off] row 0: unstable working point"),
+    (1e-12, 3, "summary [as driven, tone 2 off] row 0: unstable working point"),
     (1e-18, 0, "note: "),  # cavity 2 sits far off two-photon resonance
 ], ids=["unstable", "stable"])
 def test_bare_root_corner_derive_judges_its_root(tmp_path, capsys, p_c2, code, message):

@@ -6,14 +6,7 @@ class InvalidParameterError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative solve failed to reach tolerance.
-
-    Carries the last residual so callers can judge how far off it stopped.
-    """
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative solve failed to reach tolerance."""
 
 
 class UnstableWorkingPointError(ConvergenceError):

@@ -37,10 +37,9 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularResponseError
 from .params import SystemParams
-from .working_point import WorkingPoint
+from .working_point import _TINY, WorkingPoint
 
 RESIDUAL_TOL = 1e-10
-_TINY = np.finfo(float).tiny
 
 
 class SidebandSolution(namedtuple("SidebandSolution", "a1_plus a1_minus a2_plus a2_minus q_plus "

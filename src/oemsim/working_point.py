@@ -52,7 +52,7 @@ IMAG_TOL = 1e-6  # a polynomial root z with |Im z| <= IMAG_TOL |z| counts as rea
 POLISH_STEPS = 3  # Newton steps on the force balance itself
 STABILITY_RTOL = 1e-12  # a margin below this fraction of the drift matrix norm is rounding
 INVERSION_RTOL = 1e-3  # relative miss of a cooperativity target that means another branch
-_TINY = np.finfo(float).tiny  # the floor of every relative comparison of roots
+_TINY = np.finfo(float).tiny  # the floor of every relative comparison of roots and residuals
 
 
 class WorkingPoint(namedtuple("WorkingPoint", "a10 a20 q0 delta1 delta2 n1 n2 multiple_roots",
@@ -284,9 +284,7 @@ def _invert_cooperativity(params, c1, c2, detuning_mode="effective", p_c1=0.0):
         if not abs(achieved - c) <= INVERSION_RTOL * c:
             raise ConvergenceError(
                 f"cooperativity inversion off target: {achieved!r} vs {c} "
-                "(the forward solve found another branch)",
-                residual=abs(achieved - c) / c,
-            )
+                "(the forward solve found another branch)")
     return drives, wp
 
 
@@ -320,7 +318,12 @@ def stability_margin(wp: WorkingPoint, params: SystemParams):
     Negative when every small deviation from ``wp`` decays; the growth rate of the
     fastest-growing mode otherwise.  A WorkingPoint of arrays takes one stacked eigensolve.
     """
-    return np.linalg.eigvals(drift_matrix(wp, params)).real.max(axis=-1)
+    return _margin(drift_matrix(wp, params))
+
+
+def _margin(drift):
+    """Largest eigenvalue real part of each stacked drift matrix."""
+    return np.linalg.eigvals(drift).real.max(axis=-1)
 
 
 def require_stable(wp: WorkingPoint, params: SystemParams, what: str) -> None:
@@ -329,8 +332,9 @@ def require_stable(wp: WorkingPoint, params: SystemParams, what: str) -> None:
     A margin within ``STABILITY_RTOL`` of the drift matrix's norm is eigensolver
     rounding, not growth, and passes.  ``what`` names the batch in the message.
     """
-    margin = np.atleast_1d(stability_margin(wp, params))
-    norm = np.linalg.norm(drift_matrix(wp, params), axis=(-2, -1))
+    drift = drift_matrix(wp, params)
+    margin = np.atleast_1d(_margin(drift))
+    norm = np.linalg.norm(drift, axis=(-2, -1))
     bad = np.flatnonzero(margin > STABILITY_RTOL * norm)
     if bad.size:
         i = int(bad[0])

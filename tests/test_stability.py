@@ -120,6 +120,22 @@ def test_gate_names_the_first_unstable_row():
     wpmod.require_stable(cli._stacked([run.wp, run.wp]), params, "sweep")  # stable: no raise
 
 
+@pytest.mark.parametrize("ratios", [(0.0, 0.5, 1.0), (0.0, 1.0, 1.5, 2.0)],
+                         ids=["stable", "unstable"])
+def test_gate_builds_the_drift_matrices_once(monkeypatch, ratios):
+    """One (n, 6, 6) build serves both the margins and the rounding norm."""
+    run, wps = tone2_blue_rows(ratios)
+    stacked = cli._stacked(wps)
+    builds = []
+    build = wpmod.drift_matrix
+    monkeypatch.setattr(wpmod, "drift_matrix", lambda *args: builds.append(1) or build(*args))
+    try:
+        wpmod.require_stable(stacked, run.scenario.params, "sweep")
+    except om.UnstableWorkingPointError:
+        assert ratios[-1] > 1.0
+    assert len(builds) == 1
+
+
 def test_drift_matrix_is_the_jacobian_of_the_mean_field_equations():
     """Central differences of the bare mean-field equations (``working_point``'s docstring)
     about a bare working point; they are quadratic, so the differences are exact but for

@@ -546,7 +546,6 @@ def _time_tables(run: Run):
     params, sweep = run.scenario.params, run.scenario.sweep
     traj = propagate(
         from_working_point(run.wp, params),
-        probe_amp=1.0,
         delta=params.omega_m + sweep["x_gamma_m"] * params.gamma_m,
         t_final=sweep["t_final"],
         method=sweep["method"],

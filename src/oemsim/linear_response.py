@@ -14,8 +14,8 @@ which turns the mechanical coherence into a rotating-wave oscillator with
 half damping.  The reduced 3x3 system is then algebraically identical to the
 closed-form nested-fraction response (``analytic``, offset by
 eps_i = Delta_i - omega_m) and to the steady state of the three-oscillator
-model (``oscillators``), and conserves probe photon flux exactly across its
-three decay channels.
+model (``oscillators.harmonic_steady_state``), and conserves probe photon flux
+exactly across its three decay channels.
 
 One kernel, ``_solve_grid``, answers every model on a whole grid at once and gates
 every point on its re-substitution residual.  It solves "full" and "rwa" itself, by
@@ -147,9 +147,10 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
     grid, or one delta and a WorkingPoint of arrays).  "full" and "rwa" are arrow
     matrices (each cavity row couples only to itself and the mechanics), solved by
     ``_arrow_solve``.  "analytic" is the nested fraction (``analytic._levels``) and
-    "oscillator" the stacked oscillator steady state (``oscillators.steady_state``),
-    whose amplitudes drop the tones' phases; the first is gated on the rwa system, the
-    second on its own.  A point whose re-substitution residual exceeds 1e-10 raises
+    "oscillator" the stacked oscillator steady state (``oscillators.harmonic_steady_state``,
+    one call for the whole grid), whose amplitudes drop the tones' phases; the first is
+    gated on the rwa system, the second on its own.  Every route answers per unit probe
+    amplitude.  A point whose re-substitution residual exceeds 1e-10 raises
     SingularResponseError naming its row and x.
     """
     k1, k2, g1, g2 = params.kappa1, params.kappa2, params.g1, params.g2
@@ -185,9 +186,9 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
             residual = _arrow_residual(*rwa, [a1p, a2p], qp)
         elif model == "oscillator":
             # the oscillator steady state (u, v, w), gated on its own arrow system; Q+ = w/sqrt 2
-            from .oscillators import from_working_point, steady_state
+            from .oscillators import from_working_point, harmonic_steady_state
             osc = from_working_point(wp, params)
-            a1p, a2p, w = np.moveaxis(steady_state(osc, delta), -1, 0)
+            a1p, a2p, w = np.moveaxis(harmonic_steady_state(osc, delta), -1, 0)
             g_eff = [1j * osc.g_eff1, 1j * osc.g_eff2]
             residual = _arrow_residual(cav, g_eff, g_eff, osc.gamma_m_half - 1j * (delta - wm),
                                        [a1p, a2p], w)
@@ -201,14 +202,15 @@ def _solve_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> Si
 
 def response_grid(wp: WorkingPoint, params: SystemParams, delta, model: str) -> ProbeResponse:
     """Probe response of ``model`` ("full", "rwa", "analytic" or "oscillator") on a whole
-    grid: a ProbeResponse of arrays, or of scalars for a scalar delta and working point.
+    grid, per unit probe amplitude: a ProbeResponse of arrays, or of scalars for a scalar
+    delta and working point.
 
     The sideband amplitudes come from ``_solve_grid`` (the kernel's own elimination for
-    "full" and "rwa", the nested fraction for "analytic", the oscillator steady state for
-    "oscillator"; ``delta`` broadcasts against the working-point fields; 1e-10 residual
-    gate), the observables from ``probe_outputs``.  A point whose reflect_flux,
-    transmit_flux, mech_intensity or flux_budget is not finite raises
-    SingularResponseError naming its row and x.
+    "full" and "rwa", the nested fraction for "analytic", the oscillator steady state
+    (``oscillators.harmonic_steady_state``) for "oscillator"; ``delta`` broadcasts
+    against the working-point fields; 1e-10 residual gate), the observables from
+    ``probe_outputs``.  A point whose reflect_flux, transmit_flux, mech_intensity or
+    flux_budget is not finite raises SingularResponseError naming its row and x.
     """
     sol = _solve_grid(wp, params, delta, model)
     with np.errstate(all="ignore"):  # a float overflow shows up as a non-finite observable

@@ -12,8 +12,11 @@ the drive weights s_i of the closed-form response and the harmonic steady
 state reproduces it exactly, at cavity offsets Delta_i - omega_m included.  The
 narrow absorption peak needs the rate hierarchy kappa1 >> gamma_m >> kappa2,
 i.e. a mechanical linewidth between the two cavity linewidths.  The steady state
-over a whole grid, one stacked solve (``steady_state``), is the "oscillator"
-model of ``linear_response.response_grid``.
+over a whole grid, one stacked solve (``harmonic_steady_state``), is the
+"oscillator" model of ``linear_response.response_grid``.
+
+Every amplitude is per unit probe amplitude (E_p = 1), as in ``linear_response``;
+the system is linear in E_p, so another probe scales every state by it.
 
 The system is linear with constant coefficients, so the time-domain
 propagation is done exactly (the matrix exponential of one output step,
@@ -91,29 +94,23 @@ def from_working_point(wp: WorkingPoint, params: SystemParams) -> OscillatorMode
     )
 
 
-def steady_state(model: OscillatorModel, delta, probe_amp: complex = 1.0) -> np.ndarray:
-    """Periodic steady-state amplitudes Z of z(t) = Z exp(-i delta t), of shape (..., 3).
+def harmonic_steady_state(model: OscillatorModel, delta) -> np.ndarray:
+    """Periodic steady-state amplitudes Z of z(t) = Z exp(-i delta t) per unit probe
+    amplitude, of shape (..., 3): (3,) for a scalar detuning and model.
 
-    Solves (-i delta I - A) Z = d for the constant drive vector d = (probe_amp, 0, 0) in
-    one stacked np.linalg.solve; ``delta`` and the model's fields broadcast.  d is a
-    (..., 3, 1) column, which numpy 1.x and 2.x both read as one right-hand side.
+    Solves (-i delta I - A) Z = d for the unit drive vector d = (1, 0, 0) in one stacked
+    np.linalg.solve; ``delta`` and the model's fields broadcast.  d is a (..., 3, 1)
+    column, which numpy 1.x and 2.x both read as one right-hand side.
     """
     delta = np.asarray(delta, dtype=float)
     m = -1j * delta[..., None, None] * np.eye(3) - model.system_matrix()
     d = np.zeros(m.shape[:-1] + (1,), dtype=complex)
-    d[..., 0, 0] = probe_amp
+    d[..., 0, 0] = 1.0
     try:
         return np.linalg.solve(m, d)[..., 0]
     except np.linalg.LinAlgError as exc:  # an exactly zero pivot, in any system of the stack
         raise SingularResponseError("oscillator steady state singular",
                                     delta=float(delta) if delta.ndim == 0 else None) from exc
-
-
-def harmonic_steady_state(
-    model: OscillatorModel, delta: float, probe_amp: complex = 1.0
-) -> tuple[complex, complex, complex]:
-    """``steady_state`` at one detuning, as three Python complex numbers (u, v, w)."""
-    return tuple(complex(z) for z in steady_state(model, delta, probe_amp))
 
 
 def _max_rate(matrix: np.ndarray) -> float:
@@ -163,18 +160,17 @@ def _orbit(step: np.ndarray, n: int) -> np.ndarray:
 
 def propagate(
     model: OscillatorModel,
-    probe_amp: complex,
     delta: float,
     t_final: float,
     method: str = "exact_propagator",
     dt: float | None = None,
     n_samples: int = 1001,
 ) -> Trajectory:
-    """Integrate the driven oscillator triple from (u, v, w) = (0, 0, 0).
+    """Integrate the oscillator triple, driven by the unit probe, from (u, v, w) = (0, 0, 0).
 
     Both methods work in the probe co-rotating frame y = exp(i delta t) z, an
     exact change of variables that makes the drive constant: dy/dt = B y + d
-    with B = A + i delta I and d = (probe_amp, 0, 0).  On (y, 1) this is the
+    with B = A + i delta I and d = (1, 0, 0).  On (y, 1) this is the
     linear system with the 4x4 generator G = [[B, d], [0, 0]], so a step of
     either method is one 4x4 matrix, and the samples are the orbit of
     (0, 0, 0, 1) under it (``_orbit``).
@@ -205,7 +201,7 @@ def propagate(
         raise InvalidParameterError(f"n_samples must be >= 1, got {n_samples!r}")
     g = np.zeros((4, 4), dtype=complex)
     g[:3, :3] = model.system_matrix() + 1j * delta * np.eye(3)
-    g[0, 3] = probe_amp
+    g[0, 3] = 1.0
 
     if method == "exact_propagator":
         times = np.linspace(0.0, t_final, n_samples)

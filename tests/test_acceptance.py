@@ -166,8 +166,8 @@ def test_criterion_12_time_domain_settling(scaled_model):
     scale = np.abs(target).max()
     errors = {}
     for method, kwargs in (("exact_propagator", {}), ("rk4", {"dt": 2e-4})):
-        traj = om.propagate(scaled_model, 1.0, delta, t_final, method=method,
-                            n_samples=11, **kwargs)
+        traj = om.propagate(scaled_model, delta, t_final, method=method, n_samples=11,
+                            **kwargs)
         errors[method] = np.abs(traj.states[-1] - target).max() / scale
         assert errors[method] < 1e-6
     report(12, f"settling at t = 10/kappa2: exact {errors['exact_propagator']:.1e}, "

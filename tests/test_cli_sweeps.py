@@ -2,7 +2,6 @@
 
 import json
 import math
-import sys
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 import oemsim as om
-from oemsim import cli
+from oemsim import cli, oscillators
 from oemsim import working_point as wpmod
 
 
@@ -140,26 +139,36 @@ def write_scenario(tmp_path, name, sweep, **extra):
     return path
 
 
-def test_cli_sweeps_never_call_harmonic_steady_state(tmp_path, monkeypatch):
-    def per_point(*args, **kwargs):
-        raise AssertionError("a CLI sweep solved a per-point oscillator steady state")
+def test_cli_oscillator_tables_solve_one_stacked_steady_state(tmp_path, monkeypatch):
+    """Every oscillator table, of a probe, variant or ratio sweep, is one
+    ``harmonic_steady_state`` call over its whole grid; no other model makes one."""
+    shapes = []
+    real = oscillators.harmonic_steady_state
 
-    for module in [m for name, m in sys.modules.items() if name.startswith("oemsim")]:
-        if hasattr(module, "harmonic_steady_state"):
-            monkeypatch.setattr(module, "harmonic_steady_state", per_point)
+    def stacked(*args, **kwargs):
+        z = real(*args, **kwargs)
+        shapes.append(z.shape)
+        return z
 
+    monkeypatch.setattr(oscillators, "harmonic_steady_state", stacked)
     probe = write_scenario(tmp_path, "probe", PROBE)
     variants = write_scenario(tmp_path, "variants", PROBE, variants=[
         {"label": "off", "c2_over_c1": 0.0}, {"label": "osc", "model": "oscillator"},
         {"label": "half", "model": "full", "c2_over_c1": 0.5}])
     ratio = write_scenario(tmp_path, "ratio", RATIO)
-    runs = [(probe, ["--model", m], f"probe_{m}.csv", [f"probe_{m}.csv"]) for m in cli.MODELS]
-    runs += [(variants, [], "v.csv", ["v_off.csv", "v_osc.csv", "v_half.csv"])]
-    runs += [(ratio, ["--model", m], f"ratio_{m}.csv", [f"ratio_{m}.csv"]) for m in cli.MODELS]
-    for scenario, model_args, out, written in runs:
+    # (scenario, model arguments, --out, written tables, how many of them are oscillator tables)
+    oscillator_tables = {m: int(m == "oscillator") for m in cli.MODELS}
+    runs = [(probe, ["--model", m], f"probe_{m}.csv", [f"probe_{m}.csv"], oscillator_tables[m])
+            for m in cli.MODELS]
+    runs += [(variants, [], "v.csv", ["v_off.csv", "v_osc.csv", "v_half.csv"], 1)]
+    runs += [(ratio, ["--model", m], f"ratio_{m}.csv", [f"ratio_{m}.csv"], oscillator_tables[m])
+             for m in cli.MODELS]
+    for scenario, model_args, out, written, n_oscillator in runs:
+        shapes.clear()
         args = ["sweep", "--scenario", scenario, *model_args, "--out", tmp_path / out]
         assert cli.main([str(a) for a in args]) == 0
         n_points = (RATIO if scenario == ratio else PROBE)["n_points"]
+        assert shapes == [(n_points, 3)] * n_oscillator, (out, shapes)
         for name in written:
             assert len((tmp_path / name).read_text().splitlines()) == 1 + n_points
 

@@ -8,8 +8,8 @@ from oemsim import oscillators
 from oemsim.params import rate_hierarchy
 
 
-def steady_at(model, delta, t, probe_amp=1.0):
-    z = np.array(om.harmonic_steady_state(model, delta, probe_amp))
+def steady_at(model, delta, t):
+    z = om.harmonic_steady_state(model, delta)
     return z * np.exp(-1j * delta * t)
 
 
@@ -75,12 +75,13 @@ def test_stacked_steady_state_is_one_solve_per_system(scaled_model):
     stacked = scaled_model._replace(g_eff2=g2)
     deltas = scaled_model.omega_m + np.array([-30.0, -1.0, 0.0, 12.5])
     matrices = stacked.system_matrix()
-    z = oscillators.steady_state(stacked, deltas, 0.5j)
+    z = om.harmonic_steady_state(stacked, deltas)
     assert matrices.shape == (4, 3, 3) and z.shape == (4, 3)
     for i, (g, delta) in enumerate(zip(g2, deltas)):
         scalar = scaled_model._replace(g_eff2=float(g))
         assert np.array_equal(matrices[i], scalar.system_matrix())
-        want = om.harmonic_steady_state(scalar, float(delta), 0.5j)
+        want = om.harmonic_steady_state(scalar, float(delta))
+        assert want.shape == (3,)
         np.testing.assert_allclose(z[i], want, rtol=1e-14, atol=0)
 
 
@@ -120,9 +121,12 @@ def test_mechanical_amplitude_decreases_with_second_coupling(scaled_model):
     assert np.all(np.diff(amps) < 0)
 
 
-def test_zero_drive_stays_at_rest(scaled_model):
-    traj = om.propagate(scaled_model, 0.0, scaled_model.omega_m, 1.0, n_samples=64)
-    assert np.all(traj.states == 0)
+@pytest.mark.parametrize("method", oscillators.METHODS)
+def test_both_methods_start_at_rest(scaled_model, method):
+    dt = 1e-4 if method == "rk4" else None
+    traj = om.propagate(scaled_model, scaled_model.omega_m, 1.0, method=method, dt=dt,
+                        n_samples=64)
+    assert traj.states[0].tolist() == [0, 0, 0]
 
 
 def test_scalar_relaxation_both_methods(scaled_model):
@@ -135,7 +139,7 @@ def test_scalar_relaxation_both_methods(scaled_model):
     delta = bare.delta1
     t_final = 5.0 / bare.kappa1
     for kwargs in ({"method": "exact_propagator"}, {"method": "rk4", "dt": 2e-5}):
-        traj = om.propagate(bare, 1.0, delta, t_final, n_samples=200, **kwargs)
+        traj = om.propagate(bare, delta, t_final, n_samples=200, **kwargs)
         for t, z in zip(traj.times[::20], traj.states[::20]):
             expected = (1.0 / bare.kappa1) * (1.0 - math.exp(-bare.kappa1 * t))
             assert abs(z[0]) == pytest.approx(expected, abs=1e-8)
@@ -147,10 +151,10 @@ def test_settling_to_harmonic_steady_state(scaled_model):
     delta = scaled_model.omega_m
     target = steady_at(scaled_model, delta, t_final)
     scale = np.abs(target).max()
-    exact = om.propagate(scaled_model, 1.0, delta, t_final, method="exact_propagator",
+    exact = om.propagate(scaled_model, delta, t_final, method="exact_propagator",
                          n_samples=11)
     assert np.abs(exact.states[-1] - target).max() / scale < 1e-6
-    rk4 = om.propagate(scaled_model, 1.0, delta, t_final, method="rk4", dt=2e-4,
+    rk4 = om.propagate(scaled_model, delta, t_final, method="rk4", dt=2e-4,
                        n_samples=11)
     assert np.abs(rk4.states[-1] - target).max() / scale < 1e-6
 
@@ -158,7 +162,7 @@ def test_settling_to_harmonic_steady_state(scaled_model):
 def test_methods_agree_along_trajectory(scaled_model):
     t_final = 10.0 / scaled_model.kappa2
     delta = scaled_model.omega_m
-    rk4 = om.propagate(scaled_model, 1.0, delta, t_final, method="rk4", dt=1e-4,
+    rk4 = om.propagate(scaled_model, delta, t_final, method="rk4", dt=1e-4,
                        n_samples=101)
     a = scaled_model.system_matrix()
     evals, evecs = np.linalg.eig(a)
@@ -172,9 +176,9 @@ def test_methods_agree_along_trajectory(scaled_model):
 
 def test_rk4_guard_rejects_large_step(scaled_model):
     with pytest.raises(om.InvalidParameterError, match="^dt = .* violates the stability guard"):
-        om.propagate(scaled_model, 1.0, scaled_model.omega_m, 1.0, method="rk4", dt=1.0)
+        om.propagate(scaled_model, scaled_model.omega_m, 1.0, method="rk4", dt=1.0)
     with pytest.raises(om.InvalidParameterError):
-        om.propagate(scaled_model, 1.0, scaled_model.omega_m, 1.0, method="rk4")
+        om.propagate(scaled_model, scaled_model.omega_m, 1.0, method="rk4")
 
 
 def test_exceptional_point_fallback_matches_rk4():
@@ -187,8 +191,8 @@ def test_exceptional_point_fallback_matches_rk4():
     )
     delta = 4.0
     t_final = 6.0
-    exact = om.propagate(model, 1.0, delta, t_final, method="exact_propagator", n_samples=31)
-    rk4 = om.propagate(model, 1.0, delta, t_final, method="rk4", dt=1e-3, n_samples=31)
+    exact = om.propagate(model, delta, t_final, method="exact_propagator", n_samples=31)
+    rk4 = om.propagate(model, delta, t_final, method="rk4", dt=1e-3, n_samples=31)
     z_ss = np.abs(np.array(om.harmonic_steady_state(model, delta))).max()
     for te, ze in zip(exact.times, exact.states):
         i = np.argmin(np.abs(rk4.times - te))
@@ -216,13 +220,13 @@ def test_expm_matches_scipy():
 
 def test_rk4_solves_no_harmonic_steady_state(scaled_model, monkeypatch):
     kwargs = dict(method="rk4", dt=1e-4, n_samples=11)
-    before = om.propagate(scaled_model, 1.0, 1.01e4, 0.05, **kwargs)
+    before = om.propagate(scaled_model, 1.01e4, 0.05, **kwargs)
 
     def unused(*args, **kw):
         raise AssertionError("rk4 solved the harmonic steady state")
 
     monkeypatch.setattr(oscillators, "harmonic_steady_state", unused)
-    after = om.propagate(scaled_model, 1.0, 1.01e4, 0.05, **kwargs)
+    after = om.propagate(scaled_model, 1.01e4, 0.05, **kwargs)
     assert np.array_equal(after.times, before.times)
     assert np.array_equal(after.states, before.states)
 
@@ -231,18 +235,18 @@ def test_rk4_solves_no_harmonic_steady_state(scaled_model, monkeypatch):
 @pytest.mark.parametrize("method", ["exact_propagator", "rk4"])
 def test_propagate_rejects_fewer_than_one_sample(scaled_model, method, n_samples):
     with pytest.raises(om.InvalidParameterError, match="n_samples must be >= 1"):
-        om.propagate(scaled_model, 1.0, 1e4, 0.05, method=method, dt=1e-4, n_samples=n_samples)
+        om.propagate(scaled_model, 1e4, 0.05, method=method, dt=1e-4, n_samples=n_samples)
 
 
 @pytest.mark.parametrize("t_final", [0.0, -1e-3])
 def test_propagate_rejects_a_span_that_is_not_positive(scaled_model, t_final):
     with pytest.raises(om.InvalidParameterError, match="t_final must be > 0"):
-        om.propagate(scaled_model, 1.0, 1e4, t_final)
+        om.propagate(scaled_model, 1e4, t_final)
 
 
 def test_propagate_rejects_an_unknown_method(scaled_model):
     with pytest.raises(om.InvalidParameterError, match="unknown integration method 'euler'"):
-        om.propagate(scaled_model, 1.0, 1e4, 0.05, method="euler", dt=1e-4)
+        om.propagate(scaled_model, 1e4, 0.05, method="euler", dt=1e-4)
 
 
 def test_trajectory_time_grid_validation():
@@ -250,13 +254,13 @@ def test_trajectory_time_grid_validation():
         om.Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.zeros((3, 3), dtype=complex))
 
 
-def eigenbasis_propagate(model, probe_amp, delta, times):
+def eigenbasis_propagate(model, delta, times):
     """The eigenmode sum the exact propagator used before its one-step map, kept as the oracle.
 
     z(t) = Z exp(-i delta t) - V exp(L t) V^{-1} Z with (V, L) the eigendecomposition of the
     system matrix and Z the harmonic steady state; valid away from exceptional points.
     """
-    z_ss = np.array(om.harmonic_steady_state(model, delta, probe_amp), dtype=complex)
+    z_ss = om.harmonic_steady_state(model, delta)
     evals, evecs = np.linalg.eig(model.system_matrix())
     c0 = np.linalg.solve(evecs, -z_ss)
     hom = sum(np.multiply.outer(np.exp(evals[k] * times) * c0[k], evecs[:, k]) for k in range(3))
@@ -277,17 +281,17 @@ def test_exact_propagator_matches_eigenbasis_in_dense_grids_regime(params, seed)
         g_eff2=math.sqrt(c2 * params.kappa2 * gm / 2.0),
     )
     delta = params.omega_m + rng.uniform(-3.0, 3.0) * gm
-    traj = om.propagate(model, 1.0, delta, rng.uniform(1e-3, 3e-3), n_samples=30000)
-    expected = eigenbasis_propagate(model, 1.0, delta, traj.times)
+    traj = om.propagate(model, delta, rng.uniform(1e-3, 3e-3), n_samples=30000)
+    expected = eigenbasis_propagate(model, delta, traj.times)
     scale = np.abs(expected).max(axis=0)
     assert np.all(np.abs(traj.states - expected) <= 3e-11 * scale)
 
 
-def exact_per_step(model, probe_amp, delta, t_final, n_samples):
+def exact_per_step(model, delta, t_final, n_samples):
     """The exact propagator's one-step map applied sample after sample, without doubling."""
     g = np.zeros((4, 4), dtype=complex)
     g[:3, :3] = model.system_matrix() + 1j * delta * np.eye(3)
-    g[0, 3] = probe_amp
+    g[0, 3] = 1.0
     step = oscillators._expm(g * (t_final / max(1, n_samples - 1)))
     times = np.linspace(0.0, t_final, n_samples)
     y = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
@@ -301,8 +305,8 @@ def exact_per_step(model, probe_amp, delta, t_final, n_samples):
 @pytest.mark.parametrize("n_samples", [1, 2, 3, 4, 5, 1023, 1024, 1025])
 def test_exact_orbit_matches_per_step_loop(scaled_model, n_samples):
     delta, t_final = scaled_model.omega_m + 3.0, 5.0 / scaled_model.kappa2
-    times, states = exact_per_step(scaled_model, 1.0, delta, t_final, n_samples)
-    traj = om.propagate(scaled_model, 1.0, delta, t_final, n_samples=n_samples)
+    times, states = exact_per_step(scaled_model, delta, t_final, n_samples)
+    traj = om.propagate(scaled_model, delta, t_final, n_samples=n_samples)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.shape == states.shape == (n_samples, 3)
     assert np.all(traj.states[0] == 0)
@@ -310,12 +314,12 @@ def test_exact_orbit_matches_per_step_loop(scaled_model, n_samples):
     assert np.all(np.abs(traj.states - states) <= 1e-12 * scale)
 
 
-def rk4_per_step(model, probe_amp, delta, t_final, dt, n_samples):
+def rk4_per_step(model, delta, t_final, dt, n_samples):
     """The per-step RK4 loop the composed stride maps replaced, kept as the oracle."""
     b = model.system_matrix() + 1j * delta * np.eye(3)
     n_steps = max(1, math.ceil(t_final / dt))
     h = t_final / n_steps
-    d = np.array([probe_amp, 0.0, 0.0], dtype=complex)
+    d = np.array([1.0, 0.0, 0.0], dtype=complex)
     hb = h * b
     hb2 = hb @ hb
     hb3 = hb2 @ hb
@@ -345,13 +349,13 @@ def rk4_per_step(model, probe_amp, delta, t_final, dt, n_samples):
 ])
 def test_rk4_stride_maps_match_per_step_loop(scaled_model, t_final, n_samples, layout):
     dt, delta = 2.0**-13, scaled_model.omega_m + 3.0
-    times, states, n_steps, stride = rk4_per_step(scaled_model, 1.0, delta, t_final, dt, n_samples)
+    times, states, n_steps, stride = rk4_per_step(scaled_model, delta, t_final, dt, n_samples)
     assert {"whole strides": n_steps % stride == 0 and stride > 1,
             "remainder": n_steps % stride > 0,
             "stride 1": stride == 1 and n_steps > 1,
             "one step": n_steps == 1,
             "two samples": len(times) == 2 and n_steps > 1}[layout]
-    traj = om.propagate(scaled_model, 1.0, delta, t_final, method="rk4", dt=dt,
+    traj = om.propagate(scaled_model, delta, t_final, method="rk4", dt=dt,
                         n_samples=n_samples)
     assert traj.times.tobytes() == times.tobytes()
     assert traj.states.shape == states.shape
@@ -366,4 +370,4 @@ def test_overflowing_propagator_raises(params, wp_c40):
     model = om.from_working_point(wp_c40, params)
     delta = params.omega_m + 1e300 * params.gamma_m
     with pytest.raises(om.SingularResponseError, match=r"^sample 1 \(t = 1\.000000e-06 s\) "):
-        om.propagate(model, 1.0, delta, 1e-3)
+        om.propagate(model, delta, 1e-3)

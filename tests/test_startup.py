@@ -123,7 +123,7 @@ def test_exact_propagator_takes_one_expm_and_loads_no_scipy():
         "oscillators._expm = lambda a: calls.append(a.shape) or real(a)\n"
         "m = om.OscillatorModel(delta1=5.0, delta2=5.0, omega_m=5.0, kappa1=2.0,\n"
         "                       kappa2=3.0, gamma_m_half=1.0, g_eff1=0.5, g_eff2=0.0)\n"
-        "om.propagate(m, 1.0, 4.0, 6.0, method='exact_propagator', n_samples=5)\n"
+        "om.propagate(m, 4.0, 6.0, method='exact_propagator', n_samples=5)\n"
         "assert calls == [(4, 4)], calls\n"
         "assert not any(m.startswith('scipy') for m in sys.modules)\n"
     )
